@@ -60,6 +60,7 @@ from .models import (
     GaussianModel,
     LogisticDataset,
     LogisticRegressionModel,
+    RayBatch,
     SyntheticDatasetConfig,
     TargetModel,
     generate_dataset,

@@ -17,7 +17,15 @@ variable. Averaging over sampled directions assembles two certificates:
   plus the conditional-KL corrections.
 
 ``audit`` wires the full pipeline (mode search, fit, curvature spot check,
-direction sampling, assembly) into a reproducible report.
+direction sampling, assembly) into a reproducible report. It treats all
+sampled directions at once: one ``TargetModel.ray_batch`` call gives delta3,
+the analytic delta4 bound and the ray values on the quadrature nodes for
+the whole (m x d) direction matrix, and the curvature floor, the
+conditional-KL bound and the ELBO proxy are array expressions over it. The
+curvature floor is minimized exactly, at the real roots of its derivative.
+The one-direction helpers ``delta3``, ``delta4``, ``min_conditional_curvature``,
+``conditional_kl_bound`` and ``xi_elbo`` run the same code on a single
+direction. Only grid-mode delta4, a heuristic, loops over directions.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, logsumexp
 
 from .errors import AssumptionViolationError, NonFiniteObjectiveError
@@ -39,7 +46,26 @@ _DIR_STREAM = 1
 _LSI_STREAM = 5
 
 DELTA4_GRID_POINTS = 512
-CURVATURE_GRID_POINTS = 4097
+# elements of each (blocks x directions) mask of the jackknife, which bounds
+# its memory whatever the number of directions
+JACKKNIFE_ELEMENTS = 1 << 18
+
+
+def _ray_batch(model, fit: LaplaceFit, vs, rs=None):
+    """The model's ``ray_batch`` along the rows of ``vs`` through the mode.
+
+    Objects that are not ``TargetModel`` subclasses but have its scalar
+    methods get the generic loop over them.
+    """
+    batch = getattr(model, "ray_batch", None)
+    if batch is None:
+        return TargetModel.ray_batch(model, fit.theta_star, vs, rs)
+    return batch(fit.theta_star, vs, rs)
+
+
+def _whiten(fit: LaplaceFit, es) -> np.ndarray:
+    """Rows S e of the ray directions for unit directions e (one per row)."""
+    return np.atleast_2d(np.asarray(es, dtype=float)) @ fit.sqrt_covariance
 
 
 def delta3(fit: LaplaceFit, model: TargetModel, e) -> float:
@@ -49,27 +75,30 @@ def delta3(fit: LaplaceFit, model: TargetModel, e) -> float:
     ``S e``, but is computed directly along the ray so the d^3 tensor is
     never materialized. Odd in ``e``.
     """
-    e = np.asarray(e, dtype=float)
-    v = fit.sqrt_covariance @ e
-    return float(model.ray_derivatives(fit.theta_star, v, 0.0, max_order=3)[2])
+    return float(_ray_batch(model, fit, _whiten(fit, e)).delta3[0])
 
 
-def _delta4_along(model, fit, v, mode: str, r_max: float | None):
+def _delta4s(model, fit: LaplaceFit, vs, analytic, mode: str, r_max: float | None):
+    """delta4 along each row of ``vs`` and a flag per row.
+
+    ``analytic`` is the model's bound from ``ray_batch`` (None if it has
+    none); without it, or in grid mode, each row takes the grid maximum.
+    """
     if mode not in ("analytic", "grid"):
         raise ValueError(f"delta4 mode must be 'analytic' or 'grid', got {mode!r}")
-    if mode == "analytic":
-        bound_val = model.ray_fourth_derivative_bound(fit.theta_star, v)
-        if bound_val is not None:
-            if bound_val < 0:
-                raise ValueError("analytic fourth-derivative bound must be nonnegative")
-            return float(bound_val), "analytic"
+    if mode == "analytic" and analytic is not None:
+        if np.any(analytic < 0):
+            raise ValueError("analytic fourth-derivative bound must be nonnegative")
+        return analytic, ["analytic"] * len(analytic)
     if r_max is None:
         r_max = chi_quantile(fit.dim, 1.0 - 1e-6)
     if r_max <= 0:
         raise ValueError("r_max must be positive")
     rs = np.linspace(0.0, r_max, DELTA4_GRID_POINTS)
-    vals = model.ray_derivative_profile(fit.theta_star, v, rs, order=4)
-    return float(np.max(np.abs(vals))), "grid"
+    values = [
+        np.max(np.abs(model.ray_derivative_profile(fit.theta_star, v, rs, order=4))) for v in vs
+    ]
+    return np.array(values, dtype=float), ["grid"] * len(values)
 
 
 def delta4(fit: LaplaceFit, model: TargetModel, e, r_max: float | None = None,
@@ -85,9 +114,9 @@ def delta4(fit: LaplaceFit, model: TargetModel, e, r_max: float | None = None,
     -------
     (value, flag) with flag in {"analytic", "grid"}.
     """
-    e = np.asarray(e, dtype=float)
-    v = fit.sqrt_covariance @ e
-    return _delta4_along(model, fit, v, mode, r_max)
+    vs = _whiten(fit, e)
+    values, flags = _delta4s(model, fit, vs, _ray_batch(model, fit, vs).delta4, mode, r_max)
+    return float(values[0]), flags[0]
 
 
 def _curvature_floor_poly(r, d, d3, d4):
@@ -97,6 +126,60 @@ def _curvature_floor_poly(r, d, d3, d4):
     return (2.0 * d - 1.0) / r + r * (6.0 + r * (5.0 * d3 - (7.0 / 3.0) * (d4 * r)))
 
 
+def _curvature_floors(d: int, d3, d4, boundary_term: str) -> np.ndarray:
+    """``min_conditional_curvature`` for arrays of delta3 and delta4 values.
+
+    The floor's stationary points on r > 0 are the positive real roots of
+    -7 d4 r^4 + 10 d3 r^3 + 6 r^2 - (2d-1). In u = 1/r that polynomial is,
+    up to a factor, the monic u^4 - (6/a) u^2 - (10 d3/a) u + 7 d4/a with
+    a = 2d - 1, whatever the values of d3 and d4, so the roots of all rows
+    come from one batched eigenvalue solve of its companion matrices. The
+    minimum over (0, r0] is then taken over those roots and r0 itself.
+    Evaluating the floor at a point of (0, r0] never undercuts that
+    minimum, so every root's real part is tried, clipped to r0. Rows with a
+    non-finite input get NaN.
+    """
+    d3 = np.asarray(d3, dtype=float)
+    d4 = np.asarray(d4, dtype=float)
+    a = 2.0 * d - 1.0
+    finite = np.isfinite(d3) & np.isfinite(d4)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # r0 solves 1 + delta3 r - delta4 r^2/2 = 0; rationalized form is
+        # stable for either sign of delta3
+        r0 = np.where(
+            d4 == 0.0,
+            np.where(d3 > 0.0, np.inf, -1.0 / d3),
+            2.0 / (np.sqrt(d3 * d3 + 2.0 * d4) - d3),
+        )
+        companion = np.zeros(d3.shape + (4, 4))
+        companion[..., [1, 2, 3], [0, 1, 2]] = 1.0
+        companion[..., 0, 3] = np.where(finite, -7.0 * d4 / a, 0.0)
+        companion[..., 1, 3] = np.where(finite, 10.0 * d3 / a, 0.0)
+        companion[..., 2, 3] = 6.0 / a
+        u = np.linalg.eigvals(companion).real
+        r = np.minimum(np.concatenate([1.0 / u, r0[..., None]], axis=-1), r0[..., None])
+        usable = (r > 0.0) & np.isfinite(r)
+        vals = _curvature_floor_poly(
+            np.where(usable, r, 1.0), d, d3[..., None], d4[..., None]
+        )
+        floor = np.where(usable, vals, np.inf).min(axis=-1)
+
+        # flat floor beyond r0, from monotonicity
+        flat = np.where(
+            d4 == 0.0,
+            # delta3 < 0 here; 1 + delta3 r0 = 0 exactly, the flat floor degenerates
+            0.0,
+            # factored form of r0 + delta3 r0^2 - delta4 r0^3/3; delta4*r0 and
+            # delta3*r0 stay bounded even when r0 is astronomically large
+            r0 * (1.0 + r0 * (d3 - (d4 * r0) / 3.0)),
+        )
+    if boundary_term == "derivation":
+        flat = flat + r0
+    floor = np.where(np.isfinite(r0), np.minimum(floor, flat), floor)
+    floor = np.where(finite, floor, np.nan)
+    return np.where((d3 == 0.0) & (d4 == 0.0), radial_min_curvature(d), floor)
+
+
 def min_conditional_curvature(
     d: int, delta3: float, delta4: float, boundary_term: str = "lemma"
 ) -> float:
@@ -104,9 +187,10 @@ def min_conditional_curvature(
 
     Combines the polynomial floor (2d-1)/z^2 + 6 z^2 + 5*delta3*z^4
     - (7/3)*delta4*z^6 over the region where the quadratic Taylor control of
-    the ray still gives information (z^2 <= r0), with a flat floor beyond r0
-    derived from monotonicity. ``boundary_term="derivation"`` switches the
-    flat floor from r0 + delta3 r0^2 - delta4 r0^3/3 to the larger
+    the ray still gives information (z^2 <= r0), minimized exactly at the
+    roots of its derivative, with a flat floor beyond r0 derived from
+    monotonicity. ``boundary_term="derivation"`` switches the flat floor
+    from r0 + delta3 r0^2 - delta4 r0^3/3 to the larger
     2 r0 + delta3 r0^2 - delta4 r0^3/3; the smaller default is conservative.
 
     A nonpositive return value means the Taylor control is too weak for this
@@ -119,49 +203,16 @@ def min_conditional_curvature(
         raise ValueError("delta4 must be nonnegative")
     if boundary_term not in ("lemma", "derivation"):
         raise ValueError("boundary_term must be 'lemma' or 'derivation'")
-    if delta3 == 0.0 and delta4 == 0.0:
-        return radial_min_curvature(d)
+    return float(_curvature_floors(d, np.array([delta3]), np.array([delta4]), boundary_term)[0])
 
-    # r0 solves 1 + delta3 r - delta4 r^2/2 = 0; rationalized form is stable
-    # for either sign of delta3
-    if delta4 == 0.0:
-        r0 = math.inf if delta3 > 0.0 else -1.0 / delta3
-    else:
-        r0 = 2.0 / (math.sqrt(delta3 * delta3 + 2.0 * delta4) - delta3)
 
-    r_star = math.sqrt((2.0 * d - 1.0) / 6.0)
-    r_hi = r0 if math.isfinite(r0) else 100.0 * r_star
-    r_lo = min(r_star, r_hi) * 1e-6
-    grid = np.geomspace(r_lo, r_hi, CURVATURE_GRID_POINTS)
-    vals = _curvature_floor_poly(grid, d, delta3, delta4)
-
-    candidates = [float(vals[-1])]
-    interior = np.flatnonzero(
-        (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
-    ) + 1
-    for idx in interior:
-        res = minimize_scalar(
-            _curvature_floor_poly,
-            args=(d, delta3, delta4),
-            bounds=(grid[idx - 1], grid[idx + 1]),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        candidates.append(min(float(res.fun), float(vals[idx])))
-    floor = min(candidates)
-
-    if math.isfinite(r0):
-        if delta4 == 0.0:
-            # delta3 < 0 here; 1 + delta3 r0 = 0 exactly, the flat floor degenerates
-            flat = 0.0
-        else:
-            # factored form of r0 + delta3 r0^2 - delta4 r0^3/3; delta4*r0 and
-            # delta3*r0 stay bounded even when r0 is astronomically large
-            flat = r0 * (1.0 + r0 * (delta3 - (delta4 * r0) / 3.0))
-        if boundary_term == "derivation":
-            flat += r0
-        floor = min(floor, flat)
-    return float(floor)
+def _conditional_kl(d: int, delta3, delta4, min_curvature):
+    numerator = (
+        delta3 * delta3 * chi_moment(d, 5)
+        + (2.0 / 3.0) * np.abs(delta3) * delta4 * chi_moment(d, 6)
+        + (1.0 / 9.0) * delta4 * delta4 * chi_moment(d, 7)
+    )
+    return numerator / min_curvature
 
 
 def conditional_kl_bound(d: int, delta3: float, delta4: float, min_curvature: float) -> float:
@@ -174,12 +225,14 @@ def conditional_kl_bound(d: int, delta3: float, delta4: float, min_curvature: fl
         raise ValueError("min_curvature must be positive (direction invalid otherwise)")
     if delta4 < 0:
         raise ValueError("delta4 must be nonnegative")
-    numerator = (
-        delta3 * delta3 * chi_moment(d, 5)
-        + (2.0 / 3.0) * abs(delta3) * delta4 * chi_moment(d, 6)
-        + (1.0 / 9.0) * delta4 * delta4 * chi_moment(d, 7)
-    )
-    return numerator / min_curvature
+    return float(_conditional_kl(d, delta3, delta4, min_curvature))
+
+
+def _xi_values(fit: LaplaceFit, values, quadrature_nodes: int) -> np.ndarray:
+    """ELBO proxy per row of ray values on the chi quadrature nodes."""
+    rs, ws = chi_quadrature(fit.dim, quadrature_nodes)
+    integrand = 0.5 * rs * rs - (values - fit.neg_log_density_at_mode)
+    return integrand @ ws
 
 
 def xi_elbo(fit: LaplaceFit, model: TargetModel, e, quadrature_nodes: int = 64) -> float:
@@ -191,23 +244,19 @@ def xi_elbo(fit: LaplaceFit, model: TargetModel, e, quadrature_nodes: int = 64) 
     """
     if quadrature_nodes < 16:
         raise ValueError("quadrature_nodes must be at least 16")
-    e = np.asarray(e, dtype=float)
-    v = fit.sqrt_covariance @ e
-    return _xi_elbo_along(fit, model, v, quadrature_nodes)
-
-
-def _xi_elbo_along(fit, model, v, quadrature_nodes):
-    rs, ws = chi_quadrature(fit.dim, quadrature_nodes)
-    vals = model.ray_values(fit.theta_star, v, rs)
-    if not np.all(np.isfinite(vals)):
+    rs, _ = chi_quadrature(fit.dim, quadrature_nodes)
+    values = _ray_batch(model, fit, _whiten(fit, e), rs).values
+    if not np.all(np.isfinite(values)):
         raise NonFiniteObjectiveError("negative log-density non-finite along ray")
-    integrand = 0.5 * rs * rs - (vals - fit.neg_log_density_at_mode)
-    return float(ws @ integrand)
+    return float(_xi_values(fit, values, quadrature_nodes)[0])
 
 
-def eps2_bound(d: int, delta4: float) -> float:
-    """Bound on the third-order remainder of the ELBO proxy: delta4 E[r^4]/24."""
-    if delta4 < 0:
+def eps2_bound(d: int, delta4):
+    """Bound on the third-order remainder of the ELBO proxy: delta4 E[r^4]/24.
+
+    Takes one delta4 value or an array of them.
+    """
+    if np.any(np.asarray(delta4) < 0):
         raise ValueError("delta4 must be nonnegative")
     return delta4 * chi_moment(d, 4) / 24.0
 
@@ -269,10 +318,8 @@ def _log_moment(xis: np.ndarray) -> float:
     return 0.5 * float(logsumexp(centered) - np.log(xis.shape[0]))
 
 
-def _jackknife_se(values_fn, n_blocks: int) -> float:
-    if n_blocks < 2:
-        return float("nan")
-    loo = np.array([values_fn(p) for p in range(n_blocks)])
+def _jackknife_se(loo: np.ndarray) -> float:
+    n_blocks = loo.shape[0]
     return float(np.sqrt((n_blocks - 1) / n_blocks * np.sum((loo - loo.mean()) ** 2)))
 
 
@@ -299,25 +346,30 @@ def direction_kl_bound(diagnostics, pair_size: int = 1) -> DirectionKlTerms:
     cond_term = float(np.mean(eps1))
 
     n_blocks = m // pair_size
-    mask = np.ones(m, dtype=bool)
-
-    def _loo_log_moment(p):
-        mask[p * pair_size:(p + 1) * pair_size] = False
-        val = _log_moment(xis[mask])
-        mask[p * pair_size:(p + 1) * pair_size] = True
-        return val
-
-    def _loo_eps1(p):
-        mask[p * pair_size:(p + 1) * pair_size] = False
-        sub = eps1[mask]
-        mask[p * pair_size:(p + 1) * pair_size] = True
-        return float(np.mean(sub**2) + np.mean(sub))
+    log_moment_se = eps1_se = float("nan")
+    if n_blocks >= 2:
+        kept = m - pair_size
+        loo_log_moment = np.empty(n_blocks)
+        loo_eps1 = np.empty(n_blocks)
+        step = max(1, JACKKNIFE_ELEMENTS // m)
+        for lo in range(0, n_blocks, step):
+            rows = slice(lo, min(lo + step, n_blocks))
+            # row j of ``keep`` leaves out block lo + j, so each reduction
+            # along a row is one leave-one-block-out estimate
+            keep = np.arange(m) // pair_size != np.arange(rows.start, rows.stop)[:, None]
+            loo_mean = np.where(keep, xis, 0.0).sum(axis=1) / kept
+            centered = np.where(keep, 2.0 * (xis - loo_mean[:, None]), -np.inf)
+            loo_log_moment[rows] = 0.5 * (logsumexp(centered, axis=1) - np.log(kept))
+            sub = np.where(keep, eps1, 0.0)
+            loo_eps1[rows] = (sub * sub).sum(axis=1) / kept + sub.sum(axis=1) / kept
+        log_moment_se = _jackknife_se(loo_log_moment)
+        eps1_se = _jackknife_se(loo_eps1)
 
     return DirectionKlTerms(
         log_moment_term=log_moment,
-        log_moment_term_se=_jackknife_se(_loo_log_moment, n_blocks),
+        log_moment_term_se=log_moment_se,
         eps1_correction=eps1_sq_term + cond_term,
-        eps1_correction_se=_jackknife_se(_loo_eps1, n_blocks),
+        eps1_correction_se=eps1_se,
         eps1_sq_term=eps1_sq_term,
         cond_term=cond_term,
     )
@@ -453,41 +505,43 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_DIR_STREAM,)))
     directions = sample_direction_pairs(d, config.n_directions // 2, rng)
 
-    diags = []
-    for e in directions:
-        v = fit.sqrt_covariance @ e
-        d3 = float(model.ray_derivatives(fit.theta_star, v, 0.0, max_order=3)[2])
-        d4, d4_mode = _delta4_along(model, fit, v, config.delta4_mode, config.delta4_r_max)
-        if d3 == 0.0 and d4 == 0.0:
-            # ray is exactly quadratic: every diagnostic has its exact limit
-            mc = radial_min_curvature(d)
-            ckl, xi, valid = 0.0, 0.0, True
-        else:
-            mc = min_conditional_curvature(d, d3, d4, config.boundary_term)
-            valid = mc > 0.0
-            ckl = conditional_kl_bound(d, d3, d4, mc) if valid else float("nan")
-            xi = float("nan")
-            if need_detailed:
-                try:
-                    xi = _xi_elbo_along(fit, model, v, config.quadrature_nodes)
-                except NonFiniteObjectiveError:
-                    valid = False
-        diags.append(
-            DirectionDiagnostics(
-                e=e,
-                delta3=d3,
-                delta4=d4,
-                delta4_mode=d4_mode,
-                min_curvature=mc,
-                cond_kl_bound=ckl,
-                xi_elbo=xi,
-                eps1_bound=ckl,
-                eps2_bound=eps2_bound(d, d4),
-                valid=valid,
-            )
+    vs = _whiten(fit, directions)
+    rs = chi_quadrature(d, config.quadrature_nodes)[0] if need_detailed else None
+    batch = _ray_batch(model, fit, vs, rs)
+    d3 = batch.delta3
+    d4, d4_modes = _delta4s(model, fit, vs, batch.delta4, config.delta4_mode, config.delta4_r_max)
+    # on an exactly quadratic ray every diagnostic has its exact limit
+    exact = (d3 == 0.0) & (d4 == 0.0)
+    mc = _curvature_floors(d, d3, d4, config.boundary_term)
+    valid = mc > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ckl = np.where(valid, _conditional_kl(d, d3, d4, mc), np.nan)
+        xi = np.full(d3.shape, np.nan)
+        if need_detailed:
+            finite = np.all(np.isfinite(batch.values), axis=1)
+            xi = _xi_values(fit, batch.values, config.quadrature_nodes)
+            xi = np.where(exact, 0.0, np.where(finite, xi, np.nan))
+            valid &= exact | finite
+    diags = [
+        DirectionDiagnostics(
+            e=e,
+            delta3=g3,
+            delta4=g4,
+            delta4_mode=flag,
+            min_curvature=floor,
+            cond_kl_bound=kl,
+            xi_elbo=x,
+            eps1_bound=kl,
+            eps2_bound=e2,
+            valid=ok,
         )
+        for e, g3, g4, flag, floor, kl, x, e2, ok in zip(
+            directions, d3.tolist(), d4.tolist(), d4_modes, mc.tolist(), ckl.tolist(),
+            xi.tolist(), eps2_bound(d, d4).tolist(), valid.tolist(),
+        )
+    ]
 
-    delta3_sq = np.array([g.delta3 * g.delta3 for g in diags])
+    delta3_sq = d3 * d3
     pair_vals = delta3_sq[0::2]
     mean_delta3_sq = float(delta3_sq.mean())
     n_pairs = pair_vals.shape[0]

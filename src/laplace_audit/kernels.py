@@ -11,8 +11,11 @@ implementations are provided for each sweep:
 Selection: the ``LAPLACE_AUDIT_BACKEND`` environment variable (``numba`` or
 ``numpy``) sets the default; call sites may also pass ``backend=`` explicitly.
 Both backends consume identical random streams; chain trajectories can differ
-at the level of floating-point summation order only. ``benchmarks/`` holds a
-script comparing their throughput.
+only through floating-point summation order and the last bits of each
+log(1 + exp(-t)) term. No script compares the two backends directly: the
+traced run of ``benchmarks/run.py`` (``--trace 1``) reports the sweep time per
+step of the backend the environment selects, so one traced run per value of
+``LAPLACE_AUDIT_BACKEND`` compares their throughput.
 
 All heavy proposal algebra (Gaussian jumps shaped by the fit, data-matrix
 projections) is precomputed in blocks outside the kernels with BLAS, so the
@@ -25,6 +28,8 @@ import math
 import os
 
 import numpy as np
+
+from .models import _neg_log_expit
 
 try:
     import numba
@@ -106,11 +111,13 @@ def _logistic_sweep_numpy(
     accepted = 0
     ki = 0
     n_keep = keep_steps.shape[0]
+    t_prop = np.empty_like(t)
+    work = np.empty_like(t)
     for b in range(jumps.shape[0]):
         theta_prop = theta + jumps[b]
-        t_prop = t + jump_proj[b]
+        np.add(t, jump_proj[b], out=t_prop)
         phi_prop = half_inv_prior_var * float(theta_prop @ theta_prop) + float(
-            np.logaddexp(0.0, -t_prop).sum()
+            _neg_log_expit(t_prop, out=work).sum()
         )
         if log_u[b] < phi_cur - phi_prop:
             theta[:] = theta_prop

@@ -24,6 +24,8 @@ from .models import GaussianModel, LogisticRegressionModel, TargetModel
 # steps per proposal block; fixed so the random stream does not depend on
 # runtime tuning
 BLOCK_STEPS = 16384
+# steps per data-matrix projection inside a block of the logistic chain
+PROJECTION_STEPS = 1024
 N_BATCHES = 50
 
 ACCEPT_RATE_LOW = 0.05
@@ -214,10 +216,18 @@ def run_chain(
         hi = np.searchsorted(keep, done + block)
         keep_steps = keep[lo:hi] - done
         if logistic:
-            jump_proj = jumps @ signed_x.T
-            phi_cur, acc = sweep(
-                theta, t, phi_cur, jumps, jump_proj, log_u, half_ipv, keep_steps, out, kept_done
-            )
+            # the (steps x n) projections are formed PROJECTION_STEPS rows at
+            # a time; the draws above stay whole blocks, so the stream is unchanged
+            acc = 0
+            for start in range(0, block, PROJECTION_STEPS):
+                stop = min(start + PROJECTION_STEPS, block)
+                k_lo, k_hi = np.searchsorted(keep_steps, (start, stop))
+                jump_proj = jumps[start:stop] @ signed_x.T
+                phi_cur, sub_acc = sweep(
+                    theta, t, phi_cur, jumps[start:stop], jump_proj, log_u[start:stop], half_ipv,
+                    keep_steps[k_lo:k_hi] - start, out, kept_done + k_lo,
+                )
+                acc += sub_acc
         elif gaussian:
             jump_prec = jumps @ model.precision
             jump_quad = 0.5 * np.einsum("ij,ij->i", jumps, jump_prec)

@@ -8,7 +8,8 @@ normalizing-constant estimation downstream is meaningful.
 Built-in models: multivariate Gaussian (quadratic ``phi``) and Bayesian
 logistic regression with an isotropic Gaussian prior. Both provide closed-form
 gradients, Hessians and directional derivatives up to fourth order, which the
-certificate machinery needs along rays through the mode.
+certificate machinery needs along rays through the mode, and a batched ray
+method that evaluates a whole block of directions with array work.
 """
 
 from __future__ import annotations
@@ -25,16 +26,73 @@ from .errors import DimensionMismatchError, UnsupportedOrderError
 # grid-maximization oracle in the test suite.
 SIGMOID_THIRD_DERIVATIVE_MAX = 0.125
 
+# rows per block in the many-point hooks, so that a batch of points never
+# builds a margin array of more than this many rows
+ROW_BLOCK = 1024
+# elements of the (directions x nodes x n_obs) margin buffer of ``ray_batch``
+RAY_BLOCK_ELEMENTS = 1 << 18
+
+
+def _neg_log_expit(t, out=None):
+    """log(1 + exp(-t)) elementwise, that is -log expit(t), written into ``out``.
+
+    exp(-t) overflows below t = -709, so an array reaching below -700 takes
+    the form log1p(exp(-|t|)) - min(t, 0); any other takes log1p(exp(-t)),
+    three passes fewer. Both run on numpy's vectorized exp and log1p, several
+    times faster than ``np.logaddexp``, and agree with it to a few ulp. NaN
+    and infinities propagate.
+    """
+    t = np.asarray(t, dtype=float)
+    if out is None:
+        out = np.empty_like(t)
+    if t.min(initial=np.inf) > -700.0:
+        np.negative(t, out=out)
+        np.exp(out, out=out)
+        return np.log1p(out, out=out)
+    low = np.minimum(t, 0.0)
+    np.abs(t, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    return np.subtract(out, low, out=out)
+
+
+@dataclass(frozen=True)
+class RayBatch:
+    """Ray quantities through one base point for a block of k directions.
+
+    ``values[i, j]`` is phi(base + rs[j] * v_i), or ``values`` is None when
+    no nodes were asked for. ``delta3[i]`` is the third ray derivative at the
+    base. ``delta4[i]`` bounds the absolute fourth ray derivative along the
+    whole ray; ``delta4`` is None when the model has no analytic bound.
+    """
+
+    values: np.ndarray | None
+    delta3: np.ndarray
+    delta4: np.ndarray | None
+
+
+def _check_directions(directions, dim: int) -> np.ndarray:
+    vs = np.asarray(directions, dtype=float)
+    if vs.ndim != 2 or vs.shape[1] != dim:
+        raise DimensionMismatchError(
+            f"expected a (k, {dim}) block of directions, got shape {vs.shape}"
+        )
+    return vs
+
 
 class TargetModel(abc.ABC):
     """Interface for an unnormalized log-concave target density.
 
     Subclasses must set ``dim`` and implement ``neg_log_density``,
     ``gradient``, ``hessian`` and ``ray_derivatives``. The vectorized hooks
-    (``ray_values``, ``ray_derivative_profile``, ``neg_log_density_many``,
-    ``gradient_many``) have generic loop-based defaults and exist so models
-    with structure can avoid per-point Python overhead. Evaluation is pure
-    and stateless after construction.
+    (``ray_batch``, ``ray_derivative_profile``, ``neg_log_density_many``,
+    ``gradient_many``) have generic defaults that loop over the scalar
+    methods, and exist so models with structure can avoid per-point Python
+    overhead. ``ray_batch`` is all the certificate asks of a model: for a
+    block of directions it returns the values on the quadrature nodes, delta3
+    at the base and the analytic delta4 bound; ``ray_values`` is its
+    one-direction form. Evaluation is pure and stateless after construction.
     """
 
     dim: int
@@ -85,12 +143,33 @@ class TargetModel(abc.ABC):
 
     # -- vectorized hooks with generic fallbacks ---------------------------
 
+    def ray_batch(self, base, directions, rs=None) -> RayBatch:
+        """Ray quantities along each row of ``directions`` (k x dim) through ``base``.
+
+        ``rs`` are the offsets at which to evaluate phi; None skips the
+        values. This generic version loops over ``ray_derivatives``,
+        ``ray_fourth_derivative_bound`` and ``neg_log_density`` and uses
+        nothing else of the model.
+        """
+        base = np.asarray(base, dtype=float)
+        directions = np.atleast_2d(np.asarray(directions, dtype=float))
+        delta3 = np.array(
+            [self.ray_derivatives(base, v, 0.0, max_order=3)[2] for v in directions], dtype=float
+        )
+        bounds = [self.ray_fourth_derivative_bound(base, v) for v in directions]
+        delta4 = None if any(b is None for b in bounds) else np.array(bounds, dtype=float)
+        values = None
+        if rs is not None:
+            rs = np.asarray(rs, dtype=float)
+            values = np.array(
+                [[self.neg_log_density(base + r * v) for r in rs] for v in directions], dtype=float
+            ).reshape(directions.shape[0], rs.shape[0])
+        return RayBatch(values, delta3, delta4)
+
     def ray_values(self, base, direction, rs) -> np.ndarray:
         """phi(base + r * direction) for every r in ``rs``."""
-        base = self._check_theta(base)
         direction = self._check_theta(direction)
-        rs = np.asarray(rs, dtype=float)
-        return np.array([self.neg_log_density(base + r * direction) for r in rs])
+        return self.ray_batch(self._check_theta(base), direction[None, :], rs).values[0]
 
     def ray_derivative_profile(self, base, direction, rs, order: int) -> np.ndarray:
         """Order-``order`` ray derivative at every r in ``rs``."""
@@ -164,15 +243,18 @@ class GaussianModel(TargetModel):
             out[1] = float(v @ pv)
         return out
 
-    def ray_values(self, base, direction, rs) -> np.ndarray:
+    def ray_batch(self, base, directions, rs=None) -> RayBatch:
         delta = self._check_theta(base) - self.mean
-        v = self._check_theta(direction)
-        rs = np.asarray(rs, dtype=float)
-        pv = self.precision @ v
-        a = 0.5 * float(v @ pv)
-        b = float(delta @ pv)
-        c = 0.5 * float(delta @ self.precision @ delta)
-        return c + b * rs + a * rs * rs
+        vs = _check_directions(directions, self.dim)
+        values = None
+        if rs is not None:
+            rs = np.asarray(rs, dtype=float)
+            pvs = vs @ self.precision
+            a = 0.5 * np.einsum("ij,ij->i", vs, pvs)
+            b = pvs @ delta
+            c = 0.5 * float(delta @ self.precision @ delta)
+            values = c + b[:, None] * rs + a[:, None] * rs * rs
+        return RayBatch(values, np.zeros(vs.shape[0]), np.zeros(vs.shape[0]))
 
     def ray_derivative_profile(self, base, direction, rs, order: int) -> np.ndarray:
         self._check_order(order)
@@ -240,6 +322,9 @@ class LogisticRegressionModel(TargetModel):
     def neg_log_density(self, theta) -> float:
         theta = self._check_theta(theta)
         t = self._signed_x @ theta
+        # kept on np.logaddexp: tests/test_laplace.py's gradient-descent
+        # oracle decides its Armijo steps near the mode by the last bits of
+        # this value, and converges with this rounding, not with the faster form
         return 0.5 * self._inv_prior_var * float(theta @ theta) + float(
             np.logaddexp(0.0, -t).sum()
         )
@@ -278,16 +363,49 @@ class LogisticRegressionModel(TargetModel):
             out[3] = float((w * (1.0 - 6.0 * p + 6.0 * p * p)) @ (s_sq * s_sq))
         return out
 
-    def ray_values(self, base, direction, rs) -> np.ndarray:
+    def ray_batch(self, base, directions, rs=None) -> RayBatch:
+        """Array form over the direction block, a chunk of rows at a time.
+
+        The margins at the base, t0, and p0 = expit(t0) do not depend on the
+        direction, so with s = signed_x @ v, delta3 is (w0 (1 - 2 p0)) . s^3
+        and the delta4 bound is 0.125 * sum(s^4). The values on the nodes
+        come from one (rows x nodes x n) margin buffer, reused by every chunk.
+        """
         base = self._check_theta(base)
-        v = self._check_theta(direction)
-        rs = np.asarray(rs, dtype=float)
-        s = self._signed_x @ v
+        vs = _check_directions(directions, self.dim)
+        k = vs.shape[0]
         t0 = self._signed_x @ base
-        t = t0[None, :] + rs[:, None] * s[None, :]
-        quad = np.einsum("ij,ij->i", base[None, :] + rs[:, None] * v[None, :],
-                         base[None, :] + rs[:, None] * v[None, :])
-        return 0.5 * self._inv_prior_var * quad + np.logaddexp(0.0, -t).sum(axis=1)
+        p0 = expit(t0)
+        w3 = p0 * expit(-t0) * (1.0 - 2.0 * p0)
+        delta3 = np.empty(k)
+        delta4 = np.empty(k)
+        values = None
+        if rs is not None:
+            rs = np.asarray(rs, dtype=float)
+            values = np.empty((k, rs.shape[0]))
+        nodes = 1 if rs is None else rs.shape[0]
+        rows = max(1, RAY_BLOCK_ELEMENTS // max(1, nodes * self.n_obs))
+        buffer = None if rs is None else np.empty((min(rows, k), nodes, self.n_obs))
+        for lo in range(0, k, rows):
+            hi = min(lo + rows, k)
+            s = vs[lo:hi] @ self._signed_x.T
+            s_sq = s * s
+            # a row-by-row reduction rather than a BLAS product, so that the
+            # value for -v is exactly minus the value for v
+            delta3[lo:hi] = np.einsum("ij,j->i", s_sq * s, w3)
+            delta4[lo:hi] = SIGMOID_THIRD_DERIVATIVE_MAX * np.sum(s_sq * s_sq, axis=1)
+            if values is not None:
+                t = buffer[: hi - lo]
+                np.multiply(rs[:, None], s[:, None, :], out=t)
+                t += t0
+                values[lo:hi] = _neg_log_expit(t, out=t).sum(axis=2)
+        if values is not None:
+            # ||base + r v||^2 expanded, so that no (k x nodes x d) array is formed
+            quad = float(base @ base) + rs * (2.0 * (vs @ base))[:, None] + (
+                rs * rs * np.einsum("ij,ij->i", vs, vs)[:, None]
+            )
+            values += 0.5 * self._inv_prior_var * quad
+        return RayBatch(values, delta3, delta4)
 
     def ray_derivative_profile(self, base, direction, rs, order: int) -> np.ndarray:
         self._check_order(order)
@@ -314,16 +432,29 @@ class LogisticRegressionModel(TargetModel):
         s_sq = s * s
         return SIGMOID_THIRD_DERIVATIVE_MAX * float(np.sum(s_sq * s_sq))
 
+    def _margin_blocks(self, thetas):
+        """Yield (rows, margins) for ROW_BLOCK-row slices of ``thetas``, in one buffer."""
+        buffer = np.empty((min(ROW_BLOCK, thetas.shape[0]), self.n_obs))
+        for lo in range(0, thetas.shape[0], ROW_BLOCK):
+            rows = slice(lo, min(lo + ROW_BLOCK, thetas.shape[0]))
+            t = buffer[: rows.stop - lo]
+            np.matmul(thetas[rows], self._signed_x.T, out=t)
+            yield rows, t
+
     def neg_log_density_many(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
-        t = thetas @ self._signed_x.T
-        quad = np.einsum("ij,ij->i", thetas, thetas)
-        return 0.5 * self._inv_prior_var * quad + np.logaddexp(0.0, -t).sum(axis=1)
+        out = 0.5 * self._inv_prior_var * np.einsum("ij,ij->i", thetas, thetas)
+        for rows, t in self._margin_blocks(thetas):
+            out[rows] += _neg_log_expit(t, out=t).sum(axis=1)
+        return out
 
     def gradient_many(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
-        t = thetas @ self._signed_x.T
-        return self._inv_prior_var * thetas - expit(-t) @ self._signed_x
+        out = self._inv_prior_var * thetas
+        for rows, t in self._margin_blocks(thetas):
+            np.negative(t, out=t)
+            out[rows] -= expit(t, out=t) @ self._signed_x
+        return out
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln
-from scipy.stats import chi as chi_dist
+from scipy.special import gammainccinv, gammaincinv, gammaln
 
 LOG_2 = float(np.log(2.0))
 
@@ -57,8 +56,13 @@ def chi_moment(d: int, k: int) -> float:
 
 
 def chi_quantile(d: int, p: float) -> float:
-    """Quantile of the chi law with d degrees of freedom."""
-    return float(chi_dist.ppf(p, d))
+    """Quantile of the chi law with d degrees of freedom.
+
+    r^2 / 2 is Gamma(d/2)-distributed, so the quantile is
+    sqrt(2 P^-1(d/2, p)) with the inverse regularized incomplete gamma
+    function, the form ``scipy.stats.chi.ppf`` evaluates.
+    """
+    return float(np.sqrt(2.0 * gammaincinv(0.5 * d, p)))
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,9 @@ def radial_min_curvature(d: int) -> float:
 @lru_cache(maxsize=64)
 def _chi_quadrature_cached(d: int, nodes: int):
     x, w = leggauss(nodes)
-    r_hi = float(chi_dist.isf(1e-14, d))
+    # upper 1e-14 chi quantile, from the complemented inverse so that the
+    # tail probability keeps its precision
+    r_hi = float(np.sqrt(2.0 * gammainccinv(0.5 * d, 1e-14)))
     rs = 0.5 * r_hi * (x + 1.0)
     gl_w = 0.5 * r_hi * w
     log_norm = (0.5 * d - 1.0) * LOG_2 + gammaln(0.5 * d)

@@ -31,9 +31,10 @@ from laplace_audit import (
     sample_direction,
     xi_elbo,
 )
-from laplace_audit.bound import _curvature_floor_poly
+from laplace_audit import bound as bound_module
+from laplace_audit.bound import _curvature_floor_poly, _curvature_floors
 
-from oracles import CubicRay1D, third_derivative_7pt
+from oracles import CubicRay1D, SoftplusTilt1D, third_derivative_7pt
 
 
 def _diag(xi=0.0, eps1=0.0, valid=True):
@@ -164,6 +165,14 @@ class TestMinConditionalCurvature:
             assert value <= reference + 1e-9
             assert value == pytest.approx(reference, rel=1e-6, abs=1e-9)
 
+    def test_batched_rows_match_scalar_and_flag_non_finite(self):
+        d3 = np.array([0.3, -0.2, 0.0, np.nan, 1.0, -0.5])
+        d4 = np.array([0.1, 0.4, 0.0, 0.1, 0.0, 0.0])
+        floors = _curvature_floors(5, d3, d4, "lemma")
+        for i in (0, 1, 2, 4, 5):
+            assert floors[i] == min_conditional_curvature(5, d3[i], d4[i])
+        assert np.isnan(floors[3])
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             min_conditional_curvature(3, 0.0, -1.0)
@@ -276,6 +285,37 @@ class TestDirectionKlBound:
         assert terms.eps1_sq_term == pytest.approx((0.01 + 0.09) / 2, rel=1e-15)
         assert terms.eps1_correction == pytest.approx(terms.cond_term + terms.eps1_sq_term)
 
+    @pytest.mark.parametrize("pair_size", [1, 2, 4])
+    @pytest.mark.parametrize("mask_elements", [bound_module.JACKKNIFE_ELEMENTS, 200])
+    def test_jackknife_matches_loop_oracle(self, pair_size, mask_elements, monkeypatch):
+        # 200 elements hold three of the 64-wide masks: every chunk size path runs
+        monkeypatch.setattr(bound_module, "JACKKNIFE_ELEMENTS", mask_elements)
+        rng = np.random.default_rng(12)
+        xis = rng.normal(0.0, 0.4, size=64)
+        eps1 = rng.uniform(0.0, 0.2, size=64)
+        terms = direction_kl_bound([_diag(xi=x, eps1=e) for x, e in zip(xis, eps1)], pair_size)
+
+        def log_moment(x):
+            centered = 2.0 * (x - x.mean())
+            return 0.5 * (np.log(np.sum(np.exp(centered))) - np.log(x.size))
+
+        def jackknife_se(loo):
+            loo = np.array(loo)
+            return np.sqrt((loo.size - 1) / loo.size * np.sum((loo - loo.mean()) ** 2))
+
+        blocks = range(64 // pair_size)
+        keep = [np.r_[0:p * pair_size, (p + 1) * pair_size:64] for p in blocks]
+        loo_xi = [log_moment(xis[k]) for k in keep]
+        loo_eps1 = [np.mean(eps1[k] ** 2) + np.mean(eps1[k]) for k in keep]
+        assert terms.log_moment_term == pytest.approx(log_moment(xis), rel=1e-12)
+        assert terms.eps1_correction == pytest.approx(np.mean(eps1**2) + np.mean(eps1), rel=1e-12)
+        assert terms.log_moment_term_se == pytest.approx(jackknife_se(loo_xi), rel=1e-12)
+        assert terms.eps1_correction_se == pytest.approx(jackknife_se(loo_eps1), rel=1e-12)
+
+    def test_single_block_has_no_standard_error(self):
+        terms = direction_kl_bound([_diag(xi=0.1), _diag(xi=-0.1)], pair_size=2)
+        assert np.isnan(terms.log_moment_term_se) and np.isnan(terms.eps1_correction_se)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             direction_kl_bound([_diag()])
@@ -346,6 +386,66 @@ class TestAudit:
         dirs = sample_direction_pairs(3, 8, rng)
         d3s = np.array([delta3(fit, model, e) for e in dirs])
         np.testing.assert_array_equal(d3s[0::2] + d3s[1::2], np.zeros(8))
+
+    @pytest.mark.parametrize("d, n", [(5, 100), (50, 1000)])
+    def test_antithetic_pairs_cancel_inside_audit(self, d, n, monkeypatch):
+        model = generate_dataset(SyntheticDatasetConfig(d=d, n=n, seed=3)).model(10.0)
+        batches = []
+        original = model.ray_batch
+
+        def recording(*args, **kwargs):
+            batches.append(original(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(model, "ray_batch", recording)
+        audit(model, AuditConfig(n_directions=64, seed=4))
+        (batch,) = batches
+        assert np.all(batch.delta3[0::2] != 0.0)
+        np.testing.assert_array_equal(batch.delta3[0::2] + batch.delta3[1::2], np.zeros(32))
+
+    def test_diagnostics_match_one_direction_helpers(self, logistic_small, monkeypatch):
+        model, fit = logistic_small
+        seen = []
+        original = bound_module.direction_kl_bound
+
+        def recording(diagnostics, pair_size=1):
+            seen.extend(diagnostics)
+            return original(diagnostics, pair_size)
+
+        monkeypatch.setattr(bound_module, "direction_kl_bound", recording)
+        audit(model, AuditConfig(n_directions=16, seed=6), fit=fit)
+        assert len(seen) == 16
+        for g in seen:
+            d4, flag = delta4(fit, model, g.e)
+            assert g.delta3 == pytest.approx(delta3(fit, model, g.e), rel=1e-13)
+            assert (g.delta4, g.delta4_mode) == (pytest.approx(d4, rel=1e-13), flag)
+            assert g.xi_elbo == pytest.approx(xi_elbo(fit, model, g.e), rel=1e-12, abs=1e-13)
+            floor = min_conditional_curvature(5, g.delta3, g.delta4)
+            assert g.min_curvature == pytest.approx(floor, rel=1e-13)
+            assert g.cond_kl_bound == pytest.approx(
+                conditional_kl_bound(5, g.delta3, g.delta4, floor), rel=1e-13
+            )
+
+    def test_grid_mode_counts_grid_directions(self, logistic_tiny):
+        model, fit = logistic_tiny
+        grid = audit(model, AuditConfig(n_directions=16, seed=1, delta4_mode="grid"), fit=fit)
+        analytic = audit(model, AuditConfig(n_directions=16, seed=1), fit=fit)
+        assert grid.delta4_mode_counts == {"grid": 16}
+        assert analytic.delta4_mode_counts == {"analytic": 16}
+        # the analytic bound dominates the grid maximum on every ray
+        assert grid.detailed_bound <= analytic.detailed_bound
+
+    def test_model_without_analytic_bound_falls_back_to_grid(self):
+        model = SoftplusTilt1D(0.5)
+
+        class NoBound(SoftplusTilt1D):
+            def ray_fourth_derivative_bound(self, base, direction):
+                return None
+
+        fit = fit_laplace(model)
+        report = audit(NoBound(0.5), AuditConfig(n_directions=8, seed=0), fit=fit)
+        assert report.delta4_mode_counts == {"grid": 8}
+        assert report.invalid_directions == 0
 
     def test_detailed_bound_assembles_from_terms(self, logistic_tiny):
         model, fit = logistic_tiny

@@ -16,6 +16,8 @@ from laplace_audit import (
     run_chain,
 )
 
+from laplace_audit import mcmc as mcmc_module
+
 from oracles import SoftplusTilt1D, quadrature_kl_1d
 
 
@@ -71,6 +73,17 @@ class TestRunChain:
         b = run_chain(model, fit, config)
         np.testing.assert_array_equal(a.samples, b.samples)
         assert a.acceptance_rate == b.acceptance_rate
+
+    def test_projection_sub_blocks_leave_the_chain_unchanged(self, logistic_tiny, monkeypatch):
+        # 20,000 steps make a full and a short block; thin=7 puts kept steps
+        # on both sides of sub-block edges
+        model, fit = logistic_tiny
+        config = ChainConfig(n_steps=20_000, thin=7, seed=31)
+        a = run_chain(model, fit, config)
+        monkeypatch.setattr(mcmc_module, "PROJECTION_STEPS", 333)
+        b = run_chain(model, fit, config)
+        assert a.acceptance_rate == b.acceptance_rate
+        np.testing.assert_allclose(a.samples, b.samples, rtol=1e-12, atol=1e-14)
 
     def test_absurd_scale_attaches_warning(self, logistic_tiny):
         model, fit = logistic_tiny

@@ -14,7 +14,8 @@ from laplace_audit import (
     load_dataset_csv,
     save_dataset_csv,
 )
-from laplace_audit.models import SIGMOID_THIRD_DERIVATIVE_MAX
+from laplace_audit import models as models_module
+from laplace_audit.models import SIGMOID_THIRD_DERIVATIVE_MAX, TargetModel, _neg_log_expit
 
 from oracles import (
     central_directional,
@@ -227,6 +228,117 @@ class TestVectorizedHooks:
             rtol=1e-12,
             atol=1e-14,
         )
+
+
+    def test_many_point_hooks_split_into_row_blocks(self, logistic_small, monkeypatch):
+        model, _ = logistic_small
+        thetas = np.random.default_rng(43).standard_normal((10, 5))
+        whole = model.neg_log_density_many(thetas), model.gradient_many(thetas)
+        # blocks of 4 rows: two full blocks and a short one
+        monkeypatch.setattr(models_module, "ROW_BLOCK", 4)
+        np.testing.assert_allclose(model.neg_log_density_many(thetas), whole[0], rtol=1e-14)
+        np.testing.assert_allclose(model.gradient_many(thetas), whole[1], rtol=1e-14)
+        assert model.neg_log_density_many(np.zeros((0, 5))).shape == (0,)
+
+
+class ScalarOnly(TargetModel):
+    """A model with only the abstract methods, borrowed from another model."""
+
+    def __init__(self, model):
+        self.dim = model.dim
+        self._model = model
+
+    def neg_log_density(self, theta):
+        return self._model.neg_log_density(theta)
+
+    def gradient(self, theta):
+        return self._model.gradient(theta)
+
+    def hessian(self, theta):
+        return self._model.hessian(theta)
+
+    def ray_derivatives(self, base, direction, r=0.0, max_order=4):
+        return self._model.ray_derivatives(base, direction, r, max_order)
+
+
+class TestRayBatch:
+    @staticmethod
+    def _scalar_hooks(model, base, vs, rs):
+        values = [[model.neg_log_density(base + r * v) for r in rs] for v in vs]
+        delta3 = [model.ray_derivatives(base, v, 0.0, 3)[2] for v in vs]
+        delta4 = [model.ray_fourth_derivative_bound(base, v) for v in vs]
+        return np.array(values), np.array(delta3), delta4
+
+    @pytest.mark.parametrize("kind", ["gaussian", "logistic", "scalar_only"])
+    def test_matches_scalar_hooks(self, kind, logistic_small, gaussian_5d):
+        model, fit = gaussian_5d if kind == "gaussian" else logistic_small
+        if kind == "scalar_only":
+            model = ScalarOnly(model)
+        rng = np.random.default_rng(37)
+        vs = rng.standard_normal((11, 5)) @ fit.sqrt_covariance
+        rs = np.linspace(0.0, 4.0, 9)
+        batch = model.ray_batch(fit.theta_star, vs, rs)
+        values, delta3, delta4 = self._scalar_hooks(model, fit.theta_star, vs, rs)
+        np.testing.assert_allclose(batch.values, values, rtol=1e-13)
+        np.testing.assert_allclose(batch.delta3, delta3, rtol=1e-13)
+        if kind == "scalar_only":
+            assert batch.delta4 is None
+        else:
+            np.testing.assert_allclose(batch.delta4, delta4, rtol=1e-13)
+        no_values = model.ray_batch(fit.theta_star, vs)
+        assert no_values.values is None
+        np.testing.assert_array_equal(no_values.delta3, batch.delta3)
+
+    def test_chunks_cover_every_direction(self, logistic_small, monkeypatch):
+        model, fit = logistic_small
+        rng = np.random.default_rng(41)
+        vs = rng.standard_normal((13, 5))
+        rs = np.linspace(0.0, 3.0, 7)
+        whole = model.ray_batch(fit.theta_star, vs, rs)
+        # room for 2 directions per chunk: 13 rows take 7 chunks, the last one short
+        monkeypatch.setattr(models_module, "RAY_BLOCK_ELEMENTS", 2 * rs.size * model.n_obs)
+        chunked = model.ray_batch(fit.theta_star, vs, rs)
+        np.testing.assert_allclose(chunked.values, whole.values, rtol=1e-14)
+        np.testing.assert_allclose(chunked.delta3, whole.delta3, rtol=1e-14)
+        np.testing.assert_allclose(chunked.delta4, whole.delta4, rtol=1e-14)
+
+    def test_direction_shape_checked(self, logistic_small):
+        model, fit = logistic_small
+        with pytest.raises(DimensionMismatchError):
+            model.ray_batch(fit.theta_star, np.ones(5))
+        with pytest.raises(DimensionMismatchError):
+            model.ray_batch(fit.theta_star, np.ones((2, 4)))
+
+
+class TestNegLogExpit:
+    def test_within_4_ulp_of_logaddexp(self):
+        ts = np.linspace(-800.0, 800.0, 400_001)
+        expected = np.logaddexp(0.0, -ts)
+        # the whole grid reaches below -700 and takes the |t| form; the
+        # pieces above -700 take the short form
+        for piece in (ts, ts[ts > -700.0], ts[ts > 0.0]):
+            want = np.logaddexp(0.0, -piece)
+            got = _neg_log_expit(piece)
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+        assert expected[-1] == 0.0 and _neg_log_expit(ts)[-1] == 0.0
+
+    @pytest.mark.parametrize("low", [-10.0, -750.0])
+    def test_special_values_propagate_without_overflow(self, low):
+        ts = np.array([low, np.nan, np.inf, -np.inf, 0.0])
+        with np.errstate(over="raise"):
+            got = _neg_log_expit(ts)
+        np.testing.assert_array_equal(np.isnan(got), [False, True, False, False, False])
+        assert got[2] == 0.0 and got[3] == np.inf
+        np.testing.assert_allclose(got[[0, 4]], np.logaddexp(0.0, -ts[[0, 4]]), rtol=1e-15)
+        with np.errstate(over="raise"):
+            finite = _neg_log_expit(np.array([low, 5.0]))
+        np.testing.assert_allclose(finite, np.logaddexp(0.0, -np.array([low, 5.0])), rtol=1e-15)
+
+    def test_writes_into_out(self):
+        ts = np.linspace(-3.0, 3.0, 7)
+        out = np.empty_like(ts)
+        assert _neg_log_expit(ts, out=out) is out
+        assert _neg_log_expit(np.zeros(0)).shape == (0,)
 
 
 class TestDatasetGeneration:

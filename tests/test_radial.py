@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, quad
-from scipy.stats import chisquare, kstest
+from scipy.stats import chi, chisquare, kstest
 
 from laplace_audit import (
     RadialLaw,
     chi_moment,
     chi_quadrature,
+    chi_quantile,
     from_theta,
     radial_min_curvature,
     sample_direction,
@@ -172,6 +173,18 @@ class TestChiQuadrature:
         rs128, ws128 = chi_quadrature(7, 128)
         h = lambda r: np.log1p(r) * np.sin(r)  # smooth non-polynomial integrand
         assert abs(float(ws64 @ h(rs64)) - float(ws128 @ h(rs128))) < 1e-10
+
+
+class TestChiQuantiles:
+    def test_match_scipy_stats_chi(self):
+        # the package computes both through the inverse incomplete gamma
+        # functions, which is how scipy.stats.chi defines ppf and isf
+        for d in range(1, 201):
+            for p in (1e-6, 0.25, 0.5, 1.0 - 1e-6):
+                assert chi_quantile(d, p) == pytest.approx(chi.ppf(p, d), rel=1e-15)
+            rs, _ = chi_quadrature(d, 16)
+            # Gauss-Legendre nodes on [0, r_hi]: the outermost ones are symmetric about r_hi / 2
+            assert rs[0] + rs[-1] == pytest.approx(chi.isf(1e-14, d), rel=1e-14)
 
 
 class TestCoordinateMaps:
