@@ -234,7 +234,7 @@ def laplace_log_density(fit: LaplaceFit, theta):
     if not single and theta.shape[1:] != (fit.dim,):
         raise DimensionMismatchError("theta batch has the wrong row length")
     deltas = np.atleast_2d(theta) - fit.theta_star
-    quad = np.einsum("ij,jk,ik->i", deltas, fit.hessian_at_mode, deltas)
+    quad = np.einsum("ij,ij->i", deltas @ fit.hessian_at_mode, deltas)
     vals = -0.5 * (fit.dim * LOG_2PI + fit.log_det_covariance) - 0.5 * quad
     return float(vals[0]) if single else vals
 
@@ -270,18 +270,15 @@ def logconcavity_spotcheck(
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
     eta = rng.standard_normal((n_points, fit.dim))
     points = fit.theta_star + radius_multiplier * (eta @ fit.sqrt_covariance)
-    failures = []
-    min_eig = np.inf
-    for point in points:
-        w = np.linalg.eigvalsh(model.hessian(point))
-        low = float(w.min())
-        min_eig = min(min_eig, low)
-        if low <= 0.0:
-            failures.append(point.copy())
+    hessians = np.array([model.hessian(point) for point in points]).reshape(
+        n_points, fit.dim, fit.dim
+    )
+    low = np.linalg.eigvalsh(hessians).min(axis=1, initial=np.inf)
+    failures = tuple(point.copy() for point in points[low <= 0.0])
     return SpotcheckResult(
         n_points=n_points,
         radius_multiplier=radius_multiplier,
         n_failures=len(failures),
-        min_eigenvalue=float(min_eig),
-        failure_points=tuple(failures),
+        min_eigenvalue=float(low.min(initial=np.inf)),
+        failure_points=failures,
     )

@@ -1,11 +1,11 @@
 """Ground-truth machinery: posterior sampling and direct KL estimation.
 
-A random-walk Metropolis-Hastings chain shaped by the Laplace covariance
-draws samples from the target; an importance ratio against the normalized
-Gaussian fit estimates the reciprocal normalizing constant 1/Z; and a plain
-Monte-Carlo average over fresh Gaussian draws turns that into an estimate of
-KL(g, f). Everything is driven by explicit integer seeds and is reproducible
-bit for bit per backend.
+Random-walk Metropolis-Hastings chains shaped by the Laplace covariance,
+``N_CHAINS`` of them run in lock-step, draw samples from the target; an
+importance ratio against the normalized Gaussian fit estimates the reciprocal
+normalizing constant 1/Z; and a plain Monte-Carlo average over fresh Gaussian
+draws turns that into an estimate of KL(g, f). Everything is driven by
+explicit integer seeds, and a seed gives the same numbers on every run.
 """
 
 from __future__ import annotations
@@ -17,15 +17,15 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import DimensionMismatchError
-from .kernels import gaussian_sweep, logistic_sweep
+from .kernels import lockstep_sweep
 from .laplace import LaplaceFit, laplace_log_density
-from .models import GaussianModel, LogisticRegressionModel, TargetModel
+from .models import TargetModel
 
-# steps per proposal block; fixed so the random stream does not depend on
-# runtime tuning
-BLOCK_STEPS = 16384
-# steps per data-matrix projection inside a block of the logistic chain
-PROJECTION_STEPS = 1024
+# independent chains advanced together; ChainConfig.n_steps is their total
+N_CHAINS = 20
+# steps of every chain per proposal block; fixed so the random stream does not
+# depend on runtime tuning
+BLOCK_STEPS = 256
 N_BATCHES = 50
 
 ACCEPT_RATE_LOW = 0.05
@@ -39,9 +39,10 @@ _KL_STREAM = 3
 class ChainConfig:
     """Random-walk chain settings.
 
-    ``proposal_scale`` multiplies the fit square root; None selects the
-    standard 2.38/sqrt(d) random-walk scaling at run time. Thinning applies
-    after the burn-in fraction is discarded.
+    ``n_steps`` is the total over the ``N_CHAINS`` chains and must be a
+    multiple of it. ``proposal_scale`` multiplies the fit square root; None
+    selects the standard 2.38/sqrt(d) random-walk scaling at run time. The
+    burn-in fraction and the thinning apply to each chain's own steps.
     """
 
     n_steps: int = 1_000_000
@@ -53,6 +54,8 @@ class ChainConfig:
     def validate(self) -> None:
         if self.n_steps < 1:
             raise ValueError("n_steps must be positive")
+        if self.n_steps % N_CHAINS:
+            raise ValueError(f"n_steps must be a multiple of {N_CHAINS} (the chain count)")
         if self.thin < 1:
             raise ValueError("thin must be positive")
         if self.n_steps // self.thin < 100:
@@ -96,10 +99,17 @@ def get_preset(name: str, seed: int = 0) -> TruthPreset:
 
 @dataclass(frozen=True)
 class ChainResult:
+    """Kept states, chain by chain, with the chains' diagnostics.
+
+    ``rhat`` is the split-R-hat of phi at the kept states over the chains
+    (see ``split_rhat``); it is NaN when undefined.
+    """
+
     samples: np.ndarray
     acceptance_rate: float
     n_steps: int
     thin: int
+    rhat: float
     warnings: tuple = field(default_factory=tuple)
 
     @property
@@ -163,18 +173,36 @@ def _keep_indices(n_steps: int, burn: int, thin: int) -> np.ndarray:
     return np.arange(first, n_steps, thin, dtype=np.int64)
 
 
-def run_chain(
-    model: TargetModel,
-    fit: LaplaceFit,
-    config: ChainConfig,
-    backend: str | None = None,
-) -> ChainResult:
+def split_rhat(draws) -> float:
+    """Split-R-hat of a (chains x draws) array (Gelman et al., BDA3, sec. 11.4).
+
+    Each chain is cut into a first and a last half (the middle draw of an odd
+    length is dropped) and the potential scale reduction is taken over the
+    halves. NaN when a half has fewer than two draws or no half varies.
+    """
+    draws = np.asarray(draws, dtype=float)
+    half = draws.shape[1] // 2
+    if half < 2:
+        return float("nan")
+    halves = np.concatenate([draws[:, :half], draws[:, -half:]])
+    within = halves.var(axis=1, ddof=1).mean()
+    if not within > 0:
+        return float("nan")
+    between = halves.mean(axis=1).var(ddof=1)
+    return float(np.sqrt((half - 1) / half + between / within))
+
+
+def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> ChainResult:
     """Random-walk Metropolis-Hastings with fit-shaped Gaussian proposals.
 
-    The chain starts at the mode, proposals are N(0, (scale * S)^2) jumps,
-    and every ``thin``-th post-burn-in state is kept. An acceptance rate
-    outside [0.05, 0.7] attaches a tuning warning to the result rather than
-    failing.
+    ``N_CHAINS`` independent chains run in lock-step, ``n_steps / N_CHAINS``
+    steps each. Every chain starts at the mode, proposes N(0, (scale * S)^2)
+    jumps, discards its own burn-in and keeps every ``thin``-th state after
+    it; the samples are returned chain by chain. The draws come in blocks of
+    ``BLOCK_STEPS`` steps: first (steps * chains) x d standard normals, row
+    ``step * N_CHAINS + chain``, then steps x chains uniforms. An acceptance
+    rate outside [0.05, 0.7] attaches a tuning warning to the result rather
+    than failing.
     """
     config.validate()
     d = model.dim
@@ -182,76 +210,26 @@ def run_chain(
         raise DimensionMismatchError("fit dimension does not match the model")
     scale = config.proposal_scale if config.proposal_scale is not None else 2.38 / np.sqrt(d)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_CHAIN_STREAM,)))
-    burn = int(round(config.burn_in_fraction * config.n_steps))
-    keep = _keep_indices(config.n_steps, burn, config.thin)
-    out = np.empty((keep.shape[0], d))
+    steps = config.n_steps // N_CHAINS
+    burn = int(round(config.burn_in_fraction * steps))
+    keep = _keep_indices(steps, burn, config.thin)
+    out = np.empty((N_CHAINS, keep.shape[0], d))
+    out_phi = np.empty((N_CHAINS, keep.shape[0]))
 
-    logistic = isinstance(model, LogisticRegressionModel)
-    gaussian = isinstance(model, GaussianModel)
+    theta = np.tile(fit.theta_star, (N_CHAINS, 1))
+    phi = model.neg_log_density_many(theta)
+    accepted = np.zeros(N_CHAINS, dtype=np.int64)
+    for done in range(0, steps, BLOCK_STEPS):
+        block = min(BLOCK_STEPS, steps - done)
+        eta = rng.standard_normal((block * N_CHAINS, d))
+        jumps = (scale * (eta @ fit.sqrt_covariance)).reshape(block, N_CHAINS, d)
+        log_u = np.log(rng.random((block, N_CHAINS)))
+        lo, hi = np.searchsorted(keep, (done, done + block))
+        accepted += lockstep_sweep(
+            model, theta, phi, jumps, log_u, keep[lo:hi] - done, out, out_phi, lo
+        )
 
-    theta = fit.theta_star.copy()
-    accepted = 0
-    if logistic:
-        sweep = logistic_sweep(backend)
-        signed_x = model.signed_covariates
-        half_ipv = 0.5 / (model.prior_sigma0 * model.prior_sigma0)
-        t = signed_x @ theta
-        phi_cur = model.neg_log_density(theta)
-    elif gaussian:
-        sweep = gaussian_sweep(backend)
-        c = theta - model.mean
-        q = model.precision @ c
-        phi_cur = 0.5 * float(c @ q)
-    else:
-        phi_cur = model.neg_log_density(theta)
-
-    done = 0
-    kept_done = 0
-    while done < config.n_steps:
-        block = min(BLOCK_STEPS, config.n_steps - done)
-        eta = rng.standard_normal((block, d))
-        jumps = scale * (eta @ fit.sqrt_covariance)
-        log_u = np.log(rng.random(block))
-        lo = np.searchsorted(keep, done)
-        hi = np.searchsorted(keep, done + block)
-        keep_steps = keep[lo:hi] - done
-        if logistic:
-            # the (steps x n) projections are formed PROJECTION_STEPS rows at
-            # a time; the draws above stay whole blocks, so the stream is unchanged
-            acc = 0
-            for start in range(0, block, PROJECTION_STEPS):
-                stop = min(start + PROJECTION_STEPS, block)
-                k_lo, k_hi = np.searchsorted(keep_steps, (start, stop))
-                jump_proj = jumps[start:stop] @ signed_x.T
-                phi_cur, sub_acc = sweep(
-                    theta, t, phi_cur, jumps[start:stop], jump_proj, log_u[start:stop], half_ipv,
-                    keep_steps[k_lo:k_hi] - start, out, kept_done + k_lo,
-                )
-                acc += sub_acc
-        elif gaussian:
-            jump_prec = jumps @ model.precision
-            jump_quad = 0.5 * np.einsum("ij,ij->i", jumps, jump_prec)
-            phi_cur, acc = sweep(
-                c, q, phi_cur, jumps, jump_prec, jump_quad, log_u, model.mean, keep_steps,
-                out, kept_done,
-            )
-        else:
-            acc = 0
-            ki = 0
-            for b in range(block):
-                candidate = theta + jumps[b]
-                phi_prop = model.neg_log_density(candidate)
-                if log_u[b] < phi_cur - phi_prop:
-                    theta, phi_cur = candidate, phi_prop
-                    acc += 1
-                if ki < keep_steps.shape[0] and keep_steps[ki] == b:
-                    out[kept_done + ki] = theta
-                    ki += 1
-        accepted += acc
-        kept_done += keep_steps.shape[0]
-        done += block
-
-    rate = accepted / config.n_steps
+    rate = int(accepted.sum()) / config.n_steps
     warnings = ()
     if not ACCEPT_RATE_LOW <= rate <= ACCEPT_RATE_HIGH:
         warnings = (
@@ -259,10 +237,11 @@ def run_chain(
             "consider adjusting proposal_scale",
         )
     return ChainResult(
-        samples=out,
+        samples=out.reshape(-1, d),
         acceptance_rate=float(rate),
         n_steps=config.n_steps,
         thin=config.thin,
+        rhat=split_rhat(out_phi),
         warnings=warnings,
     )
 
@@ -375,11 +354,10 @@ def estimate_true_kl(
     fit: LaplaceFit,
     preset: TruthPreset,
     seed: int | None = None,
-    backend: str | None = None,
 ) -> KLEstimate:
     """Full pipeline: chain -> 1/Z -> KL(g, f), all seeded from one integer."""
     chain_config = preset.chain if seed is None else replace(preset.chain, seed=seed)
-    chain = run_chain(model, fit, chain_config, backend=backend)
+    chain = run_chain(model, fit, chain_config)
     log_inv_z, rel_se = estimate_log_inv_z(model, fit, chain.samples)
     config_echo = {
         "preset": preset.name,
@@ -389,6 +367,7 @@ def estimate_true_kl(
         "proposal_scale": chain_config.proposal_scale,
         "seed": chain_config.seed,
         "k2": preset.k2,
+        "rhat": chain.rhat if np.isfinite(chain.rhat) else None,
         "warnings": list(chain.warnings),
     }
     return estimate_kl(

@@ -273,7 +273,7 @@ class GaussianModel(TargetModel):
 
     def neg_log_density_many(self, thetas) -> np.ndarray:
         deltas = np.asarray(thetas, dtype=float) - self.mean
-        return 0.5 * np.einsum("ij,jk,ik->i", deltas, self.precision, deltas)
+        return 0.5 * np.einsum("ij,ij->i", deltas @ self.precision, deltas)
 
     def gradient_many(self, thetas) -> np.ndarray:
         deltas = np.asarray(thetas, dtype=float) - self.mean

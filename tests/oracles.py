@@ -59,6 +59,50 @@ def fourth_derivative_5pt(g, r, h):
     return (g(r - 2 * h) - 4 * g(r - h) + 6 * g(r) - 4 * g(r + h) + g(r + 2 * h)) / h**4
 
 
+def replay_chain(model: TargetModel, fit, config):
+    """Plain-loop replay of ``run_chain``, one chain and one scalar phi at a time.
+
+    Redraws the stream ``run_chain`` documents: per block of
+    ``mcmc.BLOCK_STEPS`` steps, (steps * chains) x d standard normals, row
+    ``step * N_CHAINS + chain``, then steps x chains uniforms. Each chain then
+    starts at the mode, scores every proposal with ``neg_log_density`` and
+    applies the Metropolis-Hastings rule; states are kept per chain after its
+    burn-in, every ``thin``-th step.
+
+    Returns (samples chain by chain, accepted count per chain).
+    """
+    from laplace_audit import mcmc
+
+    d, chains = model.dim, mcmc.N_CHAINS
+    steps = config.n_steps // chains
+    scale = config.proposal_scale if config.proposal_scale is not None else 2.38 / np.sqrt(d)
+    rng = np.random.default_rng(
+        np.random.SeedSequence(config.seed, spawn_key=(mcmc._CHAIN_STREAM,))
+    )
+    normals, uniforms = [], []
+    for done in range(0, steps, mcmc.BLOCK_STEPS):
+        block = min(mcmc.BLOCK_STEPS, steps - done)
+        normals.append(rng.standard_normal((block * chains, d)).reshape(block, chains, d))
+        uniforms.append(rng.random((block, chains)))
+    eta, u = np.concatenate(normals), np.concatenate(uniforms)
+    burn = int(round(config.burn_in_fraction * steps))
+    samples, accepted = [], []
+    for c in range(chains):
+        theta = fit.theta_star.copy()
+        phi = model.neg_log_density(theta)
+        count = 0
+        for step in range(steps):
+            candidate = theta + scale * (eta[step, c] @ fit.sqrt_covariance)
+            phi_prop = model.neg_log_density(candidate)
+            if np.log(u[step, c]) < phi - phi_prop:
+                theta, phi = candidate, phi_prop
+                count += 1
+            if step >= burn and (step - burn + 1) % config.thin == 0:
+                samples.append(theta)
+        accepted.append(count)
+    return np.array(samples), np.array(accepted)
+
+
 def quadrature_kl_1d(model: TargetModel, fit, lo=-40.0, hi=40.0):
     """Exact KL(g, f) for a 1-D target by adaptive quadrature."""
 

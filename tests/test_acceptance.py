@@ -3,9 +3,9 @@
 Each test prints one ``[criterion NN] PASS`` line (visible under ``pytest -s``
 or on failure); the assertions encode the tolerances directly.
 
-Heavier criteria reuse the reduced "desk" sampling preset; the kernel JIT is
+Heavier criteria reuse the reduced "desk" sampling preset; the chain code is
 warmed once at module scope so the per-case runtime budgets measure the
-algorithms, not compiler startup.
+algorithms, not first-call set-up.
 """
 
 import json
@@ -48,7 +48,7 @@ from oracles import (
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    """Compile/load the chain kernels before any timed budget starts."""
+    """Run short chains before any timed budget starts."""
     dataset = generate_dataset(SyntheticDatasetConfig(d=2, n=10, seed=0))
     model = dataset.model(5.0)
     fit = fit_laplace(model)

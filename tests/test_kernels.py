@@ -1,122 +1,56 @@
-"""Backend selection and numba/numpy sweep equivalence."""
+"""The lock-step sweep and the names the benchmark reads from ``kernels``."""
 
 import numpy as np
-import pytest
 
 from laplace_audit import ChainConfig, run_chain
-from laplace_audit.kernels import (
-    ENV_FLAG,
-    HAVE_NUMBA,
-    default_backend,
-    gaussian_sweep,
-    logistic_sweep,
-    resolve_backend,
-)
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
+from laplace_audit.kernels import HAVE_NUMBA, default_backend, lockstep_sweep
 
 
-class TestBackendSelection:
-    def test_env_flag_controls_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_FLAG, "numpy")
-        assert default_backend() == "numpy"
-        monkeypatch.delenv(ENV_FLAG)
-        assert default_backend() == ("numba" if HAVE_NUMBA else "numpy")
-
-    def test_invalid_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_FLAG, "gpu")
-        with pytest.raises(ValueError):
-            default_backend()
-
-    def test_resolve_validates(self):
-        assert resolve_backend("numpy") == "numpy"
-        with pytest.raises(ValueError):
-            resolve_backend("fortran")
+def test_environment_names_describe_the_numpy_sweep():
+    assert HAVE_NUMBA is False
+    assert default_backend() == "numpy"
 
 
-def _logistic_block(seed, n_steps=4096, n=50, d=4):
-    rng = np.random.default_rng(seed)
-    signed_x = rng.standard_normal((n, d))
-    theta0 = rng.standard_normal(d) * 0.1
-    jumps = 0.3 * rng.standard_normal((n_steps, d))
-    jump_proj = jumps @ signed_x.T
-    log_u = np.log(rng.random(n_steps))
-    keep = np.arange(7, n_steps, 11, dtype=np.int64)
-    half_ipv = 0.5 / 4.0
+class _HalfPlane:
+    """phi = |theta|^2 / 2 on theta[0] <= 1, NaN beyond it."""
 
-    def state():
-        theta = theta0.copy()
-        t = signed_x @ theta
-        phi = half_ipv * 2 * float(theta @ theta) / 2 + float(np.logaddexp(0.0, -t).sum())
-        out = np.zeros((keep.shape[0], d))
-        return theta, t, phi, out
+    dim = 2
+    nan_rows = 0
 
-    return state, (jumps, jump_proj, log_u, half_ipv, keep)
+    def neg_log_density_many(self, thetas):
+        phi = 0.5 * np.einsum("ij,ij->i", thetas, thetas)
+        outside = thetas[:, 0] > 1.0
+        self.nan_rows += int(outside.sum())
+        return np.where(outside, np.nan, phi)
 
 
-@needs_numba
-class TestSweepEquivalence:
-    def test_logistic_backends_agree(self):
-        state, (jumps, jump_proj, log_u, half_ipv, keep) = _logistic_block(0)
-        results = {}
-        for backend in ("numba", "numpy"):
-            theta, t, phi, out = state()
-            sweep = logistic_sweep(backend)
-            phi_end, accepted = sweep(
-                theta, t, phi, jumps, jump_proj, log_u, half_ipv, keep, out, 0
-            )
-            results[backend] = (phi_end, accepted, out.copy(), theta.copy())
-        phi_a, acc_a, out_a, th_a = results["numba"]
-        phi_b, acc_b, out_b, th_b = results["numpy"]
-        assert acc_a == acc_b
-        assert phi_a == pytest.approx(phi_b, rel=1e-12)
-        np.testing.assert_allclose(out_a, out_b, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(th_a, th_b, rtol=1e-10, atol=1e-12)
-
-    def test_gaussian_backends_agree(self):
-        rng = np.random.default_rng(1)
-        d, n_steps = 3, 4096
-        a = rng.standard_normal((d, d))
-        prec = a @ a.T + d * np.eye(d)
-        mean = rng.standard_normal(d)
-        jumps = 0.5 * rng.standard_normal((n_steps, d))
-        jump_prec = jumps @ prec
-        jump_quad = 0.5 * np.einsum("ij,ij->i", jumps, jump_prec)
-        log_u = np.log(rng.random(n_steps))
-        keep = np.arange(3, n_steps, 17, dtype=np.int64)
-        results = {}
-        for backend in ("numba", "numpy"):
-            c = np.full(d, 0.2)
-            q = prec @ c
-            phi = 0.5 * float(c @ q)
-            out = np.zeros((keep.shape[0], d))
-            sweep = gaussian_sweep(backend)
-            phi_end, accepted = sweep(
-                c, q, phi, jumps, jump_prec, jump_quad, log_u, mean, keep, out, 0
-            )
-            results[backend] = (phi_end, accepted, out.copy())
-        phi_a, acc_a, out_a = results["numba"]
-        phi_b, acc_b, out_b = results["numpy"]
-        assert acc_a == acc_b
-        assert phi_a == pytest.approx(phi_b, rel=1e-12)
-        np.testing.assert_allclose(out_a, out_b, rtol=1e-10, atol=1e-12)
-
-    def test_run_chain_backends_statistically_equivalent(self, logistic_tiny):
-        model, fit = logistic_tiny
-        config = ChainConfig(n_steps=30_000, thin=30, seed=17)
-        a = run_chain(model, fit, config, backend="numba")
-        b = run_chain(model, fit, config, backend="numpy")
-        # identical random streams; trajectories may differ only through
-        # floating-point summation order, which essentially never flips an
-        # accept decision at this length
-        assert abs(a.acceptance_rate - b.acceptance_rate) < 0.01
-        np.testing.assert_allclose(a.samples, b.samples, rtol=1e-7, atol=1e-9)
+def test_sweep_updates_in_place_and_rejects_non_finite_phi():
+    rng = np.random.default_rng(0)
+    steps, chains = 200, 4
+    model = _HalfPlane()
+    theta = np.zeros((chains, 2))
+    phi = model.neg_log_density_many(theta)
+    jumps = 0.8 * rng.standard_normal((steps, chains, 2))
+    log_u = np.log(rng.random((steps, chains)))
+    keep = np.arange(9, steps, 10)
+    out = np.full((chains, keep.shape[0] + 1, 2), -7.0)
+    out_phi = np.full((chains, keep.shape[0] + 1), -7.0)
+    accepted = lockstep_sweep(model, theta, phi, jumps, log_u, keep, out, out_phi, 1)
+    assert accepted.shape == (chains,) and np.all((accepted > 0) & (accepted < steps))
+    # states beyond the half-plane were proposed but never entered
+    assert model.nan_rows > 0
+    assert np.all(out[:, 1:, 0] <= 1.0) and np.all(np.isfinite(out_phi))
+    np.testing.assert_array_equal(out[:, -1], theta)
+    np.testing.assert_array_equal(out_phi[:, -1], phi)
+    kept = out[:, 1:]
+    np.testing.assert_array_equal(out_phi[:, 1:], 0.5 * np.einsum("cki,cki->ck", kept, kept))
+    assert np.all(out[:, 0] == -7.0) and np.all(out_phi[:, 0] == -7.0)
 
 
-def test_run_chain_per_backend_deterministic(logistic_tiny):
+def test_run_chain_deterministic_per_seed(logistic_tiny):
     model, fit = logistic_tiny
     config = ChainConfig(n_steps=20_000, thin=40, seed=23)
-    backend = default_backend()
-    a = run_chain(model, fit, config, backend=backend)
-    b = run_chain(model, fit, config, backend=backend)
+    a = run_chain(model, fit, config)
+    b = run_chain(model, fit, config)
     np.testing.assert_array_equal(a.samples, b.samples)
+    assert a.acceptance_rate == b.acceptance_rate and a.rhat == b.rhat

@@ -191,6 +191,16 @@ class TestLaplaceLogDensity:
             batch, [laplace_log_density(fit, t) for t in thetas], rtol=1e-14
         )
 
+    def test_quadratic_form_matches_three_operand_einsum(self):
+        dataset = generate_dataset(SyntheticDatasetConfig(d=50, n=1000, seed=4))
+        fit = fit_laplace(dataset.model(10.0))
+        rng = np.random.default_rng(5)
+        thetas = fit.theta_star + rng.standard_normal((3000, 50)) @ fit.sqrt_covariance
+        deltas = thetas - fit.theta_star
+        quad = np.einsum("ij,jk,ik->i", deltas, fit.hessian_at_mode, deltas)
+        expected = -0.5 * (50 * np.log(2 * np.pi) + fit.log_det_covariance) - 0.5 * quad
+        np.testing.assert_allclose(laplace_log_density(fit, thetas), expected, rtol=1e-13)
+
 
 class TestSpotcheck:
     def test_logistic_passes(self, logistic_small):
@@ -214,6 +224,43 @@ class TestSpotcheck:
         )
         assert result.n_failures >= 1
         assert result.min_eigenvalue < 0
+
+
+def _per_point_spotcheck(model, fit, n_points, radius_multiplier, seed):
+    """The spot check's points and one eigvalsh call per point."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
+    eta = rng.standard_normal((n_points, fit.dim))
+    points = fit.theta_star + radius_multiplier * (eta @ fit.sqrt_covariance)
+    lows = [float(np.linalg.eigvalsh(model.hessian(p)).min()) for p in points]
+    return min(lows), [p for p, low in zip(points, lows) if low <= 0.0]
+
+
+class TestSpotcheckMatchesPerPointLoop:
+    @pytest.mark.parametrize("kind", ["mixture", "logistic_small", "logistic_d50"])
+    def test_min_eigenvalue_and_failures_exact(self, kind, logistic_small):
+        if kind == "mixture":
+            model = GaussianMixture1D(eps=0.01)
+            fit = fit_laplace(model, init=np.zeros(1))
+            args = (200, 10.0, 0)
+        elif kind == "logistic_small":
+            model, fit = logistic_small
+            args = (64, 5.0, 1)
+        else:
+            model = generate_dataset(SyntheticDatasetConfig(d=50, n=1000, seed=4)).model(10.0)
+            fit = fit_laplace(model)
+            args = (32, 3.0, 2)
+        result = logconcavity_spotcheck(model, fit, *args)
+        min_eig, failures = _per_point_spotcheck(model, fit, *args)
+        assert result.min_eigenvalue == min_eig
+        assert result.n_failures == len(failures)
+        assert (len(failures) > 0) == (kind == "mixture")
+        for got, want in zip(result.failure_points, failures):
+            np.testing.assert_array_equal(got, want)
+
+    def test_no_points(self, logistic_small):
+        model, fit = logistic_small
+        result = logconcavity_spotcheck(model, fit, n_points=0)
+        assert result.passed and result.min_eigenvalue == np.inf
 
 
 class TestFitExport:

@@ -16,9 +16,9 @@ from laplace_audit import (
     run_chain,
 )
 
-from laplace_audit import mcmc as mcmc_module
+from laplace_audit.mcmc import BLOCK_STEPS, N_CHAINS, split_rhat
 
-from oracles import SoftplusTilt1D, quadrature_kl_1d
+from oracles import SoftplusTilt1D, quadrature_kl_1d, replay_chain
 
 
 def _batch_se(samples):
@@ -74,16 +74,20 @@ class TestRunChain:
         np.testing.assert_array_equal(a.samples, b.samples)
         assert a.acceptance_rate == b.acceptance_rate
 
-    def test_projection_sub_blocks_leave_the_chain_unchanged(self, logistic_tiny, monkeypatch):
-        # 20,000 steps make a full and a short block; thin=7 puts kept steps
-        # on both sides of sub-block edges
-        model, fit = logistic_tiny
-        config = ChainConfig(n_steps=20_000, thin=7, seed=31)
-        a = run_chain(model, fit, config)
-        monkeypatch.setattr(mcmc_module, "PROJECTION_STEPS", 333)
-        b = run_chain(model, fit, config)
-        assert a.acceptance_rate == b.acceptance_rate
-        np.testing.assert_allclose(a.samples, b.samples, rtol=1e-12, atol=1e-14)
+    @pytest.mark.parametrize("kind", ["logistic", "gaussian", "tilt"])
+    def test_matches_plain_loop_replay(self, kind, logistic_tiny, gaussian_5d):
+        if kind == "tilt":
+            model = SoftplusTilt1D(1.0)
+            fit = fit_laplace(model)
+        else:
+            model, fit = logistic_tiny if kind == "logistic" else gaussian_5d
+        # each chain runs one full and one short block, keeping every state
+        config = ChainConfig(n_steps=N_CHAINS * (BLOCK_STEPS + 76), thin=1, seed=31)
+        chain = run_chain(model, fit, config)
+        samples, accepted = replay_chain(model, fit, config)
+        assert chain.acceptance_rate == accepted.sum() / config.n_steps
+        assert chain.samples.shape == samples.shape
+        np.testing.assert_allclose(chain.samples, samples, rtol=1e-12, atol=1e-12)
 
     def test_absurd_scale_attaches_warning(self, logistic_tiny):
         model, fit = logistic_tiny
@@ -100,6 +104,54 @@ class TestRunChain:
             ChainConfig(proposal_scale=-1.0).validate()
         with pytest.raises(ValueError):
             ChainConfig(burn_in_fraction=1.0).validate()
+
+    def test_steps_must_split_evenly_over_the_chains(self, logistic_tiny):
+        model, fit = logistic_tiny
+        ChainConfig(n_steps=20_000 + N_CHAINS, thin=100).validate()
+        with pytest.raises(ValueError, match="multiple"):
+            ChainConfig(n_steps=20_000 + N_CHAINS // 2, thin=100).validate()
+        with pytest.raises(ValueError, match="multiple"):
+            run_chain(model, fit, ChainConfig(n_steps=20_001, thin=100))
+
+    def test_burn_in_and_thinning_apply_per_chain(self, logistic_tiny):
+        model, fit = logistic_tiny
+        # 1,000 steps per chain: 100 burn-in, then every 30th -> 30 kept each
+        chain = run_chain(model, fit, ChainConfig(n_steps=20_000, thin=30, seed=3))
+        assert chain.k == N_CHAINS * 30
+
+
+class TestSplitRhat:
+    def test_near_one_on_a_gaussian_target(self, gaussian_5d):
+        model, fit = gaussian_5d
+        config = ChainConfig(n_steps=200_000, thin=50, seed=12)
+        a = run_chain(model, fit, config)
+        assert abs(a.rhat - 1.0) < 0.02
+        b = run_chain(model, fit, config)
+        assert a.rhat == b.rhat
+
+    def test_flags_chains_that_disagree(self):
+        rng = np.random.default_rng(0)
+        mixed = rng.standard_normal((N_CHAINS, 200))
+        assert split_rhat(mixed) == pytest.approx(1.0, abs=0.03)
+        shifted = mixed + np.arange(N_CHAINS)[:, None]
+        assert split_rhat(shifted) > 2.0
+        # a trend inside each chain shows up through the split halves
+        trending = mixed + np.linspace(0.0, 4.0, 200)
+        assert split_rhat(trending) > 1.2
+
+    def test_undefined_cases_are_nan(self):
+        assert np.isnan(split_rhat(np.ones((N_CHAINS, 3))))
+        assert np.isnan(split_rhat(np.ones((N_CHAINS, 50))))
+
+    def test_echoed_in_the_kl_config(self, gaussian_5d):
+        model, fit = gaussian_5d
+        preset = TruthPreset(
+            name="test", chain=ChainConfig(n_steps=100_000, thin=100, seed=2), k2=1_000
+        )
+        est = estimate_true_kl(model, fit, preset)
+        chain = run_chain(model, fit, preset.chain)
+        assert est.config["rhat"] == chain.rhat
+        assert abs(est.config["rhat"] - 1.0) < 0.05
 
 
 class TestEstimateInvZ:

@@ -261,6 +261,16 @@ class ScalarOnly(TargetModel):
         return self._model.ray_derivatives(base, direction, r, max_order)
 
 
+def test_gaussian_many_matches_three_operand_einsum():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((50, 50))
+    model = GaussianModel(rng.standard_normal(50), a @ a.T + 50 * np.eye(50))
+    thetas = model.mean + rng.standard_normal((3000, 50)) @ np.linalg.cholesky(model.covariance).T
+    deltas = thetas - model.mean
+    expected = 0.5 * np.einsum("ij,jk,ik->i", deltas, model.precision, deltas)
+    np.testing.assert_allclose(model.neg_log_density_many(thetas), expected, rtol=1e-13)
+
+
 class TestRayBatch:
     @staticmethod
     def _scalar_hooks(model, base, vs, rs):
