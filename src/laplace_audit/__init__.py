@@ -9,7 +9,6 @@ the certificate against a sampling-based ground-truth KL estimate.
 from .bound import (
     AuditConfig,
     BoundReport,
-    DirectionDiagnostics,
     DirectionKlTerms,
     LsiBound,
     approximate_bound,
@@ -37,7 +36,6 @@ from .laplace import (
     LaplaceFit,
     SpotcheckResult,
     build_fit,
-    find_map,
     fit_laplace,
     laplace_log_density,
     logconcavity_spotcheck,
@@ -48,7 +46,6 @@ from .mcmc import (
     KLEstimate,
     TruthPreset,
     desk_preset,
-    estimate_inv_z,
     estimate_kl,
     estimate_log_inv_z,
     estimate_true_kl,
@@ -78,7 +75,6 @@ from .radial import (
     sample_direction,
     sample_direction_pairs,
     to_theta,
-    z_log_density,
 )
 
 __version__ = "0.1.0"

@@ -26,11 +26,15 @@ curvature floor is minimized exactly, at the real roots of its derivative.
 The one-direction helpers ``delta3``, ``delta4``, ``min_conditional_curvature``,
 ``conditional_kl_bound`` and ``xi_elbo`` run the same code on a single
 direction. Only grid-mode delta4, a heuristic, loops over directions.
+
+The model must be a ``TargetModel`` subclass: the direction pass reaches it
+only through ``ray_batch`` (and ``ray_derivative_profile`` for grid-mode
+delta4), which the base class builds from the scalar hooks when a model has
+no array form of its own.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -51,18 +55,6 @@ DELTA4_GRID_POINTS = 512
 JACKKNIFE_ELEMENTS = 1 << 18
 
 
-def _ray_batch(model, fit: LaplaceFit, vs, rs=None):
-    """The model's ``ray_batch`` along the rows of ``vs`` through the mode.
-
-    Objects that are not ``TargetModel`` subclasses but have its scalar
-    methods get the generic loop over them.
-    """
-    batch = getattr(model, "ray_batch", None)
-    if batch is None:
-        return TargetModel.ray_batch(model, fit.theta_star, vs, rs)
-    return batch(fit.theta_star, vs, rs)
-
-
 def _whiten(fit: LaplaceFit, es) -> np.ndarray:
     """Rows S e of the ray directions for unit directions e (one per row)."""
     return np.atleast_2d(np.asarray(es, dtype=float)) @ fit.sqrt_covariance
@@ -75,11 +67,11 @@ def delta3(fit: LaplaceFit, model: TargetModel, e) -> float:
     ``S e``, but is computed directly along the ray so the d^3 tensor is
     never materialized. Odd in ``e``.
     """
-    return float(_ray_batch(model, fit, _whiten(fit, e)).delta3[0])
+    return float(model.ray_batch(fit.theta_star, _whiten(fit, e)).delta3[0])
 
 
-def _delta4s(model, fit: LaplaceFit, vs, analytic, mode: str, r_max: float | None):
-    """delta4 along each row of ``vs`` and a flag per row.
+def _delta4s(model, fit: LaplaceFit, vs, analytic, mode: str):
+    """delta4 along each row of ``vs`` and the mode that produced them.
 
     ``analytic`` is the model's bound from ``ray_batch`` (None if it has
     none); without it, or in grid mode, each row takes the grid maximum.
@@ -89,34 +81,29 @@ def _delta4s(model, fit: LaplaceFit, vs, analytic, mode: str, r_max: float | Non
     if mode == "analytic" and analytic is not None:
         if np.any(analytic < 0):
             raise ValueError("analytic fourth-derivative bound must be nonnegative")
-        return analytic, ["analytic"] * len(analytic)
-    if r_max is None:
-        r_max = chi_quantile(fit.dim, 1.0 - 1e-6)
-    if r_max <= 0:
-        raise ValueError("r_max must be positive")
-    rs = np.linspace(0.0, r_max, DELTA4_GRID_POINTS)
+        return analytic, "analytic"
+    rs = np.linspace(0.0, chi_quantile(fit.dim, 1.0 - 1e-6), DELTA4_GRID_POINTS)
     values = [
         np.max(np.abs(model.ray_derivative_profile(fit.theta_star, v, rs, order=4))) for v in vs
     ]
-    return np.array(values, dtype=float), ["grid"] * len(values)
+    return np.array(values, dtype=float), "grid"
 
 
-def delta4(fit: LaplaceFit, model: TargetModel, e, r_max: float | None = None,
-           mode: str = "analytic"):
+def delta4(fit: LaplaceFit, model: TargetModel, e, mode: str = "analytic"):
     """Bound on |fourth ray derivative| along ``S e``.
 
     Prefers the model's analytic global bound when available; otherwise takes
-    the max over a 512-point grid on [0, r_max] (r_max defaulting to the
-    1 - 1e-6 chi quantile). The grid value is a heuristic stand-in for the
-    unbounded maximum and is flagged as such.
+    the max over a 512-point grid on [0, r_max], r_max being the 1 - 1e-6
+    chi quantile. The grid value is a heuristic stand-in for the unbounded
+    maximum and is flagged as such.
 
     Returns
     -------
     (value, flag) with flag in {"analytic", "grid"}.
     """
     vs = _whiten(fit, e)
-    values, flags = _delta4s(model, fit, vs, _ray_batch(model, fit, vs).delta4, mode, r_max)
-    return float(values[0]), flags[0]
+    values, flag = _delta4s(model, fit, vs, model.ray_batch(fit.theta_star, vs).delta4, mode)
+    return float(values[0]), flag
 
 
 def _curvature_floor_poly(r, d, d3, d4):
@@ -245,7 +232,7 @@ def xi_elbo(fit: LaplaceFit, model: TargetModel, e, quadrature_nodes: int = 64) 
     if quadrature_nodes < 16:
         raise ValueError("quadrature_nodes must be at least 16")
     rs, _ = chi_quadrature(fit.dim, quadrature_nodes)
-    values = _ray_batch(model, fit, _whiten(fit, e), rs).values
+    values = model.ray_batch(fit.theta_star, _whiten(fit, e), rs).values
     if not np.all(np.isfinite(values)):
         raise NonFiniteObjectiveError("negative log-density non-finite along ray")
     return float(_xi_values(fit, values, quadrature_nodes)[0])
@@ -280,22 +267,6 @@ def conditional_curvature_profile(fit: LaplaceFit, model: TargetModel, e, zs) ->
 
 
 @dataclass(frozen=True)
-class DirectionDiagnostics:
-    """Per-direction scalars feeding the assembled bounds."""
-
-    e: np.ndarray
-    delta3: float
-    delta4: float
-    delta4_mode: str
-    min_curvature: float
-    cond_kl_bound: float
-    xi_elbo: float
-    eps1_bound: float
-    eps2_bound: float
-    valid: bool
-
-
-@dataclass(frozen=True)
 class DirectionKlTerms:
     """Monte-Carlo estimates of the direction-variable KL terms.
 
@@ -323,23 +294,26 @@ def _jackknife_se(loo: np.ndarray) -> float:
     return float(np.sqrt((n_blocks - 1) / n_blocks * np.sum((loo - loo.mean()) ** 2)))
 
 
-def direction_kl_bound(diagnostics, pair_size: int = 1) -> DirectionKlTerms:
-    """Assemble the direction-variable KL terms from per-direction diagnostics.
+def direction_kl_bound(xis, eps1, pair_size: int = 1) -> DirectionKlTerms:
+    """Assemble the direction-variable KL terms over the valid directions.
 
-    Requires at least two diagnostics, none flagged invalid. ``pair_size``
+    ``xis`` holds the ELBO proxy and ``eps1`` the conditional-KL bound of
+    each direction; invalid directions must be left out by the caller.
+    Requires at least two directions and finite values. ``pair_size``
     declares the antithetic block structure so the jackknife respects the
     dependence inside each block.
     """
-    diags = list(diagnostics)
-    if len(diags) < 2:
-        raise ValueError("need at least two direction diagnostics")
-    if any(not g.valid for g in diags):
-        raise ValueError("invalid directions must be filtered out by the caller")
-    m = len(diags)
+    xis = np.asarray(xis, dtype=float)
+    eps1 = np.asarray(eps1, dtype=float)
+    if xis.ndim != 1 or xis.shape != eps1.shape:
+        raise ValueError("xis and eps1 must be 1-d arrays of the same length")
+    m = xis.shape[0]
+    if m < 2:
+        raise ValueError("need at least two directions")
+    if not (np.all(np.isfinite(xis)) and np.all(np.isfinite(eps1))):
+        raise ValueError("xis and eps1 must be finite (leave invalid directions out)")
     if pair_size < 1 or m % pair_size != 0:
-        raise ValueError("pair_size must evenly divide the number of diagnostics")
-    xis = np.array([g.xi_elbo for g in diags])
-    eps1 = np.array([g.eps1_bound for g in diags])
+        raise ValueError("pair_size must evenly divide the number of directions")
 
     log_moment = _log_moment(xis)
     eps1_sq_term = float(np.mean(eps1**2))
@@ -403,13 +377,7 @@ class AuditConfig:
     quadrature_nodes: int = 64
     seed: int = 0
     delta4_mode: str = "analytic"
-    delta4_r_max: float | None = None
     bound_form: str = "both"
-    boundary_term: str = "lemma"
-    spotcheck_points: int = 32
-    spotcheck_radius: float = 3.0
-    map_tol: float = 1e-10
-    map_max_iter: int = 500
 
     def validate(self) -> None:
         if self.n_directions < 2 or self.n_directions % 2 != 0:
@@ -420,8 +388,6 @@ class AuditConfig:
             raise ValueError("delta4_mode must be 'analytic' or 'grid'")
         if self.bound_form not in ("approx", "detailed", "both"):
             raise ValueError("bound_form must be 'approx', 'detailed' or 'both'")
-        if self.boundary_term not in ("lemma", "derivation"):
-            raise ValueError("boundary_term must be 'lemma' or 'derivation'")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -474,11 +440,6 @@ class BoundReport:
             "seed": self.seed,
         }
 
-    def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json_dict(), handle)
-            handle.write("\n")
-
 
 def audit(model: TargetModel, config: AuditConfig | None = None,
           fit: LaplaceFit | None = None) -> BoundReport:
@@ -487,7 +448,9 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
     Mode search, Hessian factorization, curvature spot check, antithetic
     direction sampling, per-direction diagnostics, and assembly of the
     requested bound forms. Deterministic given the config seed; per-direction
-    work is independent and reduced in fixed index order.
+    work is independent and reduced in fixed index order. ``model`` must be a
+    ``TargetModel`` subclass, since its ``ray_batch`` supplies every
+    per-direction quantity.
 
     Directions whose curvature floor is nonpositive are excluded from the
     detailed bound and counted in ``invalid_directions``; if every direction
@@ -496,10 +459,8 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
     config = config or AuditConfig()
     config.validate()
     if fit is None:
-        fit = fit_laplace(model, tol=config.map_tol, max_iter=config.map_max_iter)
-    spot = logconcavity_spotcheck(
-        model, fit, config.spotcheck_points, config.spotcheck_radius, config.seed
-    )
+        fit = fit_laplace(model)
+    spot = logconcavity_spotcheck(model, fit, seed=config.seed)
     d = model.dim
     need_detailed = config.bound_form in ("detailed", "both")
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_DIR_STREAM,)))
@@ -507,39 +468,20 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
 
     vs = _whiten(fit, directions)
     rs = chi_quadrature(d, config.quadrature_nodes)[0] if need_detailed else None
-    batch = _ray_batch(model, fit, vs, rs)
+    batch = model.ray_batch(fit.theta_star, vs, rs)
     d3 = batch.delta3
-    d4, d4_modes = _delta4s(model, fit, vs, batch.delta4, config.delta4_mode, config.delta4_r_max)
+    d4, d4_mode = _delta4s(model, fit, vs, batch.delta4, config.delta4_mode)
     # on an exactly quadratic ray every diagnostic has its exact limit
     exact = (d3 == 0.0) & (d4 == 0.0)
-    mc = _curvature_floors(d, d3, d4, config.boundary_term)
+    mc = _curvature_floors(d, d3, d4, "lemma")
     valid = mc > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         ckl = np.where(valid, _conditional_kl(d, d3, d4, mc), np.nan)
-        xi = np.full(d3.shape, np.nan)
         if need_detailed:
             finite = np.all(np.isfinite(batch.values), axis=1)
             xi = _xi_values(fit, batch.values, config.quadrature_nodes)
             xi = np.where(exact, 0.0, np.where(finite, xi, np.nan))
             valid &= exact | finite
-    diags = [
-        DirectionDiagnostics(
-            e=e,
-            delta3=g3,
-            delta4=g4,
-            delta4_mode=flag,
-            min_curvature=floor,
-            cond_kl_bound=kl,
-            xi_elbo=x,
-            eps1_bound=kl,
-            eps2_bound=e2,
-            valid=ok,
-        )
-        for e, g3, g4, flag, floor, kl, x, e2, ok in zip(
-            directions, d3.tolist(), d4.tolist(), d4_modes, mc.tolist(), ckl.tolist(),
-            xi.tolist(), eps2_bound(d, d4).tolist(), valid.tolist(),
-        )
-    ]
 
     delta3_sq = d3 * d3
     pair_vals = delta3_sq[0::2]
@@ -554,13 +496,9 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
         approx = approximate_bound(mean_delta3_sq, d)
 
     detailed = e_term = e_term_se = cond_term = eps1_term = eps1_se = None
-    invalid = sum(1 for g in diags if not g.valid)
-    mode_counts: dict = {}
-    for g in diags:
-        mode_counts[g.delta4_mode] = mode_counts.get(g.delta4_mode, 0) + 1
+    invalid = int(np.count_nonzero(~valid))
     if need_detailed:
-        valid_diags = [g for g in diags if g.valid]
-        if len(valid_diags) < 2:
+        if np.count_nonzero(valid) < 2:
             raise AssumptionViolationError(
                 "all sampled directions fall outside the certificate's validity range",
                 details={
@@ -569,8 +507,7 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
                     "mean_delta3_sq": mean_delta3_sq,
                 },
             )
-        pair_size = 2 if invalid == 0 else 1
-        terms = direction_kl_bound(valid_diags, pair_size=pair_size)
+        terms = direction_kl_bound(xi[valid], ckl[valid], pair_size=2 if invalid == 0 else 1)
         e_term = terms.log_moment_term
         e_term_se = terms.log_moment_term_se
         cond_term = terms.cond_term
@@ -592,7 +529,7 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
         eps1_term=eps1_term,
         eps1_correction_se=eps1_se,
         invalid_directions=invalid,
-        delta4_mode_counts=mode_counts,
+        delta4_mode_counts={d4_mode: config.n_directions},
         spotcheck={
             "n_points": spot.n_points,
             "radius_multiplier": spot.radius_multiplier,

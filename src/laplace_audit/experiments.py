@@ -14,7 +14,7 @@ import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -63,6 +63,20 @@ class ExperimentRow:
             raise ValueError("row sigma0 must be positive")
 
 
+def _check_keys(kind, payload, what: str) -> dict:
+    """``payload`` if it is a dict with the keys ``kind`` takes; else ValueError naming one."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    names = {f.name: f.default is MISSING for f in fields(kind)}
+    unknown = [k for k in payload if k not in names]
+    missing = [k for k, required in names.items() if required and k not in payload]
+    if unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}")
+    if missing:
+        raise ValueError(f"{what} is missing the key {missing[0]!r}")
+    return payload
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     rows: tuple
@@ -90,9 +104,11 @@ class ExperimentSpec:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ExperimentSpec":
-        rows = tuple(ExperimentRow(**row) for row in payload["rows"])
-        kwargs = {k: v for k, v in payload.items() if k != "rows"}
-        spec = cls(rows=rows, **kwargs)
+        _check_keys(cls, payload, "spec")
+        rows = tuple(
+            ExperimentRow(**_check_keys(ExperimentRow, row, "row")) for row in payload["rows"]
+        )
+        spec = cls(**{**payload, "rows": rows})
         spec.validate()
         return spec
 
@@ -147,6 +163,10 @@ def _run_cell(spec: ExperimentSpec, row_idx: int, replicate: int) -> ReplicateRe
     audit_seed = _cell_seed(spec.seed, row_idx, replicate, _AUDIT_STREAM)
     chain_seed = _cell_seed(spec.seed, row_idx, replicate, _CHAIN_STREAM)
     nan = float("nan")
+    cell = dict(
+        row=row_idx, replicate=replicate, model=row.model, d=row.d, n=row.n,
+        sigma0=row.sigma0, seed=data_seed,
+    )
     try:
         if row.model == "gaussian":
             model = random_gaussian_model(row.d, data_seed)
@@ -173,36 +193,13 @@ def _run_cell(spec: ExperimentSpec, row_idx: int, replicate: int) -> ReplicateRe
         detailed = report.detailed_bound if report.detailed_bound is not None else nan
         efficiency = kl / approx if (approx and approx > 0 and math.isfinite(kl)) else nan
         return ReplicateResult(
-            row=row_idx,
-            replicate=replicate,
-            model=row.model,
-            d=row.d,
-            n=row.n,
-            sigma0=row.sigma0,
-            seed=data_seed,
-            kl=kl,
-            kl_se=kl_se,
-            approx_bound=approx,
-            detailed_bound=detailed,
-            efficiency=efficiency,
-            status="ok",
+            **cell, kl=kl, kl_se=kl_se, approx_bound=approx, detailed_bound=detailed,
+            efficiency=efficiency, status="ok",
         )
     except (AssumptionViolationError, MapNotConvergedError, NonFiniteObjectiveError) as exc:
         return ReplicateResult(
-            row=row_idx,
-            replicate=replicate,
-            model=row.model,
-            d=row.d,
-            n=row.n,
-            sigma0=row.sigma0,
-            seed=data_seed,
-            kl=nan,
-            kl_se=nan,
-            approx_bound=nan,
-            detailed_bound=nan,
-            efficiency=nan,
-            status="failed",
-            error=f"{type(exc).__name__}: {exc}",
+            **cell, kl=nan, kl_se=nan, approx_bound=nan, detailed_bound=nan, efficiency=nan,
+            status="failed", error=f"{type(exc).__name__}: {exc}",
         )
 
 

@@ -1,10 +1,10 @@
 """Mode finding and construction of the Gaussian (Laplace) fit.
 
-``find_map`` locates the minimizer theta* of the negative log-density with a
-line-search Newton method (gradient-descent fallback when the Newton step is
-not a descent direction). ``build_fit`` factorizes the Hessian at the mode
-into the covariance and its symmetric square root, which the direction/radius
-change of variable is written in terms of.
+``fit_laplace`` locates the minimizer theta* of the negative log-density with
+a line-search Newton method (gradient-descent fallback when the Newton step is
+not a descent direction), then ``build_fit`` factorizes the Hessian at the
+mode into the covariance and its symmetric square root, which the
+direction/radius change of variable is written in terms of.
 """
 
 from __future__ import annotations
@@ -144,31 +144,6 @@ def _minimize(model: TargetModel, init, tol: float, max_iter: int):
     )
 
 
-def find_map(
-    model: TargetModel,
-    init=None,
-    tol: float = DEFAULT_GRAD_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> np.ndarray:
-    """Return theta* with gradient sup-norm at most ``tol``.
-
-    Starts from the zero vector unless ``init`` is given. Raises
-    MapNotConvergedError (carrying the last iterate and gradient norm) when
-    the iteration cap is hit, and NonFiniteObjectiveError if the objective
-    stops being finite.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if init is None:
-        init = np.zeros(model.dim)
-    else:
-        init = np.asarray(init, dtype=float)
-        if init.shape != (model.dim,):
-            raise DimensionMismatchError("init has the wrong length")
-    theta, _, _ = _minimize(model, init, tol, max_iter)
-    return theta
-
-
 def build_fit(model: TargetModel, theta_star, iterations: int = 0) -> LaplaceFit:
     """Factorize the Hessian at a stationary point into a LaplaceFit.
 
@@ -216,11 +191,22 @@ def fit_laplace(
     tol: float = DEFAULT_GRAD_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> LaplaceFit:
-    """Convenience pipeline: ``find_map`` followed by ``build_fit``."""
+    """Find the mode theta* and build the Laplace fit there.
+
+    The mode search stops at gradient sup-norm at most ``tol``, starting from
+    the zero vector unless ``init`` is given; ``build_fit`` then factorizes
+    the Hessian. Raises MapNotConvergedError (carrying the last iterate and
+    gradient norm) when the iteration cap is hit, and NonFiniteObjectiveError
+    if the objective stops being finite.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if init is None:
         init = np.zeros(model.dim)
+    else:
+        init = np.asarray(init, dtype=float)
+        if init.shape != (model.dim,):
+            raise DimensionMismatchError("init has the wrong length")
     theta, _, iterations = _minimize(model, init, tol, max_iter)
     return build_fit(model, theta, iterations=iterations)
 

@@ -2,15 +2,16 @@
 
 Random-walk Metropolis-Hastings chains shaped by the Laplace covariance,
 ``N_CHAINS`` of them run in lock-step, draw samples from the target; an
-importance ratio against the normalized Gaussian fit estimates the reciprocal
-normalizing constant 1/Z; and a plain Monte-Carlo average over fresh Gaussian
-draws turns that into an estimate of KL(g, f). Everything is driven by
-explicit integer seeds, and a seed gives the same numbers on every run.
+importance ratio against the normalized Gaussian fit estimates log 1/Z, the
+log of the reciprocal normalizing constant (kept in log space throughout,
+since 1/Z itself overflows at moderate dimensions); and a plain Monte-Carlo
+average over fresh Gaussian draws turns that into an estimate of KL(g, f).
+Everything is driven by explicit integer seeds, and a seed gives the same
+numbers on every run.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,6 +44,9 @@ class ChainConfig:
     multiple of it. ``proposal_scale`` multiplies the fit square root; None
     selects the standard 2.38/sqrt(d) random-walk scaling at run time. The
     burn-in fraction and the thinning apply to each chain's own steps.
+    ``n_steps / thin`` must be at least 100; that rule counts steps over all
+    chains, not kept states, so ``validate`` also requires each chain to
+    keep at least one state after burn-in.
     """
 
     n_steps: int = 1_000_000
@@ -64,6 +68,15 @@ class ChainConfig:
             raise ValueError("proposal_scale must be positive")
         if not 0.0 <= self.burn_in_fraction < 1.0:
             raise ValueError("burn_in_fraction must lie in [0, 1)")
+        if self._kept_steps().size == 0:
+            raise ValueError("burn-in and thinning leave no state of any chain to keep")
+
+    def _kept_steps(self) -> np.ndarray:
+        """Indices of the steps, within each chain, whose states are kept."""
+        steps = self.n_steps // N_CHAINS
+        burn = int(round(self.burn_in_fraction * steps))
+        # first kept state lands `thin` steps after burn-in ends
+        return np.arange(burn + self.thin - 1, steps, self.thin, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -161,17 +174,6 @@ class KLEstimate:
             "config": self.config,
         }
 
-    def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json_dict(), handle)
-            handle.write("\n")
-
-
-def _keep_indices(n_steps: int, burn: int, thin: int) -> np.ndarray:
-    # first kept sample lands `thin` steps after burn-in ends
-    first = burn + thin - 1
-    return np.arange(first, n_steps, thin, dtype=np.int64)
-
 
 def split_rhat(draws) -> float:
     """Split-R-hat of a (chains x draws) array (Gelman et al., BDA3, sec. 11.4).
@@ -211,8 +213,7 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
     scale = config.proposal_scale if config.proposal_scale is not None else 2.38 / np.sqrt(d)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_CHAIN_STREAM,)))
     steps = config.n_steps // N_CHAINS
-    burn = int(round(config.burn_in_fraction * steps))
-    keep = _keep_indices(steps, burn, config.thin)
+    keep = config._kept_steps()
     out = np.empty((N_CHAINS, keep.shape[0], d))
     out_phi = np.empty((N_CHAINS, keep.shape[0]))
 
@@ -284,51 +285,31 @@ def estimate_log_inv_z(model: TargetModel, fit: LaplaceFit, posterior_samples):
     return log_inv_z, rel_se
 
 
-def estimate_inv_z(model: TargetModel, fit: LaplaceFit, posterior_samples):
-    """Importance estimate of 1/Z with its standard error.
-
-    Plain-value wrapper around ``estimate_log_inv_z``; the returned floats
-    overflow for targets whose normalizing scale exceeds double precision,
-    in which case work with the log form directly.
-
-    Returns
-    -------
-    (inv_z, inv_z_se)
-    """
-    log_inv_z, rel_se = estimate_log_inv_z(model, fit, posterior_samples)
-    inv_z = float(np.exp(log_inv_z))
-    return inv_z, inv_z * rel_se
-
-
 def estimate_kl(
     model: TargetModel,
     fit: LaplaceFit,
-    inv_z: float | None,
     k2: int,
     seed: int = 0,
-    inv_z_se: float = 0.0,
     *,
-    log_inv_z: float | None = None,
-    inv_z_rel_se: float | None = None,
+    log_inv_z: float,
+    inv_z_rel_se: float = 0.0,
     acceptance_rate: float = float("nan"),
     k: int = 0,
     config: dict | None = None,
 ) -> KLEstimate:
-    """Monte-Carlo estimate of KL(g, f) given the 1/Z estimate.
+    """Monte-Carlo estimate of KL(g, f) given the log 1/Z estimate.
 
     Averages log g(theta) + phi(theta) over ``k2`` fresh draws from the fit
-    and adds log Z. Pass either ``inv_z`` (+ ``inv_z_se``) or the log-space
-    pair ``log_inv_z`` (+ ``inv_z_rel_se``); the log form takes precedence.
-    The reported standard error combines the i.i.d. sample variance with the
-    1/Z uncertainty propagated as an additive log-term.
+    and subtracts ``log_inv_z``, the log 1/Z estimate of
+    ``estimate_log_inv_z``, whose relative standard error is
+    ``inv_z_rel_se``. The reported standard error combines the i.i.d.
+    sample variance with the 1/Z uncertainty propagated as an additive
+    log-term.
     """
-    if log_inv_z is None:
-        if inv_z is None or not inv_z > 0:
-            raise ValueError("inv_z must be positive")
-        log_inv_z = float(np.log(inv_z))
-        inv_z_rel_se = inv_z_se / inv_z
-    elif inv_z_rel_se is None:
-        inv_z_rel_se = 0.0
+    if not np.isfinite(log_inv_z):
+        raise ValueError("log_inv_z must be finite")
+    if not (np.isfinite(inv_z_rel_se) and inv_z_rel_se >= 0):
+        raise ValueError("inv_z_rel_se must be finite and nonnegative")
     if k2 < 2:
         raise ValueError("k2 must be at least 2")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_KL_STREAM,)))
@@ -355,7 +336,7 @@ def estimate_true_kl(
     preset: TruthPreset,
     seed: int | None = None,
 ) -> KLEstimate:
-    """Full pipeline: chain -> 1/Z -> KL(g, f), all seeded from one integer."""
+    """Full pipeline: chain -> log 1/Z -> KL(g, f), all seeded from one integer."""
     chain_config = preset.chain if seed is None else replace(preset.chain, seed=seed)
     chain = run_chain(model, fit, chain_config)
     log_inv_z, rel_se = estimate_log_inv_z(model, fit, chain.samples)
@@ -373,7 +354,6 @@ def estimate_true_kl(
     return estimate_kl(
         model,
         fit,
-        None,
         preset.k2,
         seed=chain_config.seed,
         log_inv_z=log_inv_z,

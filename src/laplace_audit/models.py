@@ -89,10 +89,12 @@ class TargetModel(abc.ABC):
     (``ray_batch``, ``ray_derivative_profile``, ``neg_log_density_many``,
     ``gradient_many``) have generic defaults that loop over the scalar
     methods, and exist so models with structure can avoid per-point Python
-    overhead. ``ray_batch`` is all the certificate asks of a model: for a
-    block of directions it returns the values on the quadrature nodes, delta3
-    at the base and the analytic delta4 bound; ``ray_values`` is its
-    one-direction form. Evaluation is pure and stateless after construction.
+    overhead. ``ray_batch`` is all the certificate's direction pass asks of a
+    model: for a block of directions it returns the values on the quadrature
+    nodes, delta3 at the base and the analytic delta4 bound; ``ray_values`` is
+    its one-direction form. The certificate calls ``ray_batch`` on the model
+    itself, so its targets must subclass this class rather than only mimic
+    its scalar methods. Evaluation is pure and stateless after construction.
     """
 
     dim: int
@@ -322,9 +324,8 @@ class LogisticRegressionModel(TargetModel):
     def neg_log_density(self, theta) -> float:
         theta = self._check_theta(theta)
         t = self._signed_x @ theta
-        # kept on np.logaddexp: tests/test_laplace.py's gradient-descent
-        # oracle decides its Armijo steps near the mode by the last bits of
-        # this value, and converges with this rounding, not with the faster form
+        # kept on np.logaddexp: the mode search's line search compares these
+        # values near the mode, so another rounding moves the fit's last bits
         return 0.5 * self._inv_prior_var * float(theta @ theta) + float(
             np.logaddexp(0.0, -t).sum()
         )

@@ -90,11 +90,6 @@ class RadialLaw:
         return float(val) if val.ndim == 0 else val
 
 
-def z_log_density(law: RadialLaw, z):
-    """Log-density of the square-root-radius law (functional form of RadialLaw)."""
-    return law.log_density(z)
-
-
 def radial_min_curvature(d: int) -> float:
     """Curvature floor 2 sqrt(6) sqrt(2d-1) of the z-law negative log-density.
 

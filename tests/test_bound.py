@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from laplace_audit import (
+    AssumptionViolationError,
     AuditConfig,
-    DirectionDiagnostics,
     GaussianModel,
     RadialLaw,
     SyntheticDatasetConfig,
+    TargetModel,
     approximate_bound,
     approximate_bound_coefficient,
     audit,
@@ -35,21 +36,6 @@ from laplace_audit import bound as bound_module
 from laplace_audit.bound import _curvature_floor_poly, _curvature_floors
 
 from oracles import CubicRay1D, SoftplusTilt1D, third_derivative_7pt
-
-
-def _diag(xi=0.0, eps1=0.0, valid=True):
-    return DirectionDiagnostics(
-        e=np.array([1.0]),
-        delta3=0.0,
-        delta4=0.0,
-        delta4_mode="analytic",
-        min_curvature=1.0,
-        cond_kl_bound=eps1,
-        xi_elbo=xi,
-        eps1_bound=eps1,
-        eps2_bound=0.0,
-        valid=valid,
-    )
 
 
 class TestDelta3:
@@ -98,7 +84,7 @@ class TestDelta4:
     def test_grid_fallback_when_no_analytic_hook(self, logistic_small):
         model, fit = logistic_small
 
-        class NoHook:
+        class NoHook(TargetModel):
             dim = model.dim
             neg_log_density = model.neg_log_density
             gradient = model.gradient
@@ -261,26 +247,23 @@ class TestEps2Bound:
 
 class TestDirectionKlBound:
     def test_constant_xi_gives_exact_zero_term(self):
-        diags = [_diag(xi=0.37) for _ in range(8)]
-        terms = direction_kl_bound(diags, pair_size=2)
+        terms = direction_kl_bound(np.full(8, 0.37), np.zeros(8), pair_size=2)
         assert terms.log_moment_term == 0.0
 
     def test_two_point_closed_form(self):
         a = 0.4
-        diags = [_diag(xi=a), _diag(xi=-a)]
-        terms = direction_kl_bound(diags)
+        terms = direction_kl_bound(np.array([a, -a]), np.zeros(2))
         assert terms.log_moment_term == pytest.approx(0.5 * np.log(np.cosh(2 * a)), rel=1e-13)
         assert terms.eps1_correction == 0.0
 
     def test_nonnegative_by_jensen(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
-            diags = [_diag(xi=x) for x in rng.normal(0, 0.5, size=16)]
-            assert direction_kl_bound(diags).log_moment_term >= 0.0
+            xis = rng.normal(0, 0.5, size=16)
+            assert direction_kl_bound(xis, np.zeros(16)).log_moment_term >= 0.0
 
     def test_eps1_correction_split(self):
-        diags = [_diag(eps1=0.1), _diag(eps1=0.3)]
-        terms = direction_kl_bound(diags)
+        terms = direction_kl_bound(np.zeros(2), np.array([0.1, 0.3]))
         assert terms.cond_term == pytest.approx(0.2, rel=1e-15)
         assert terms.eps1_sq_term == pytest.approx((0.01 + 0.09) / 2, rel=1e-15)
         assert terms.eps1_correction == pytest.approx(terms.cond_term + terms.eps1_sq_term)
@@ -293,7 +276,7 @@ class TestDirectionKlBound:
         rng = np.random.default_rng(12)
         xis = rng.normal(0.0, 0.4, size=64)
         eps1 = rng.uniform(0.0, 0.2, size=64)
-        terms = direction_kl_bound([_diag(xi=x, eps1=e) for x, e in zip(xis, eps1)], pair_size)
+        terms = direction_kl_bound(xis, eps1, pair_size)
 
         def log_moment(x):
             centered = 2.0 * (x - x.mean())
@@ -313,14 +296,23 @@ class TestDirectionKlBound:
         assert terms.eps1_correction_se == pytest.approx(jackknife_se(loo_eps1), rel=1e-12)
 
     def test_single_block_has_no_standard_error(self):
-        terms = direction_kl_bound([_diag(xi=0.1), _diag(xi=-0.1)], pair_size=2)
+        terms = direction_kl_bound(np.array([0.1, -0.1]), np.zeros(2), pair_size=2)
         assert np.isnan(terms.log_moment_term_se) and np.isnan(terms.eps1_correction_se)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            direction_kl_bound([_diag()])
-        with pytest.raises(ValueError):
-            direction_kl_bound([_diag(), _diag(valid=False)])
+        with pytest.raises(ValueError, match="at least two"):
+            direction_kl_bound(np.zeros(1), np.zeros(1))
+        with pytest.raises(ValueError, match="same length"):
+            direction_kl_bound(np.zeros(4), np.zeros(3))
+        with pytest.raises(ValueError, match="same length"):
+            direction_kl_bound(np.zeros((2, 2)), np.zeros((2, 2)))
+        # an invalid direction's NaN term must not reach the assembly
+        with pytest.raises(ValueError, match="finite"):
+            direction_kl_bound(np.zeros(2), np.array([0.0, np.nan]))
+        with pytest.raises(ValueError, match="finite"):
+            direction_kl_bound(np.array([np.inf, 0.0]), np.zeros(2))
+        with pytest.raises(ValueError, match="pair_size"):
+            direction_kl_bound(np.zeros(6), np.zeros(6), pair_size=4)
 
 
 class TestApproximateBound:
@@ -405,26 +397,81 @@ class TestAudit:
 
     def test_diagnostics_match_one_direction_helpers(self, logistic_small, monkeypatch):
         model, fit = logistic_small
-        seen = []
+        seen = {}
         original = bound_module.direction_kl_bound
 
-        def recording(diagnostics, pair_size=1):
-            seen.extend(diagnostics)
-            return original(diagnostics, pair_size)
+        def recording(name, fn):
+            def record(*args, **kwargs):
+                seen[name] = fn(*args, **kwargs)
+                return seen[name]
+
+            return record
+
+        def record_terms(xis, eps1, pair_size=1):
+            seen["terms"] = (xis, eps1)
+            return original(xis, eps1, pair_size)
+
+        monkeypatch.setattr(bound_module, "direction_kl_bound", record_terms)
+        monkeypatch.setattr(
+            bound_module, "sample_direction_pairs",
+            recording("directions", bound_module.sample_direction_pairs),
+        )
+        monkeypatch.setattr(model, "ray_batch", recording("batch", model.ray_batch))
+        report = audit(model, AuditConfig(n_directions=16, seed=6), fit=fit)
+        monkeypatch.undo()
+        directions, batch, (xis, eps1) = seen["directions"], seen["batch"], seen["terms"]
+        assert directions.shape == (16, 5) and xis.shape == eps1.shape == (16,)
+        for e, g3, g4, xi, kl in zip(directions, batch.delta3, batch.delta4, xis, eps1):
+            d4, flag = delta4(fit, model, e)
+            assert g3 == pytest.approx(delta3(fit, model, e), rel=1e-13)
+            assert g4 == pytest.approx(d4, rel=1e-13)
+            assert report.delta4_mode_counts == {flag: 16}
+            assert xi == pytest.approx(xi_elbo(fit, model, e), rel=1e-12, abs=1e-13)
+            floor = min_conditional_curvature(5, g3, g4)
+            assert kl == pytest.approx(conditional_kl_bound(5, g3, g4, floor), rel=1e-13)
+
+    def test_invalid_directions_left_out_of_detailed_bound(self, logistic_small, monkeypatch):
+        model, fit = logistic_small
+        config = AuditConfig(n_directions=16, seed=6)
+        calls = []
+        original = bound_module.direction_kl_bound
+
+        def recording(xis, eps1, pair_size=1):
+            calls.append((xis, eps1, pair_size))
+            return original(xis, eps1, pair_size)
 
         monkeypatch.setattr(bound_module, "direction_kl_bound", recording)
-        audit(model, AuditConfig(n_directions=16, seed=6), fit=fit)
-        assert len(seen) == 16
-        for g in seen:
-            d4, flag = delta4(fit, model, g.e)
-            assert g.delta3 == pytest.approx(delta3(fit, model, g.e), rel=1e-13)
-            assert (g.delta4, g.delta4_mode) == (pytest.approx(d4, rel=1e-13), flag)
-            assert g.xi_elbo == pytest.approx(xi_elbo(fit, model, g.e), rel=1e-12, abs=1e-13)
-            floor = min_conditional_curvature(5, g.delta3, g.delta4)
-            assert g.min_curvature == pytest.approx(floor, rel=1e-13)
-            assert g.cond_kl_bound == pytest.approx(
-                conditional_kl_bound(5, g.delta3, g.delta4, floor), rel=1e-13
-            )
+        audit(model, config, fit=fit)
+        floors = bound_module._curvature_floors
+
+        def forcing(rows, value):
+            # the floor of the chosen rows becomes the nonpositive ``value``
+            def forced(d, d3, d4, boundary_term):
+                out = floors(d, d3, d4, boundary_term).copy()
+                out[rows] = value
+                return out
+
+            return forced
+
+        bad = [1, 4, 7]
+        monkeypatch.setattr(bound_module, "_curvature_floors", forcing(bad, 0.0))
+        report = audit(model, config, fit=fit)
+        (xis, eps1, pairs), (kept_xis, kept_eps1, kept_pairs) = calls
+        keep = np.setdiff1d(np.arange(16), bad)
+        assert pairs == 2 and kept_pairs == 1
+        assert report.invalid_directions == 3
+        np.testing.assert_array_equal(kept_xis, xis[keep])
+        np.testing.assert_array_equal(kept_eps1, eps1[keep])
+        terms = original(xis[keep], eps1[keep], pair_size=1)
+        assert report.detailed_bound == terms.log_moment_term + terms.eps1_sq_term + terms.cond_term
+        assert (report.e_term, report.cond_term) == (terms.log_moment_term, terms.cond_term)
+
+        monkeypatch.setattr(bound_module, "_curvature_floors", forcing(slice(None), -1.0))
+        with pytest.raises(AssumptionViolationError) as exc_info:
+            audit(model, config, fit=fit)
+        details = exc_info.value.details
+        assert details["invalid_directions"] == 16 and details["n_directions"] == 16
+        assert details["mean_delta3_sq"] == report.mean_delta3_sq
 
     def test_grid_mode_counts_grid_directions(self, logistic_tiny):
         model, fit = logistic_tiny

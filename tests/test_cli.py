@@ -176,6 +176,25 @@ class TestExitCodes:
     def test_missing_file_exits_one(self, capsys):
         assert main(["audit", "--data", "/nonexistent.csv"]) == 1
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda p: p["rows"][0].update(nn=30), "unknown row key 'nn'"),
+            (lambda p: p["rows"][0].pop("n"), "row is missing the key 'n'"),
+            (lambda p: p.update(rows=[[3, 30, 10.0]]), "row must be a JSON object"),
+            (lambda p: p.update(n_direction=32), "unknown spec key 'n_direction'"),
+            (lambda p: p.pop("rows"), "spec is missing the key 'rows'"),
+        ],
+        ids=["row_key", "row_missing", "row_type", "spec_key", "spec_missing"],
+    )
+    def test_malformed_table_spec_exits_one(self, tmp_path, capsys, change, message):
+        path = _write_spec(tmp_path / "spec.json")
+        payload = json.loads(path.read_text())
+        change(payload)
+        path.write_text(json.dumps(payload))
+        assert main(["table", "--spec", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_console_script_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "laplace_audit.cli", "--help"],

@@ -8,7 +8,6 @@ from laplace_audit import (
     GaussianModel,
     TruthPreset,
     build_fit,
-    estimate_inv_z,
     estimate_kl,
     estimate_log_inv_z,
     estimate_true_kl,
@@ -105,6 +104,20 @@ class TestRunChain:
         with pytest.raises(ValueError):
             ChainConfig(burn_in_fraction=1.0).validate()
 
+    def test_config_that_keeps_no_state_rejected(self, logistic_tiny):
+        model, fit = logistic_tiny
+        # 1,000 steps per chain: 900 burn-in leave 100, fewer than thin = 200
+        config = ChainConfig(n_steps=20_000, thin=200, burn_in_fraction=0.9)
+        with pytest.raises(ValueError, match="no state"):
+            config.validate()
+        with pytest.raises(ValueError, match="no state"):
+            run_chain(model, fit, config)
+        # 500 steps per chain: 50 burn-in, then four kept states in each chain
+        short = ChainConfig(n_steps=10_000, thin=100, seed=1)
+        short.validate()
+        assert run_chain(model, fit, short).k == N_CHAINS * 4
+        ChainConfig(n_steps=20_000, thin=100, burn_in_fraction=0.9).validate()
+
     def test_steps_must_split_evenly_over_the_chains(self, logistic_tiny):
         model, fit = logistic_tiny
         ChainConfig(n_steps=20_000 + N_CHAINS, thin=100).validate()
@@ -155,37 +168,37 @@ class TestSplitRhat:
 
 
 class TestEstimateInvZ:
+    """The log-space 1/Z estimate, ``estimate_log_inv_z``."""
+
     def test_gaussian_matches_analytic_constant(self, gaussian_5d):
         model, fit = gaussian_5d
         chain = run_chain(model, fit, ChainConfig(n_steps=100_000, thin=100, seed=3))
-        inv_z, se = estimate_inv_z(model, fit, chain.samples)
-        analytic = float(
-            np.exp(-0.5 * (5 * np.log(2 * np.pi) + np.linalg.slogdet(model.covariance)[1]))
-        )
+        log_inv_z, rel_se = estimate_log_inv_z(model, fit, chain.samples)
+        analytic = -0.5 * (5 * np.log(2 * np.pi) + np.linalg.slogdet(model.covariance)[1])
         # the per-sample ratio is constant for an exact-Gaussian target
-        assert inv_z == pytest.approx(analytic, rel=1e-10)
-        assert se <= 1e-12 * inv_z
+        assert log_inv_z == pytest.approx(analytic, abs=1e-10)
+        assert rel_se <= 1e-12
 
     def test_constant_rescaling_of_target(self, logistic_tiny):
         model, fit = logistic_tiny
         chain = run_chain(model, fit, ChainConfig(n_steps=50_000, thin=50, seed=5))
-        base, _ = estimate_inv_z(model, fit, chain.samples)
+        base, _ = estimate_log_inv_z(model, fit, chain.samples)
         scaled = _ShiftedPhi(model, -np.log(10.0))  # f~ -> 10 * f~
-        scaled_inv_z, _ = estimate_inv_z(scaled, fit, chain.samples)
-        assert scaled_inv_z == pytest.approx(base / 10.0, rel=1e-12)
+        scaled_log_inv_z, _ = estimate_log_inv_z(scaled, fit, chain.samples)
+        assert scaled_log_inv_z == pytest.approx(base - np.log(10.0), abs=1e-12)
 
     def test_normalized_target_gives_one(self, gaussian_5d):
         model, fit = gaussian_5d
         shift = 0.5 * (5 * np.log(2 * np.pi) + fit.log_det_covariance)
         normalized = _ShiftedPhi(model, shift)
         chain = run_chain(model, fit, ChainConfig(n_steps=50_000, thin=50, seed=6))
-        inv_z, _ = estimate_inv_z(normalized, fit, chain.samples)
-        assert inv_z == pytest.approx(1.0, rel=1e-12)
+        log_inv_z, _ = estimate_log_inv_z(normalized, fit, chain.samples)
+        assert log_inv_z == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_samples_rejected(self, gaussian_5d):
         model, fit = gaussian_5d
         with pytest.raises(ValueError):
-            estimate_inv_z(model, fit, np.zeros((0, 5)))
+            estimate_log_inv_z(model, fit, np.zeros((0, 5)))
 
 
 class TestEstimateKl:
@@ -193,9 +206,7 @@ class TestEstimateKl:
         model, fit = gaussian_5d
         chain = run_chain(model, fit, ChainConfig(n_steps=100_000, thin=100, seed=7))
         log_inv_z, rel_se = estimate_log_inv_z(model, fit, chain.samples)
-        est = estimate_kl(
-            model, fit, None, 10_000, seed=8, log_inv_z=log_inv_z, inv_z_rel_se=rel_se
-        )
+        est = estimate_kl(model, fit, 10_000, seed=8, log_inv_z=log_inv_z, inv_z_rel_se=rel_se)
         assert abs(est.kl) <= max(3 * est.standard_error, 1e-12)
 
     def test_1d_pipeline_matches_quadrature(self):
@@ -214,14 +225,14 @@ class TestEstimateKl:
         values = {}
         for thin in (500, 1000):
             chain = run_chain(model, fit, ChainConfig(n_steps=400_000, thin=thin, seed=11))
-            values[thin] = estimate_inv_z(model, fit, chain.samples)
-        a, sa = values[500]
-        b, sb = values[1000]
-        assert abs(a - b) <= 3 * np.hypot(sa, sb)
+            values[thin] = estimate_log_inv_z(model, fit, chain.samples)
+        (a, ra), (b, rb) = values[500], values[1000]
+        # |1/Z_a - 1/Z_b| <= 3 (combined se), divided through by 1/Z_b
+        assert abs(np.exp(a - b) - 1.0) <= 3 * np.hypot(np.exp(a - b) * ra, rb)
 
     def test_json_schema(self, gaussian_5d):
         model, fit = gaussian_5d
-        est = estimate_kl(model, fit, 1.0, 100, seed=0)
+        est = estimate_kl(model, fit, 100, seed=0, log_inv_z=0.0)
         payload = est.to_json_dict()
         for key in ("kl", "se", "inv_z", "inv_z_se", "k", "k2", "acceptance_rate", "config"):
             assert key in payload
@@ -229,9 +240,16 @@ class TestEstimateKl:
     def test_invalid_inputs(self, gaussian_5d):
         model, fit = gaussian_5d
         with pytest.raises(ValueError):
-            estimate_kl(model, fit, 0.0, 100)
-        with pytest.raises(ValueError):
-            estimate_kl(model, fit, 1.0, 1)
+            estimate_kl(model, fit, 1, log_inv_z=0.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="log_inv_z"):
+                estimate_kl(model, fit, 100, log_inv_z=bad)
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="inv_z_rel_se"):
+                estimate_kl(model, fit, 100, log_inv_z=0.0, inv_z_rel_se=bad)
+        # the old linear form, (model, fit, inv_z, k2), no longer passes for a log
+        with pytest.raises(TypeError):
+            estimate_kl(model, fit, 1.0, 100)
 
 
 class TestPresets:

@@ -17,7 +17,6 @@ from laplace_audit import (
     sample_direction,
     sample_direction_pairs,
     to_theta,
-    z_log_density,
 )
 
 
@@ -136,7 +135,7 @@ class TestRadialLaw:
         with pytest.raises(ValueError):
             law.log_density(0.0)
         with pytest.raises(ValueError):
-            z_log_density(law, -1.0)
+            law.log_density(-1.0)
 
 
 class TestRadialMinCurvature:
