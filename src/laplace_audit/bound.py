@@ -21,16 +21,18 @@ direction sampling, assembly) into a reproducible report. It treats all
 sampled directions at once: one ``TargetModel.ray_batch`` call gives delta3,
 the analytic delta4 bound and the ray values on the quadrature nodes for
 the whole (m x d) direction matrix, and the curvature floor, the
-conditional-KL bound and the ELBO proxy are array expressions over it. The
-curvature floor is minimized exactly, at the real roots of its derivative.
-The one-direction helpers ``delta3``, ``delta4``, ``min_conditional_curvature``,
-``conditional_kl_bound`` and ``xi_elbo`` run the same code on a single
-direction. Only grid-mode delta4, a heuristic, loops over directions.
+conditional-KL bound and the ELBO proxy are array expressions over it:
+``min_conditional_curvature`` and ``conditional_kl_bound`` take one value
+or an array of them. The curvature floor is minimized exactly, at the real
+roots of its derivative. The one-direction helpers ``delta3``, ``delta4``
+and ``xi_elbo`` run the same code on a single direction. A model without an
+analytic delta4 bound gets a heuristic grid maximum instead, the only step
+that loops over directions.
 
 The model must be a ``TargetModel`` subclass: the direction pass reaches it
-only through ``ray_batch`` (and ``ray_derivative_profile`` for grid-mode
-delta4), which the base class builds from the scalar hooks when a model has
-no array form of its own.
+only through ``ray_batch`` (and ``ray_derivatives`` over an array of offsets
+for grid delta4), which the base class builds from the scalar hooks when a
+model has no array form of its own.
 """
 
 from __future__ import annotations
@@ -70,39 +72,37 @@ def delta3(fit: LaplaceFit, model: TargetModel, e) -> float:
     return float(model.ray_batch(fit.theta_star, _whiten(fit, e)).delta3[0])
 
 
-def _delta4s(model, fit: LaplaceFit, vs, analytic, mode: str):
+def _delta4s(model, fit: LaplaceFit, vs, analytic):
     """delta4 along each row of ``vs`` and the mode that produced them.
 
-    ``analytic`` is the model's bound from ``ray_batch`` (None if it has
-    none); without it, or in grid mode, each row takes the grid maximum.
+    ``analytic`` is the model's bound from ``ray_batch``; when it is None
+    (the model has none) each row takes the grid maximum.
     """
-    if mode not in ("analytic", "grid"):
-        raise ValueError(f"delta4 mode must be 'analytic' or 'grid', got {mode!r}")
-    if mode == "analytic" and analytic is not None:
+    if analytic is not None:
         if np.any(analytic < 0):
             raise ValueError("analytic fourth-derivative bound must be nonnegative")
         return analytic, "analytic"
     rs = np.linspace(0.0, chi_quantile(fit.dim, 1.0 - 1e-6), DELTA4_GRID_POINTS)
     values = [
-        np.max(np.abs(model.ray_derivative_profile(fit.theta_star, v, rs, order=4))) for v in vs
+        np.max(np.abs(model.ray_derivatives(fit.theta_star, v, rs, 4)[:, 3])) for v in vs
     ]
     return np.array(values, dtype=float), "grid"
 
 
-def delta4(fit: LaplaceFit, model: TargetModel, e, mode: str = "analytic"):
+def delta4(fit: LaplaceFit, model: TargetModel, e):
     """Bound on |fourth ray derivative| along ``S e``.
 
-    Prefers the model's analytic global bound when available; otherwise takes
-    the max over a 512-point grid on [0, r_max], r_max being the 1 - 1e-6
-    chi quantile. The grid value is a heuristic stand-in for the unbounded
-    maximum and is flagged as such.
+    The model's analytic global bound when it has one; otherwise the max over
+    a 512-point grid on [0, r_max], r_max being the 1 - 1e-6 chi quantile.
+    The grid value is a heuristic stand-in for the unbounded maximum and is
+    flagged as such.
 
     Returns
     -------
     (value, flag) with flag in {"analytic", "grid"}.
     """
     vs = _whiten(fit, e)
-    values, flag = _delta4s(model, fit, vs, model.ray_batch(fit.theta_star, vs).delta4, mode)
+    values, flag = _delta4s(model, fit, vs, model.ray_batch(fit.theta_star, vs).delta4)
     return float(values[0]), flag
 
 
@@ -113,21 +113,38 @@ def _curvature_floor_poly(r, d, d3, d4):
     return (2.0 * d - 1.0) / r + r * (6.0 + r * (5.0 * d3 - (7.0 / 3.0) * (d4 * r)))
 
 
-def _curvature_floors(d: int, d3, d4, boundary_term: str) -> np.ndarray:
-    """``min_conditional_curvature`` for arrays of delta3 and delta4 values.
+def min_conditional_curvature(d: int, delta3, delta4, boundary_term: str = "lemma"):
+    """Lower bound on the minimum curvature of the conditional z-law.
 
-    The floor's stationary points on r > 0 are the positive real roots of
-    -7 d4 r^4 + 10 d3 r^3 + 6 r^2 - (2d-1). In u = 1/r that polynomial is,
-    up to a factor, the monic u^4 - (6/a) u^2 - (10 d3/a) u + 7 d4/a with
-    a = 2d - 1, whatever the values of d3 and d4, so the roots of all rows
-    come from one batched eigenvalue solve of its companion matrices. The
-    minimum over (0, r0] is then taken over those roots and r0 itself.
-    Evaluating the floor at a point of (0, r0] never undercuts that
-    minimum, so every root's real part is tried, clipped to r0. Rows with a
-    non-finite input get NaN.
+    Combines the polynomial floor (2d-1)/z^2 + 6 z^2 + 5*delta3*z^4
+    - (7/3)*delta4*z^6 over the region where the quadratic Taylor control of
+    the ray still gives information (z^2 <= r0), with a flat floor beyond r0
+    derived from monotonicity. ``boundary_term="derivation"`` switches the
+    flat floor from r0 + delta3 r0^2 - delta4 r0^3/3 to the larger
+    2 r0 + delta3 r0^2 - delta4 r0^3/3; the smaller default is conservative.
+
+    Takes one (delta3, delta4) pair or arrays of them, and returns a float
+    or an array to match. The floor's stationary points on r = z^2 > 0 are
+    the positive real roots of -7 d4 r^4 + 10 d3 r^3 + 6 r^2 - (2d-1). In
+    u = 1/r that polynomial is, up to a factor, the monic
+    u^4 - (6/a) u^2 - (10 d3/a) u + 7 d4/a with a = 2d - 1, whatever the
+    values of d3 and d4, so the roots of all rows come from one batched
+    eigenvalue solve of its companion matrices. The minimum over (0, r0] is
+    then taken over those roots and r0 itself. Evaluating the floor at a
+    point of (0, r0] never undercuts that minimum, so every root's real part
+    is tried, clipped to r0. Rows with a non-finite input get NaN.
+
+    A nonpositive value means the Taylor control is too weak for this
+    direction; callers must flag the direction as outside the certificate's
+    validity range.
     """
-    d3 = np.asarray(d3, dtype=float)
-    d4 = np.asarray(d4, dtype=float)
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if np.any(np.asarray(delta4) < 0):
+        raise ValueError("delta4 must be nonnegative")
+    if boundary_term not in ("lemma", "derivation"):
+        raise ValueError("boundary_term must be 'lemma' or 'derivation'")
+    d3, d4 = np.broadcast_arrays(np.asarray(delta3, dtype=float), np.asarray(delta4, dtype=float))
     a = 2.0 * d - 1.0
     finite = np.isfinite(d3) & np.isfinite(d4)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -164,55 +181,29 @@ def _curvature_floors(d: int, d3, d4, boundary_term: str) -> np.ndarray:
         flat = flat + r0
     floor = np.where(np.isfinite(r0), np.minimum(floor, flat), floor)
     floor = np.where(finite, floor, np.nan)
-    return np.where((d3 == 0.0) & (d4 == 0.0), radial_min_curvature(d), floor)
+    floor = np.where((d3 == 0.0) & (d4 == 0.0), radial_min_curvature(d), floor)
+    return float(floor) if floor.ndim == 0 else floor
 
 
-def min_conditional_curvature(
-    d: int, delta3: float, delta4: float, boundary_term: str = "lemma"
-) -> float:
-    """Lower bound on the minimum curvature of the conditional z-law.
+def conditional_kl_bound(d: int, delta3, delta4, min_curvature):
+    """Bound on the conditional KL divergence of the z-law for one direction.
 
-    Combines the polynomial floor (2d-1)/z^2 + 6 z^2 + 5*delta3*z^4
-    - (7/3)*delta4*z^6 over the region where the quadratic Taylor control of
-    the ray still gives information (z^2 <= r0), minimized exactly at the
-    roots of its derivative, with a flat floor beyond r0 derived from
-    monotonicity. ``boundary_term="derivation"`` switches the flat floor
-    from r0 + delta3 r0^2 - delta4 r0^3/3 to the larger
-    2 r0 + delta3 r0^2 - delta4 r0^3/3; the smaller default is conservative.
-
-    A nonpositive return value means the Taylor control is too weak for this
-    direction; callers must flag the direction as outside the certificate's
-    validity range.
+    (delta3^2 E[r^5] + (2/3)|delta3| delta4 E[r^6] + (1/9) delta4^2 E[r^7])
+    divided by the curvature floor, with chi moments of the reference radius.
+    Takes one direction's values or arrays of them, and returns a float or an
+    array to match.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if delta4 < 0:
+    if np.any(np.asarray(min_curvature) <= 0):
+        raise ValueError("min_curvature must be positive (direction invalid otherwise)")
+    if np.any(np.asarray(delta4) < 0):
         raise ValueError("delta4 must be nonnegative")
-    if boundary_term not in ("lemma", "derivation"):
-        raise ValueError("boundary_term must be 'lemma' or 'derivation'")
-    return float(_curvature_floors(d, np.array([delta3]), np.array([delta4]), boundary_term)[0])
-
-
-def _conditional_kl(d: int, delta3, delta4, min_curvature):
     numerator = (
         delta3 * delta3 * chi_moment(d, 5)
         + (2.0 / 3.0) * np.abs(delta3) * delta4 * chi_moment(d, 6)
         + (1.0 / 9.0) * delta4 * delta4 * chi_moment(d, 7)
     )
-    return numerator / min_curvature
-
-
-def conditional_kl_bound(d: int, delta3: float, delta4: float, min_curvature: float) -> float:
-    """Bound on the conditional KL divergence of the z-law for one direction.
-
-    (delta3^2 E[r^5] + (2/3)|delta3| delta4 E[r^6] + (1/9) delta4^2 E[r^7])
-    divided by the curvature floor, with chi moments of the reference radius.
-    """
-    if min_curvature <= 0:
-        raise ValueError("min_curvature must be positive (direction invalid otherwise)")
-    if delta4 < 0:
-        raise ValueError("delta4 must be nonnegative")
-    return float(_conditional_kl(d, delta3, delta4, min_curvature))
+    value = numerator / min_curvature
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _xi_values(fit: LaplaceFit, values, quadrature_nodes: int) -> np.ndarray:
@@ -261,9 +252,8 @@ def conditional_curvature_profile(fit: LaplaceFit, model: TargetModel, e, zs) ->
     e = np.asarray(e, dtype=float)
     v = fit.sqrt_covariance @ e
     rs = zs * zs
-    phi1 = model.ray_derivative_profile(fit.theta_star, v, rs, order=1)
-    phi2 = model.ray_derivative_profile(fit.theta_star, v, rs, order=2)
-    return (2.0 * fit.dim - 1.0) / (zs * zs) + 2.0 * phi1 + 4.0 * zs * zs * phi2
+    phi = model.ray_derivatives(fit.theta_star, v, rs, 2)
+    return (2.0 * fit.dim - 1.0) / (zs * zs) + 2.0 * phi[..., 0] + 4.0 * zs * zs * phi[..., 1]
 
 
 @dataclass(frozen=True)
@@ -376,7 +366,6 @@ class AuditConfig:
     n_directions: int = 256
     quadrature_nodes: int = 64
     seed: int = 0
-    delta4_mode: str = "analytic"
     bound_form: str = "both"
 
     def validate(self) -> None:
@@ -384,8 +373,6 @@ class AuditConfig:
             raise ValueError("n_directions must be an even integer >= 2")
         if self.quadrature_nodes < 16:
             raise ValueError("quadrature_nodes must be at least 16")
-        if self.delta4_mode not in ("analytic", "grid"):
-            raise ValueError("delta4_mode must be 'analytic' or 'grid'")
         if self.bound_form not in ("approx", "detailed", "both"):
             raise ValueError("bound_form must be 'approx', 'detailed' or 'both'")
 
@@ -470,13 +457,14 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
     rs = chi_quadrature(d, config.quadrature_nodes)[0] if need_detailed else None
     batch = model.ray_batch(fit.theta_star, vs, rs)
     d3 = batch.delta3
-    d4, d4_mode = _delta4s(model, fit, vs, batch.delta4, config.delta4_mode)
+    d4, d4_mode = _delta4s(model, fit, vs, batch.delta4)
     # on an exactly quadratic ray every diagnostic has its exact limit
     exact = (d3 == 0.0) & (d4 == 0.0)
-    mc = _curvature_floors(d, d3, d4, "lemma")
+    mc = min_conditional_curvature(d, d3, d4)
     valid = mc > 0.0
+    ckl = np.full(d3.shape, np.nan)
+    ckl[valid] = conditional_kl_bound(d, d3[valid], d4[valid], mc[valid])
     with np.errstate(divide="ignore", invalid="ignore"):
-        ckl = np.where(valid, _conditional_kl(d, d3, d4, mc), np.nan)
         if need_detailed:
             finite = np.all(np.isfinite(batch.values), axis=1)
             xi = _xi_values(fit, batch.values, config.quadrature_nodes)

@@ -115,7 +115,6 @@ def _cmd_audit(args, parser) -> int:
         n_directions=args.directions,
         quadrature_nodes=args.nodes,
         seed=args.seed,
-        delta4_mode=args.delta4_mode,
         bound_form=args.bound,
     )
     report = audit(model, config)
@@ -170,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--directions", type=int, default=256)
     p_audit.add_argument("--nodes", type=int, default=64)
     p_audit.add_argument("--bound", choices=("approx", "detailed", "both"), default="both")
-    p_audit.add_argument("--delta4-mode", choices=("analytic", "grid"), default="analytic")
     p_audit.add_argument("--out")
     p_audit.add_argument("--format", choices=("json", "csv"), default="json")
     p_audit.add_argument("--pretty", action="store_true")

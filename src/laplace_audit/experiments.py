@@ -28,20 +28,11 @@ _DATA_STREAM = 0
 _AUDIT_STREAM = 1
 _CHAIN_STREAM = 2
 
+# ReplicateResult fields, in the order of a replicate's CSV row; a row
+# aggregate fills the same columns with its medians
 CSV_COLUMNS = (
-    "row",
-    "replicate",
-    "model",
-    "d",
-    "n",
-    "sigma0",
-    "seed",
-    "kl",
-    "kl_se",
-    "approx_bound",
-    "detailed_bound",
-    "efficiency",
-    "status",
+    "row", "replicate", "model", "d", "n", "sigma0", "seed",
+    "kl", "kl_se", "approx_bound", "detailed_bound", "efficiency", "status",
 )
 
 
@@ -63,8 +54,19 @@ class ExperimentRow:
             raise ValueError("row sigma0 must be positive")
 
 
+# the JSON values each field type takes, and how an error message names them
+_JSON_TYPES = {
+    "int": (int, "an integer"), "float": ((int, float), "a number"), "str": (str, "a string"),
+    "bool": (bool, "true or false"), "tuple": ((list, tuple), "a list"),
+}
+
+
 def _check_keys(kind, payload, what: str) -> dict:
-    """``payload`` if it is a dict with the keys ``kind`` takes; else ValueError naming one."""
+    """``payload`` if it is a dict with the keys and value types ``kind`` takes.
+
+    Otherwise a ValueError naming the first offending key. JSON true and
+    false are not numbers here, although Python's bool is an int.
+    """
     if not isinstance(payload, dict):
         raise ValueError(f"{what} must be a JSON object")
     names = {f.name: f.default is MISSING for f in fields(kind)}
@@ -74,6 +76,11 @@ def _check_keys(kind, payload, what: str) -> dict:
         raise ValueError(f"unknown {what} key {unknown[0]!r}")
     if missing:
         raise ValueError(f"{what} is missing the key {missing[0]!r}")
+    for f in fields(kind):
+        types, label = _JSON_TYPES[f.type]
+        value = payload.get(f.name, f.default)
+        if not isinstance(value, types) or (isinstance(value, bool) and f.type != "bool"):
+            raise ValueError(f"{what} key {f.name!r} must be {label}, got {value!r}")
     return payload
 
 
@@ -84,7 +91,6 @@ class ExperimentSpec:
     seed: int
     n_directions: int = 256
     quadrature_nodes: int = 64
-    delta4_mode: str = "analytic"
     bound_form: str = "both"
     mcmc_preset: str = "desk"
     estimate_truth: bool = True
@@ -180,7 +186,6 @@ def _run_cell(spec: ExperimentSpec, row_idx: int, replicate: int) -> ReplicateRe
                 n_directions=spec.n_directions,
                 quadrature_nodes=spec.quadrature_nodes,
                 seed=audit_seed,
-                delta4_mode=spec.delta4_mode,
                 bound_form=spec.bound_form,
             ),
             fit=fit,
@@ -234,11 +239,7 @@ class ExperimentReport:
         buf = io.StringIO()
         buf.write(",".join(CSV_COLUMNS) + "\n")
         for r in self.replicates:
-            cells = (
-                r.row, r.replicate, r.model, r.d, r.n, r.sigma0, r.seed,
-                r.kl, r.kl_se, r.approx_bound, r.detailed_bound, r.efficiency, r.status,
-            )
-            buf.write(",".join(fmt(c) for c in cells) + "\n")
+            buf.write(",".join(fmt(getattr(r, name)) for name in CSV_COLUMNS) + "\n")
         for a in self.aggregates:
             cells = (
                 a.row, "median", a.model, a.d, a.n, a.sigma0, "NA",

@@ -85,16 +85,17 @@ class TargetModel(abc.ABC):
     """Interface for an unnormalized log-concave target density.
 
     Subclasses must set ``dim`` and implement ``neg_log_density``,
-    ``gradient``, ``hessian`` and ``ray_derivatives``. The vectorized hooks
-    (``ray_batch``, ``ray_derivative_profile``, ``neg_log_density_many``,
-    ``gradient_many``) have generic defaults that loop over the scalar
-    methods, and exist so models with structure can avoid per-point Python
-    overhead. ``ray_batch`` is all the certificate's direction pass asks of a
-    model: for a block of directions it returns the values on the quadrature
-    nodes, delta3 at the base and the analytic delta4 bound; ``ray_values`` is
-    its one-direction form. The certificate calls ``ray_batch`` on the model
-    itself, so its targets must subclass this class rather than only mimic
-    its scalar methods. Evaluation is pure and stateless after construction.
+    ``gradient``, ``hessian`` and ``ray_derivatives``; the last takes one
+    offset or an array of them. The vectorized hooks (``ray_batch``,
+    ``neg_log_density_many``, ``gradient_many``) have generic defaults that
+    loop over the scalar methods, and exist so models with structure can
+    avoid per-point Python overhead. ``ray_batch`` is all the certificate's
+    direction pass asks of a model: for a block of directions it returns the
+    values on the quadrature nodes, delta3 at the base and the analytic
+    delta4 bound; ``ray_values`` is its one-direction form. The certificate
+    calls ``ray_batch`` on the model itself, so its targets must subclass
+    this class rather than only mimic its scalar methods. Evaluation is pure
+    and stateless after construction.
     """
 
     dim: int
@@ -120,22 +121,23 @@ class TargetModel(abc.ABC):
         """Return the (symmetric) Hessian of phi at theta."""
 
     @abc.abstractmethod
-    def ray_derivatives(self, base, direction, r: float = 0.0, max_order: int = 4) -> np.ndarray:
+    def ray_derivatives(self, base, direction, r=0.0, max_order: int = 4) -> np.ndarray:
         """Derivatives of ``t -> phi(base + t * direction)`` at ``t = r``.
 
         Parameters
         ----------
         base, direction : arrays of length ``dim``
             Ray origin and (already scaled) ray direction.
-        r : float
-            Offset along the ray at which to differentiate.
+        r : float or array of floats
+            Offset(s) along the ray at which to differentiate.
         max_order : int
             Highest derivative order, between 1 and 4.
 
         Returns
         -------
         numpy.ndarray
-            Derivative values for orders ``1..max_order``.
+            Shape ``np.shape(r) + (max_order,)``: the derivative values for
+            orders ``1..max_order`` at each offset.
         """
 
     @staticmethod
@@ -172,14 +174,6 @@ class TargetModel(abc.ABC):
         """phi(base + r * direction) for every r in ``rs``."""
         direction = self._check_theta(direction)
         return self.ray_batch(self._check_theta(base), direction[None, :], rs).values[0]
-
-    def ray_derivative_profile(self, base, direction, rs, order: int) -> np.ndarray:
-        """Order-``order`` ray derivative at every r in ``rs``."""
-        self._check_order(order)
-        rs = np.asarray(rs, dtype=float)
-        return np.array(
-            [self.ray_derivatives(base, direction, r, order)[order - 1] for r in rs]
-        )
 
     def ray_fourth_derivative_bound(self, base, direction):
         """Optional analytic bound on |phi''''| along the whole ray, or None."""
@@ -234,15 +228,16 @@ class GaussianModel(TargetModel):
         self._check_theta(theta)
         return self.precision.copy()
 
-    def ray_derivatives(self, base, direction, r: float = 0.0, max_order: int = 4) -> np.ndarray:
+    def ray_derivatives(self, base, direction, r=0.0, max_order: int = 4) -> np.ndarray:
         self._check_order(max_order)
         delta = self._check_theta(base) - self.mean
         v = self._check_theta(direction)
+        r = np.asarray(r, dtype=float)
         pv = self.precision @ v
-        out = np.zeros(max_order)
-        out[0] = float((delta + r * v) @ pv)
+        out = np.zeros(r.shape + (max_order,))
+        out[..., 0] = float(delta @ pv) + r * float(v @ pv)
         if max_order >= 2:
-            out[1] = float(v @ pv)
+            out[..., 1] = float(v @ pv)
         return out
 
     def ray_batch(self, base, directions, rs=None) -> RayBatch:
@@ -257,18 +252,6 @@ class GaussianModel(TargetModel):
             c = 0.5 * float(delta @ self.precision @ delta)
             values = c + b[:, None] * rs + a[:, None] * rs * rs
         return RayBatch(values, np.zeros(vs.shape[0]), np.zeros(vs.shape[0]))
-
-    def ray_derivative_profile(self, base, direction, rs, order: int) -> np.ndarray:
-        self._check_order(order)
-        delta = self._check_theta(base) - self.mean
-        v = self._check_theta(direction)
-        rs = np.asarray(rs, dtype=float)
-        pv = self.precision @ v
-        if order == 1:
-            return float(delta @ pv) + rs * float(v @ pv)
-        if order == 2:
-            return np.full(rs.shape, float(v @ pv))
-        return np.zeros(rs.shape)
 
     def ray_fourth_derivative_bound(self, base, direction) -> float:
         return 0.0
@@ -343,25 +326,27 @@ class LogisticRegressionModel(TargetModel):
         h[np.diag_indices_from(h)] += self._inv_prior_var
         return 0.5 * (h + h.T)
 
-    def ray_derivatives(self, base, direction, r: float = 0.0, max_order: int = 4) -> np.ndarray:
+    def ray_derivatives(self, base, direction, r=0.0, max_order: int = 4) -> np.ndarray:
         self._check_order(max_order)
         base = self._check_theta(base)
         v = self._check_theta(direction)
+        r = np.asarray(r, dtype=float)
         s = self._signed_x @ v
-        t = self._signed_x @ base + r * s
+        # one row of margins per offset
+        t = self._signed_x @ base + r[..., None] * s
         p = expit(t)
         q = expit(-t)
         w = p * q
-        out = np.zeros(max_order)
+        out = np.zeros(r.shape + (max_order,))
         s_sq = s * s
-        out[0] = self._inv_prior_var * float((base + r * v) @ v) - float(q @ s)
+        out[..., 0] = self._inv_prior_var * (float(base @ v) + r * float(v @ v)) - q @ s
         if max_order >= 2:
-            out[1] = self._inv_prior_var * float(v @ v) + float(w @ s_sq)
+            out[..., 1] = self._inv_prior_var * float(v @ v) + w @ s_sq
         if max_order >= 3:
             # explicit products keep odd powers exactly sign-symmetric in e
-            out[2] = float((w * (1.0 - 2.0 * p)) @ (s_sq * s))
+            out[..., 2] = (w * (1.0 - 2.0 * p)) @ (s_sq * s)
         if max_order >= 4:
-            out[3] = float((w * (1.0 - 6.0 * p + 6.0 * p * p)) @ (s_sq * s_sq))
+            out[..., 3] = (w * (1.0 - 6.0 * p + 6.0 * p * p)) @ (s_sq * s_sq)
         return out
 
     def ray_batch(self, base, directions, rs=None) -> RayBatch:
@@ -407,25 +392,6 @@ class LogisticRegressionModel(TargetModel):
             )
             values += 0.5 * self._inv_prior_var * quad
         return RayBatch(values, delta3, delta4)
-
-    def ray_derivative_profile(self, base, direction, rs, order: int) -> np.ndarray:
-        self._check_order(order)
-        base = self._check_theta(base)
-        v = self._check_theta(direction)
-        rs = np.asarray(rs, dtype=float)
-        s = self._signed_x @ v
-        t = (self._signed_x @ base)[None, :] + rs[:, None] * s[None, :]
-        p = expit(t)
-        w = p * expit(-t)
-        if order == 1:
-            prior = self._inv_prior_var * (float(base @ v) + rs * float(v @ v))
-            return prior - expit(-t) @ s
-        s_sq = s * s
-        if order == 2:
-            return self._inv_prior_var * float(v @ v) + w @ s_sq
-        if order == 3:
-            return (w * (1.0 - 2.0 * p)) @ (s_sq * s)
-        return (w * (1.0 - 6.0 * p + 6.0 * p * p)) @ (s_sq * s_sq)
 
     def ray_fourth_derivative_bound(self, base, direction) -> float:
         v = self._check_theta(direction)

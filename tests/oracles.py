@@ -143,21 +143,21 @@ class SoftplusTilt1D(TargetModel):
         p = expit(t)
         return np.array([[1.0 + self.alpha * p * (1.0 - p)]])
 
-    def ray_derivatives(self, base, direction, r: float = 0.0, max_order: int = 4) -> np.ndarray:
+    def ray_derivatives(self, base, direction, r=0.0, max_order: int = 4) -> np.ndarray:
         self._check_order(max_order)
         b = float(self._check_theta(base)[0])
         v = float(self._check_theta(direction)[0])
-        t = b + r * v
+        t = b + np.asarray(r, dtype=float) * v
         p = expit(t)
         w = p * (1.0 - p)
-        out = np.zeros(max_order)
-        out[0] = (t + self.alpha * p) * v
+        out = np.zeros(t.shape + (max_order,))
+        out[..., 0] = (t + self.alpha * p) * v
         if max_order >= 2:
-            out[1] = (1.0 + self.alpha * w) * v * v
+            out[..., 1] = (1.0 + self.alpha * w) * v * v
         if max_order >= 3:
-            out[2] = self.alpha * w * (1.0 - 2.0 * p) * v**3
+            out[..., 2] = self.alpha * w * (1.0 - 2.0 * p) * v**3
         if max_order >= 4:
-            out[3] = self.alpha * w * (1.0 - 6.0 * p + 6.0 * p * p) * v**4
+            out[..., 3] = self.alpha * w * (1.0 - 6.0 * p + 6.0 * p * p) * v**4
         return out
 
     def ray_fourth_derivative_bound(self, base, direction) -> float:
@@ -189,17 +189,17 @@ class CubicRay1D(TargetModel):
         t = float(self._check_theta(theta)[0])
         return np.array([[1.0 + self.alpha * t]])
 
-    def ray_derivatives(self, base, direction, r: float = 0.0, max_order: int = 4) -> np.ndarray:
+    def ray_derivatives(self, base, direction, r=0.0, max_order: int = 4) -> np.ndarray:
         self._check_order(max_order)
         b = float(self._check_theta(base)[0])
         v = float(self._check_theta(direction)[0])
-        t = b + r * v
-        out = np.zeros(max_order)
-        out[0] = (t + 0.5 * self.alpha * t * t) * v
+        t = b + np.asarray(r, dtype=float) * v
+        out = np.zeros(t.shape + (max_order,))
+        out[..., 0] = (t + 0.5 * self.alpha * t * t) * v
         if max_order >= 2:
-            out[1] = (1.0 + self.alpha * t) * v * v
+            out[..., 1] = (1.0 + self.alpha * t) * v * v
         if max_order >= 3:
-            out[2] = self.alpha * v**3
+            out[..., 2] = self.alpha * v**3
         return out
 
     def ray_fourth_derivative_bound(self, base, direction) -> float:
@@ -212,6 +212,9 @@ class GaussianMixture1D(TargetModel):
     f~(t) = exp(-t^2/2) + eps * exp(-eps^2 t^2 / 2). Near the origin it looks
     like a unit Gaussian, yet half the mass hides in the eps-wide component,
     and the log-density has a negative-curvature transition zone.
+
+    It serves only the fit and the log-concavity spot check, so its
+    ``ray_derivatives`` takes a single offset, not an array of them.
     """
 
     dim = 1

@@ -18,6 +18,7 @@ from laplace_audit import (
     audit,
     build_fit,
     chi_moment,
+    chi_quantile,
     conditional_curvature_profile,
     conditional_kl_bound,
     delta3,
@@ -33,9 +34,16 @@ from laplace_audit import (
     xi_elbo,
 )
 from laplace_audit import bound as bound_module
-from laplace_audit.bound import _curvature_floor_poly, _curvature_floors
+from laplace_audit.bound import _curvature_floor_poly
 
 from oracles import CubicRay1D, SoftplusTilt1D, third_derivative_7pt
+
+
+class NoBoundTilt(SoftplusTilt1D):
+    """The tilt without its analytic delta4 bound, so delta4 takes the grid maximum."""
+
+    def ray_fourth_derivative_bound(self, base, direction):
+        return None
 
 
 class TestDelta3:
@@ -74,11 +82,13 @@ class TestDelta4:
     def test_analytic_dominates_grid(self, logistic_small):
         model, fit = logistic_small
         rng = np.random.default_rng(3)
+        rs = np.linspace(0.0, chi_quantile(5, 1.0 - 1e-6), bound_module.DELTA4_GRID_POINTS)
         for _ in range(5):
             e = sample_direction(5, rng)
-            analytic, fa = delta4(fit, model, e, mode="analytic")
-            grid, fg = delta4(fit, model, e, mode="grid")
-            assert fa == "analytic" and fg == "grid"
+            analytic, fa = delta4(fit, model, e)
+            v = fit.sqrt_covariance @ e
+            grid = np.max(np.abs(model.ray_derivatives(fit.theta_star, v, rs, 4)[:, 3]))
+            assert fa == "analytic"
             assert analytic >= grid
 
     def test_grid_fallback_when_no_analytic_hook(self, logistic_small):
@@ -90,13 +100,12 @@ class TestDelta4:
             gradient = model.gradient
             hessian = model.hessian
             ray_derivatives = model.ray_derivatives
-            ray_derivative_profile = model.ray_derivative_profile
 
             @staticmethod
             def ray_fourth_derivative_bound(base, direction):
                 return None
 
-        _, flag = delta4(fit, NoHook(), np.eye(5)[1], mode="analytic")
+        _, flag = delta4(fit, NoHook(), np.eye(5)[1])
         assert flag == "grid"
 
     def test_data_rescaling_recomputes_consistently(self):
@@ -154,7 +163,7 @@ class TestMinConditionalCurvature:
     def test_batched_rows_match_scalar_and_flag_non_finite(self):
         d3 = np.array([0.3, -0.2, 0.0, np.nan, 1.0, -0.5])
         d4 = np.array([0.1, 0.4, 0.0, 0.1, 0.0, 0.0])
-        floors = _curvature_floors(5, d3, d4, "lemma")
+        floors = min_conditional_curvature(5, d3, d4)
         for i in (0, 1, 2, 4, 5):
             assert floors[i] == min_conditional_curvature(5, d3[i], d4[i])
         assert np.isnan(floors[3])
@@ -202,6 +211,18 @@ class TestConditionalKlBound:
     def test_invalid_curvature_rejected(self):
         with pytest.raises(ValueError):
             conditional_kl_bound(5, 1.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            conditional_kl_bound(5, np.ones(3), np.zeros(3), np.array([1.0, 0.0, 2.0]))
+
+    def test_arrays_match_scalar_calls(self):
+        rng = np.random.default_rng(14)
+        d3 = rng.normal(0.0, 0.5, size=12)
+        d4 = rng.uniform(0.0, 1.0, size=12)
+        floors = min_conditional_curvature(7, d3, d4)
+        values = conditional_kl_bound(7, d3, d4, floors)
+        assert values.shape == (12,)
+        for i in range(12):
+            assert values[i] == conditional_kl_bound(7, float(d3[i]), float(d4[i]), floors[i])
 
 
 class TestXiElbo:
@@ -442,11 +463,11 @@ class TestAudit:
 
         monkeypatch.setattr(bound_module, "direction_kl_bound", recording)
         audit(model, config, fit=fit)
-        floors = bound_module._curvature_floors
+        floors = bound_module.min_conditional_curvature
 
         def forcing(rows, value):
             # the floor of the chosen rows becomes the nonpositive ``value``
-            def forced(d, d3, d4, boundary_term):
+            def forced(d, d3, d4, boundary_term="lemma"):
                 out = floors(d, d3, d4, boundary_term).copy()
                 out[rows] = value
                 return out
@@ -454,7 +475,7 @@ class TestAudit:
             return forced
 
         bad = [1, 4, 7]
-        monkeypatch.setattr(bound_module, "_curvature_floors", forcing(bad, 0.0))
+        monkeypatch.setattr(bound_module, "min_conditional_curvature", forcing(bad, 0.0))
         report = audit(model, config, fit=fit)
         (xis, eps1, pairs), (kept_xis, kept_eps1, kept_pairs) = calls
         keep = np.setdiff1d(np.arange(16), bad)
@@ -466,16 +487,17 @@ class TestAudit:
         assert report.detailed_bound == terms.log_moment_term + terms.eps1_sq_term + terms.cond_term
         assert (report.e_term, report.cond_term) == (terms.log_moment_term, terms.cond_term)
 
-        monkeypatch.setattr(bound_module, "_curvature_floors", forcing(slice(None), -1.0))
+        monkeypatch.setattr(bound_module, "min_conditional_curvature", forcing(slice(None), -1.0))
         with pytest.raises(AssumptionViolationError) as exc_info:
             audit(model, config, fit=fit)
         details = exc_info.value.details
         assert details["invalid_directions"] == 16 and details["n_directions"] == 16
         assert details["mean_delta3_sq"] == report.mean_delta3_sq
 
-    def test_grid_mode_counts_grid_directions(self, logistic_tiny):
-        model, fit = logistic_tiny
-        grid = audit(model, AuditConfig(n_directions=16, seed=1, delta4_mode="grid"), fit=fit)
+    def test_grid_mode_counts_grid_directions(self):
+        model = SoftplusTilt1D(1.0)
+        fit = fit_laplace(model)
+        grid = audit(NoBoundTilt(1.0), AuditConfig(n_directions=16, seed=1), fit=fit)
         analytic = audit(model, AuditConfig(n_directions=16, seed=1), fit=fit)
         assert grid.delta4_mode_counts == {"grid": 16}
         assert analytic.delta4_mode_counts == {"analytic": 16}
@@ -484,13 +506,8 @@ class TestAudit:
 
     def test_model_without_analytic_bound_falls_back_to_grid(self):
         model = SoftplusTilt1D(0.5)
-
-        class NoBound(SoftplusTilt1D):
-            def ray_fourth_derivative_bound(self, base, direction):
-                return None
-
         fit = fit_laplace(model)
-        report = audit(NoBound(0.5), AuditConfig(n_directions=8, seed=0), fit=fit)
+        report = audit(NoBoundTilt(0.5), AuditConfig(n_directions=8, seed=0), fit=fit)
         assert report.delta4_mode_counts == {"grid": 8}
         assert report.invalid_directions == 0
 
@@ -546,7 +563,7 @@ class TestAudit:
         with pytest.raises(ValueError):
             AuditConfig(n_directions=7).validate()
         with pytest.raises(ValueError):
-            AuditConfig(delta4_mode="best").validate()
+            AuditConfig(bound_form="best").validate()
 
 
 class TestLsiBound:

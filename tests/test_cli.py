@@ -154,6 +154,11 @@ class TestExitCodes:
             main(["audit", "--frobnicate"])
         assert exc_info.value.code == 1
 
+    def test_removed_delta4_mode_flag_exits_one(self):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["audit", "--d", "3", "--n", "30", "--delta4-mode", "grid"])
+        assert exc_info.value.code == 1
+
     def test_missing_required_args_exit_one(self):
         with pytest.raises(SystemExit) as exc_info:
             main(["gen-data", "--d", "3"])
@@ -184,8 +189,22 @@ class TestExitCodes:
             (lambda p: p.update(rows=[[3, 30, 10.0]]), "row must be a JSON object"),
             (lambda p: p.update(n_direction=32), "unknown spec key 'n_direction'"),
             (lambda p: p.pop("rows"), "spec is missing the key 'rows'"),
+            (lambda p: p.update(delta4_mode="grid"), "unknown spec key 'delta4_mode'"),
+            (lambda p: p.update(rows=5), "spec key 'rows' must be a list"),
+            (lambda p: p["rows"][0].update(d="5"), "row key 'd' must be an integer"),
+            (lambda p: p["rows"][0].update(d=2.0), "row key 'd' must be an integer"),
+            (lambda p: p["rows"][0].update(n=True), "row key 'n' must be an integer"),
+            (lambda p: p["rows"][0].update(sigma0=True), "row key 'sigma0' must be a number"),
+            (lambda p: p["rows"][0].update(model=1), "row key 'model' must be a string"),
+            (lambda p: p.update(replicates="2"), "spec key 'replicates' must be an integer"),
+            (lambda p: p.update(n_directions=8.0), "spec key 'n_directions' must be an integer"),
+            (lambda p: p.update(estimate_truth=0), "key 'estimate_truth' must be true or false"),
         ],
-        ids=["row_key", "row_missing", "row_type", "spec_key", "spec_missing"],
+        ids=[
+            "row_key", "row_missing", "row_type", "spec_key", "spec_missing", "delta4_mode",
+            "rows_not_list", "d_string", "d_float", "n_bool", "sigma0_bool", "model_not_string",
+            "replicates_string", "n_directions_float", "estimate_truth_int",
+        ],
     )
     def test_malformed_table_spec_exits_one(self, tmp_path, capsys, change, message):
         path = _write_spec(tmp_path / "spec.json")
@@ -222,6 +241,11 @@ class TestExperimentApi:
         assert csv_text.splitlines()[0] == ",".join(CSV_COLUMNS)
 
     def test_spec_validation(self):
+        # an integer sigma0 is a number, and the value checks accept it
+        spec = ExperimentSpec.from_json_dict(
+            {"rows": [{"d": 2, "n": 10, "sigma0": 10}], "replicates": 1, "seed": 0}
+        )
+        assert spec.rows[0].sigma0 == 10
         with pytest.raises(ValueError):
             ExperimentSpec.from_json_dict({"rows": [], "replicates": 1, "seed": 0})
         with pytest.raises(ValueError):

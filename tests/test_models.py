@@ -18,6 +18,8 @@ from laplace_audit import models as models_module
 from laplace_audit.models import SIGMOID_THIRD_DERIVATIVE_MAX, TargetModel, _neg_log_expit
 
 from oracles import (
+    CubicRay1D,
+    SoftplusTilt1D,
     central_directional,
     central_gradient,
     fourth_derivative_5pt,
@@ -168,7 +170,7 @@ class TestRayDerivatives:
         v = rng.standard_normal(4)
         bound = model.ray_fourth_derivative_bound(base, v)
         rs = np.linspace(-8.0, 8.0, 400)
-        profile = model.ray_derivative_profile(base, v, rs, order=4)
+        profile = model.ray_derivatives(base, v, rs, 4)[:, 3]
         assert np.all(np.abs(profile) <= bound + 1e-12)
 
     def test_unsupported_order_rejected(self):
@@ -176,7 +178,7 @@ class TestRayDerivatives:
         with pytest.raises(UnsupportedOrderError):
             model.ray_derivatives(np.zeros(4), np.ones(4), 0.0, 5)
         with pytest.raises(UnsupportedOrderError):
-            model.ray_derivative_profile(np.zeros(4), np.ones(4), [0.0], 0)
+            model.ray_derivatives(np.zeros(4), np.ones(4), [0.0], 0)
 
     def test_large_margin_stability(self):
         # |t| > 30 must not overflow or go non-finite anywhere in the chain
@@ -206,8 +208,9 @@ class TestVectorizedHooks:
         rng = np.random.default_rng(29)
         v = rng.standard_normal(5)
         rs = np.linspace(0.0, 3.0, 9)
+        profile = model.ray_derivatives(fit.theta_star, v, rs, 4)
         for order in (1, 2, 3, 4):
-            vec = model.ray_derivative_profile(fit.theta_star, v, rs, order)
+            vec = profile[:, order - 1]
             scalar = [
                 model.ray_derivatives(fit.theta_star, v, r, order)[order - 1] for r in rs
             ]
@@ -239,6 +242,44 @@ class TestVectorizedHooks:
         np.testing.assert_allclose(model.neg_log_density_many(thetas), whole[0], rtol=1e-14)
         np.testing.assert_allclose(model.gradient_many(thetas), whole[1], rtol=1e-14)
         assert model.neg_log_density_many(np.zeros((0, 5))).shape == (0,)
+
+
+def _contract_cases():
+    rng = np.random.default_rng(47)
+    a = rng.standard_normal((6, 6))
+    gaussian = GaussianModel(rng.standard_normal(6), a @ a.T + 6 * np.eye(6))
+    logistic = _random_logistic(8, d=6)
+    return {
+        "gaussian": (gaussian, rng.standard_normal(6), rng.standard_normal(6)),
+        "logistic": (logistic, 0.3 * rng.standard_normal(6), rng.standard_normal(6)),
+        "softplus_tilt": (SoftplusTilt1D(0.7), np.array([0.2]), np.array([1.3])),
+        "cubic_ray": (CubicRay1D(0.4), np.array([0.1]), np.array([0.8])),
+    }
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "logistic", "softplus_tilt", "cubic_ray"])
+class TestRayDerivativesOverOffsets:
+    """``ray_derivatives`` takes one offset or an array of them."""
+
+    def test_shapes(self, kind):
+        model, base, v = _contract_cases()[kind]
+        assert model.ray_derivatives(base, v, 0.3, 4).shape == (4,)
+        assert model.ray_derivatives(base, v, np.linspace(-1, 1, 5), 4).shape == (5, 4)
+        assert model.ray_derivatives(base, v, np.zeros((2, 3)), 4).shape == (2, 3, 4)
+        assert model.ray_derivatives(base, v, np.zeros((2, 3)), 2).shape == (2, 3, 2)
+
+    @pytest.mark.parametrize("max_order", [1, 2, 3, 4])
+    def test_rows_match_scalar_calls(self, kind, max_order):
+        model, base, v = _contract_cases()[kind]
+        rs = np.linspace(-1.5, 2.5, 12).reshape(3, 4)
+        rows = model.ray_derivatives(base, v, rs, max_order)
+        for index in np.ndindex(rs.shape):
+            np.testing.assert_allclose(
+                rows[index],
+                model.ray_derivatives(base, v, float(rs[index]), max_order),
+                rtol=1e-13,
+                atol=1e-14,
+            )
 
 
 class ScalarOnly(TargetModel):
