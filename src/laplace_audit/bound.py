@@ -16,8 +16,10 @@ variable. Averaging over sampled directions assembles two certificates:
 * the detailed bound: empirical log-moment term of the centered ELBO values
   plus the conditional-KL corrections.
 
-``audit`` wires the full pipeline (mode search, fit, curvature spot check,
-direction sampling, assembly) into a reproducible report. It treats all
+``audit`` wires the full pipeline (mode search, fit, log-concavity check,
+direction sampling, assembly) into a reproducible report. Log-concavity is
+proven when the model gives ``hessian_eigenvalue_floor`` (both built-ins
+do), and otherwise sampled by ``logconcavity_spotcheck``. It treats all
 sampled directions at once: one ``TargetModel.ray_batch`` call gives delta3,
 the analytic delta4 bound and the ray values on the quadrature nodes for
 the whole (m x d) direction matrix, and the curvature floor, the
@@ -46,7 +48,14 @@ from scipy.special import gammaln, logsumexp
 from .errors import AssumptionViolationError, NonFiniteObjectiveError
 from .laplace import LaplaceFit, fit_laplace, logconcavity_spotcheck
 from .models import TargetModel
-from .radial import chi_moment, chi_quadrature, chi_quantile, radial_min_curvature, sample_direction_pairs
+from .radial import (
+    QUADRATURE_NODES,
+    chi_moment,
+    chi_quadrature,
+    chi_quantile,
+    radial_min_curvature,
+    sample_direction_pairs,
+)
 
 _DIR_STREAM = 1
 _LSI_STREAM = 5
@@ -55,6 +64,22 @@ DELTA4_GRID_POINTS = 512
 # elements of each (blocks x directions) mask of the jackknife, which bounds
 # its memory whatever the number of directions
 JACKKNIFE_ELEMENTS = 1 << 18
+
+
+def json_ready(value):
+    """``value`` with each non-finite float in it, at any depth, written as None.
+
+    JSON has no NaN or infinity, so a report's ``to_json_dict`` passes its
+    payload through here and an undefined number reaches the output as null.
+    Tuples become lists, as ``json.dumps`` writes them anyway.
+    """
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: json_ready(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_ready(item) for item in value]
+    return value
 
 
 def _whiten(fit: LaplaceFit, es) -> np.ndarray:
@@ -213,7 +238,9 @@ def _xi_values(fit: LaplaceFit, values, quadrature_nodes: int) -> np.ndarray:
     return integrand @ ws
 
 
-def xi_elbo(fit: LaplaceFit, model: TargetModel, e, quadrature_nodes: int = 64) -> float:
+def xi_elbo(
+    fit: LaplaceFit, model: TargetModel, e, quadrature_nodes: int = QUADRATURE_NODES
+) -> float:
     """ELBO proxy for the log marginal of the direction variable.
 
     Computes E over the chi radius law of r^2/2 - (phi_e(r) - phi_e(0)) by
@@ -364,7 +391,7 @@ class AuditConfig:
     """Settings for the end-to-end certificate pipeline."""
 
     n_directions: int = 256
-    quadrature_nodes: int = 64
+    quadrature_nodes: int = QUADRATURE_NODES
     seed: int = 0
     bound_form: str = "both"
 
@@ -403,7 +430,8 @@ class BoundReport:
     config: dict
 
     def to_json_dict(self) -> dict:
-        return {
+        """The report as a JSON payload; an undefined standard error is null."""
+        return json_ready({
             "d": self.d,
             "n_directions": self.n_directions,
             "mean_delta3_sq": self.mean_delta3_sq,
@@ -425,19 +453,53 @@ class BoundReport:
             "fit": self.fit_summary,
             "config": self.config,
             "seed": self.seed,
+        })
+
+
+def _logconcavity_check(model: TargetModel, fit: LaplaceFit, seed: int) -> dict:
+    """The report's ``spotcheck`` entry: proven by the model, or sampled.
+
+    A model with a ``hessian_eigenvalue_floor`` has proven log-concavity
+    and no Hessian is sampled; any other model gets
+    ``logconcavity_spotcheck`` at the audit seed.
+    """
+    floor = model.hessian_eigenvalue_floor()
+    if floor is not None:
+        floor = float(floor)
+        if not (np.isfinite(floor) and floor >= 0.0):
+            raise ValueError("hessian_eigenvalue_floor must be finite and nonnegative")
+        return {
+            "method": "proven",
+            "n_points": 0,
+            "radius_multiplier": None,
+            "n_failures": 0,
+            "min_eigenvalue": floor,
         }
+    spot = logconcavity_spotcheck(model, fit, seed=seed)
+    return {
+        "method": "sampled",
+        "n_points": spot.n_points,
+        "radius_multiplier": spot.radius_multiplier,
+        "n_failures": spot.n_failures,
+        "min_eigenvalue": spot.min_eigenvalue,
+    }
 
 
 def audit(model: TargetModel, config: AuditConfig | None = None,
           fit: LaplaceFit | None = None) -> BoundReport:
     """Run the full certificate pipeline on one target.
 
-    Mode search, Hessian factorization, curvature spot check, antithetic
+    Mode search, Hessian factorization, log-concavity check, antithetic
     direction sampling, per-direction diagnostics, and assembly of the
-    requested bound forms. Deterministic given the config seed; per-direction
-    work is independent and reduced in fixed index order. ``model`` must be a
-    ``TargetModel`` subclass, since its ``ray_batch`` supplies every
-    per-direction quantity.
+    requested bound forms. The report's ``spotcheck`` says how log-concavity
+    was checked: ``"method": "proven"`` when the model's
+    ``hessian_eigenvalue_floor`` is not None (no Hessian is sampled, and
+    ``min_eigenvalue`` is that floor), ``"sampled"`` with
+    ``logconcavity_spotcheck``'s counts otherwise. The radius average uses
+    ``config.quadrature_nodes`` nodes of ``chi_quadrature``. Deterministic
+    given the config seed; per-direction work is independent and reduced in
+    fixed index order. ``model`` must be a ``TargetModel`` subclass, since
+    its ``ray_batch`` supplies every per-direction quantity.
 
     Directions whose curvature floor is nonpositive are excluded from the
     detailed bound and counted in ``invalid_directions``; if every direction
@@ -447,7 +509,7 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
     config.validate()
     if fit is None:
         fit = fit_laplace(model)
-    spot = logconcavity_spotcheck(model, fit, seed=config.seed)
+    spotcheck = _logconcavity_check(model, fit, config.seed)
     d = model.dim
     need_detailed = config.bound_form in ("detailed", "both")
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_DIR_STREAM,)))
@@ -518,12 +580,7 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
         eps1_correction_se=eps1_se,
         invalid_directions=invalid,
         delta4_mode_counts={d4_mode: config.n_directions},
-        spotcheck={
-            "n_points": spot.n_points,
-            "radius_multiplier": spot.radius_multiplier,
-            "n_failures": spot.n_failures,
-            "min_eigenvalue": spot.min_eigenvalue,
-        },
+        spotcheck=spotcheck,
         fit_summary={
             "grad_norm": fit.grad_norm,
             "iterations": fit.iterations,

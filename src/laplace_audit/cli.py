@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .bound import AuditConfig, audit
+from .bound import AuditConfig, audit, json_ready
 from .errors import (
     AssumptionViolationError,
     DimensionMismatchError,
@@ -36,6 +36,7 @@ from .models import (
     random_gaussian_model,
     save_dataset_csv,
 )
+from .radial import QUADRATURE_NODES
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -60,7 +61,7 @@ def _flatten(payload, prefix=""):
 
 def _emit(payload: dict, out: str | None, fmt: str, pretty: bool) -> None:
     if fmt == "json":
-        text = json.dumps(payload, indent=2 if pretty else None) + "\n"
+        text = json.dumps(payload, indent=2 if pretty else None, allow_nan=False) + "\n"
     else:
         lines = ["key,value"]
         for key, value in _flatten(payload):
@@ -141,7 +142,9 @@ def _cmd_table(args, parser) -> int:
     if args.format == "csv":
         text = report.to_csv(pretty=args.pretty)
     else:
-        text = json.dumps(report.to_json_dict(), indent=2 if args.pretty else None) + "\n"
+        text = json.dumps(
+            report.to_json_dict(), indent=2 if args.pretty else None, allow_nan=False
+        ) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -167,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="compute the KL certificate for one target")
     _add_model_flags(p_audit)
     p_audit.add_argument("--directions", type=int, default=256)
-    p_audit.add_argument("--nodes", type=int, default=64)
+    p_audit.add_argument("--nodes", type=int, default=QUADRATURE_NODES)
     p_audit.add_argument("--bound", choices=("approx", "detailed", "both"), default="both")
     p_audit.add_argument("--out")
     p_audit.add_argument("--format", choices=("json", "csv"), default="json")
@@ -201,7 +204,7 @@ def main(argv=None) -> int:
         return args.func(args, parser)
     except AssumptionViolationError as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc), "details": exc.details}}
-        sys.stdout.write(json.dumps(payload) + "\n")
+        sys.stdout.write(json.dumps(json_ready(payload), allow_nan=False) + "\n")
         return EXIT_ASSUMPTION
     except (
         MapNotConvergedError,

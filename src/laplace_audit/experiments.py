@@ -18,11 +18,12 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .bound import AuditConfig, audit
+from .bound import AuditConfig, audit, json_ready
 from .errors import AssumptionViolationError, MapNotConvergedError, NonFiniteObjectiveError
 from .laplace import fit_laplace
 from .mcmc import estimate_true_kl, get_preset
 from .models import SyntheticDatasetConfig, generate_dataset, random_gaussian_model
+from .radial import QUADRATURE_NODES
 
 _DATA_STREAM = 0
 _AUDIT_STREAM = 1
@@ -90,7 +91,7 @@ class ExperimentSpec:
     replicates: int
     seed: int
     n_directions: int = 256
-    quadrature_nodes: int = 64
+    quadrature_nodes: int = QUADRATURE_NODES
     bound_form: str = "both"
     mcmc_preset: str = "desk"
     estimate_truth: bool = True
@@ -221,12 +222,13 @@ class ExperimentReport:
     aggregates: tuple
 
     def to_json_dict(self) -> dict:
-        return {
+        """The report as a JSON payload; a NaN cell value (no truth, a failed cell) is null."""
+        return json_ready({
             "spec": self.spec,
             "spec_sha256": self.spec_sha256,
             "replicates": [asdict(r) for r in self.replicates],
             "aggregates": [asdict(a) for a in self.aggregates],
-        }
+        })
 
     def to_csv(self, pretty: bool = False) -> str:
         def fmt(value) -> str:

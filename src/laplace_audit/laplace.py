@@ -252,6 +252,9 @@ def logconcavity_spotcheck(
     The points are mode-centered Gaussian draws scaled by
     ``radius_multiplier``; a clean pass is supporting evidence for global
     log-concavity, not a proof. Failures are returned as data, never raised.
+    ``audit`` runs this check only for a model without a proven
+    ``hessian_eigenvalue_floor``; for one with it, log-concavity is proven
+    and nothing is sampled.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
     eta = rng.standard_normal((n_points, fit.dim))

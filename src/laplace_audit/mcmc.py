@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NonFiniteObjectiveError
 from .kernels import lockstep_sweep
 from .laplace import LaplaceFit, laplace_log_density
 from .models import TargetModel
@@ -253,7 +253,8 @@ def estimate_log_inv_z(model: TargetModel, fit: LaplaceFit, posterior_samples):
     The per-sample log-ratios are reduced with a single log-sum-exp, so the
     estimate survives ratios spanning hundreds of orders of magnitude. The
     error is a *relative* standard error from means over 50 contiguous
-    batches, which absorbs chain autocorrelation.
+    batches, which absorbs chain autocorrelation. A non-finite log-ratio
+    (phi infinite or NaN at a sample) raises NonFiniteObjectiveError.
 
     Returns
     -------
@@ -266,8 +267,8 @@ def estimate_log_inv_z(model: TargetModel, fit: LaplaceFit, posterior_samples):
     log_ratio = laplace_log_density(fit, samples) + model.neg_log_density_many(samples)
     bad = np.flatnonzero(~np.isfinite(log_ratio))
     if bad.size:
-        raise FloatingPointError(
-            f"non-finite importance ratio at sample index {int(bad[0])}"
+        raise NonFiniteObjectiveError(
+            f"non-finite importance ratio at sample index {int(bad[0])}", theta=samples[bad[0]]
         )
     log_inv_z = float(logsumexp(log_ratio) - np.log(k))
     n_batches = min(N_BATCHES, k)
@@ -304,7 +305,8 @@ def estimate_kl(
     ``estimate_log_inv_z``, whose relative standard error is
     ``inv_z_rel_se``. The reported standard error combines the i.i.d.
     sample variance with the 1/Z uncertainty propagated as an additive
-    log-term.
+    log-term. A non-finite log g + phi at any draw raises
+    NonFiniteObjectiveError rather than averaging into a NaN or infinite KL.
     """
     if not np.isfinite(log_inv_z):
         raise ValueError("log_inv_z must be finite")
@@ -316,6 +318,11 @@ def estimate_kl(
     eta = rng.standard_normal((k2, fit.dim))
     thetas = fit.theta_star + eta @ fit.sqrt_covariance
     vals = laplace_log_density(fit, thetas) + model.neg_log_density_many(thetas)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise NonFiniteObjectiveError(
+            f"non-finite log g + phi at fit draw {int(bad[0])}", theta=thetas[bad[0]]
+        )
     kl = float(vals.mean() - log_inv_z)
     se = float(np.sqrt(vals.var(ddof=1) / k2 + inv_z_rel_se**2))
     return KLEstimate(

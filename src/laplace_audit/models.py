@@ -8,8 +8,10 @@ normalizing-constant estimation downstream is meaningful.
 Built-in models: multivariate Gaussian (quadratic ``phi``) and Bayesian
 logistic regression with an isotropic Gaussian prior. Both provide closed-form
 gradients, Hessians and directional derivatives up to fourth order, which the
-certificate machinery needs along rays through the mode, and a batched ray
-method that evaluates a whole block of directions with array work.
+certificate machinery needs along rays through the mode, a batched ray
+method that evaluates a whole block of directions with array work, and a
+proven floor under the Hessian's eigenvalues, so that log-concavity is
+proven rather than sampled.
 """
 
 from __future__ import annotations
@@ -92,10 +94,14 @@ class TargetModel(abc.ABC):
     avoid per-point Python overhead. ``ray_batch`` is all the certificate's
     direction pass asks of a model: for a block of directions it returns the
     values on the quadrature nodes, delta3 at the base and the analytic
-    delta4 bound; ``ray_values`` is its one-direction form. The certificate
-    calls ``ray_batch`` on the model itself, so its targets must subclass
-    this class rather than only mimic its scalar methods. Evaluation is pure
-    and stateless after construction.
+    delta4 bound; ``ray_values`` is its one-direction form. Two optional
+    hooks give proven facts, or None for a model without the proof:
+    ``ray_fourth_derivative_bound`` bounds delta4 along a whole ray, and
+    ``hessian_eigenvalue_floor`` bounds the Hessian's eigenvalues from below
+    everywhere, which lets ``audit`` prove log-concavity instead of sampling
+    it. The certificate calls ``ray_batch`` on the model itself, so its
+    targets must subclass this class rather than only mimic its scalar
+    methods. Evaluation is pure and stateless after construction.
     """
 
     dim: int
@@ -179,6 +185,16 @@ class TargetModel(abc.ABC):
         """Optional analytic bound on |phi''''| along the whole ray, or None."""
         return None
 
+    def hessian_eigenvalue_floor(self):
+        """Optional proven lower bound on the Hessian's eigenvalues at every theta, or None.
+
+        A nonnegative floor proves phi convex, that is the target log-concave
+        everywhere, so ``audit`` reports log-concavity as proven instead of
+        sampling Hessians around the mode. A model without such a proof
+        returns None and keeps the sampled check.
+        """
+        return None
+
     def neg_log_density_many(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
         return np.array([self.neg_log_density(t) for t in thetas])
@@ -213,6 +229,7 @@ class GaussianModel(TargetModel):
         self.dim = d
         self.mean = mean
         self.covariance = covariance
+        self._precision_floor = 1.0 / float(w.max())
         self.precision = v @ np.diag(1.0 / w) @ v.T
         self.precision = 0.5 * (self.precision + self.precision.T)
 
@@ -255,6 +272,10 @@ class GaussianModel(TargetModel):
 
     def ray_fourth_derivative_bound(self, base, direction) -> float:
         return 0.0
+
+    def hessian_eigenvalue_floor(self) -> float:
+        """1 / lambda_max(covariance): the Hessian is the precision at every theta."""
+        return self._precision_floor
 
     def neg_log_density_many(self, thetas) -> np.ndarray:
         deltas = np.asarray(thetas, dtype=float) - self.mean
@@ -398,6 +419,10 @@ class LogisticRegressionModel(TargetModel):
         s = self._signed_x @ v
         s_sq = s * s
         return SIGMOID_THIRD_DERIVATIVE_MAX * float(np.sum(s_sq * s_sq))
+
+    def hessian_eigenvalue_floor(self) -> float:
+        """1 / sigma0^2: the likelihood Hessian X' diag(w) X has weights w >= 0."""
+        return self._inv_prior_var
 
     def _margin_blocks(self, thetas):
         """Yield (rows, margins) for ROW_BLOCK-row slices of ``thetas``, in one buffer."""

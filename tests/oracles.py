@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from scipy.special import expit
 
 from laplace_audit.laplace import laplace_log_density
-from laplace_audit.models import TargetModel
+from laplace_audit.models import GaussianModel, TargetModel
 
 
 def central_gradient(f, theta, h=1e-5):
@@ -270,3 +270,22 @@ class GaussianMixture1D(TargetModel):
 
             out[3] = (second(t + h) - 2 * second(t) + second(t - h)) / h**2 * v**4
         return out
+
+
+class InfTailGaussian(GaussianModel):
+    """A Gaussian whose batched phi is +inf beyond ``theta[0] > mean[0] + cut``.
+
+    The chain never accepts a state out there, but fresh draws from the fit
+    land there, so the truth pipeline meets a non-finite phi only in the KL
+    average, and ``estimate_log_inv_z`` only when handed such a sample.
+    """
+
+    def __init__(self, mean, covariance, cut: float = 1.0):
+        super().__init__(mean, covariance)
+        self.cut = float(cut)
+
+    def neg_log_density_many(self, thetas) -> np.ndarray:
+        thetas = np.asarray(thetas, dtype=float)
+        phi = super().neg_log_density_many(thetas)
+        return np.where(thetas[:, 0] > self.mean[0] + self.cut, np.inf, phi)
+

@@ -538,6 +538,40 @@ class TestAudit:
             assert key in payload
         assert set(payload["term_breakdown"]) == {"e_term", "cond_term", "eps1_term"}
 
+    def test_builtin_models_prove_logconcavity_without_sampling(
+        self, logistic_tiny, gaussian_5d, monkeypatch
+    ):
+        def sampled_check(*args, **kwargs):
+            raise AssertionError("a model with a proven floor had Hessians sampled")
+
+        monkeypatch.setattr(bound_module, "logconcavity_spotcheck", sampled_check)
+        for model, fit in (logistic_tiny, gaussian_5d):
+            report = audit(model, AuditConfig(n_directions=16, seed=1), fit=fit)
+            assert report.spotcheck == {
+                "method": "proven",
+                "n_points": 0,
+                "radius_multiplier": None,
+                "n_failures": 0,
+                "min_eigenvalue": model.hessian_eigenvalue_floor(),
+            }
+            assert report.to_json_dict()["spotcheck"] == report.spotcheck
+
+    def test_custom_model_keeps_sampled_spotcheck(self):
+        report = audit(SoftplusTilt1D(0.5), AuditConfig(n_directions=16, seed=3))
+        spot = report.spotcheck
+        assert spot["method"] == "sampled"
+        assert (spot["n_points"], spot["radius_multiplier"], spot["n_failures"]) == (32, 3.0, 0)
+        # phi'' = 1 + alpha p (1 - p) >= 1 everywhere
+        assert spot["min_eigenvalue"] >= 1.0
+
+    def test_negative_eigenvalue_floor_rejected(self):
+        class WrongFloor(SoftplusTilt1D):
+            def hessian_eigenvalue_floor(self):
+                return -1.0
+
+        with pytest.raises(ValueError, match="hessian_eigenvalue_floor"):
+            audit(WrongFloor(0.5), AuditConfig(n_directions=16))
+
     def test_bound_form_approx_skips_detailed(self, logistic_tiny):
         model, fit = logistic_tiny
         report = audit(model, AuditConfig(n_directions=32, seed=1, bound_form="approx"), fit=fit)

@@ -7,8 +7,25 @@ import sys
 import numpy as np
 import pytest
 
+from laplace_audit import cli, experiments, random_gaussian_model
 from laplace_audit.cli import main
 from laplace_audit.experiments import CSV_COLUMNS, ExperimentSpec, run_experiment
+
+from oracles import InfTailGaussian
+
+
+def _strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity literals that JSON does not have."""
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _inf_tail_gaussian(d, seed):
+    model = random_gaussian_model(d, seed)
+    return InfTailGaussian(model.mean, model.covariance)
 
 
 def _write_spec(path, **overrides):
@@ -66,6 +83,47 @@ class TestGenDataAuditPipeline:
         assert lines[0] == "key,value"
         keys = {line.split(",", 1)[0] for line in lines[1:]}
         assert {"approx_bound", "detailed_bound", "term_breakdown.e_term"} <= keys
+
+
+class TestStrictJson:
+    def test_audit_with_undefined_standard_errors(self, capsys):
+        # one antithetic pair: no standard error is defined
+        assert main(["audit", "--d", "3", "--n", "40", "--seed", "1", "--directions", "2"]) == 0
+        payload = _strict_json(capsys.readouterr().out)
+        assert payload["se_delta3_sq"] is None
+        assert payload["term_standard_errors"]["e_term_se"] is None
+        assert payload["spotcheck"]["method"] == "proven"
+
+    def test_table_without_truth(self, tmp_path):
+        spec = _write_spec(tmp_path / "spec.json")
+        out = tmp_path / "table.json"
+        assert main(["table", "--spec", str(spec), "--format", "json", "--out", str(out)]) == 0
+        payload = _strict_json(out.read_text())
+        for cell in payload["replicates"]:
+            assert cell["kl"] is None and cell["kl_se"] is None and cell["efficiency"] is None
+            assert cell["approx_bound"] > 0
+        assert payload["aggregates"][0]["median_kl"] is None
+
+
+class TestNonFiniteTruth:
+    def test_truth_command_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "random_gaussian_model", _inf_tail_gaussian)
+        assert main(["truth", "--model", "gaussian", "--d", "1", "--seed", "2"]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_table_records_a_failed_cell(self, monkeypatch):
+        monkeypatch.setattr(experiments, "random_gaussian_model", _inf_tail_gaussian)
+        spec = ExperimentSpec.from_json_dict(
+            {
+                "rows": [{"d": 1, "n": 0, "sigma0": 1.0, "model": "gaussian"}],
+                "replicates": 1,
+                "seed": 3,
+                "n_directions": 16,
+            }
+        )
+        (cell,) = run_experiment(spec).replicates
+        assert cell.status == "failed"
+        assert cell.error.startswith("NonFiniteObjectiveError")
 
 
 class TestTruthCommand:

@@ -6,6 +6,7 @@ import pytest
 from laplace_audit import (
     ChainConfig,
     GaussianModel,
+    NonFiniteObjectiveError,
     TruthPreset,
     build_fit,
     estimate_kl,
@@ -17,7 +18,7 @@ from laplace_audit import (
 
 from laplace_audit.mcmc import BLOCK_STEPS, N_CHAINS, split_rhat
 
-from oracles import SoftplusTilt1D, quadrature_kl_1d, replay_chain
+from oracles import InfTailGaussian, SoftplusTilt1D, quadrature_kl_1d, replay_chain
 
 
 def _batch_se(samples):
@@ -200,6 +201,14 @@ class TestEstimateInvZ:
         with pytest.raises(ValueError):
             estimate_log_inv_z(model, fit, np.zeros((0, 5)))
 
+    def test_non_finite_ratio_raises_structured_error(self):
+        model = InfTailGaussian(np.zeros(2), np.eye(2))
+        fit = fit_laplace(model)
+        samples = np.array([[0.0, 0.0], [0.5, 1.0], [2.0, 0.0], [0.1, -0.3]])
+        with pytest.raises(NonFiniteObjectiveError, match="sample index 2") as exc_info:
+            estimate_log_inv_z(model, fit, samples)
+        np.testing.assert_array_equal(exc_info.value.theta, samples[2])
+
 
 class TestEstimateKl:
     def test_self_distribution_is_zero(self, gaussian_5d):
@@ -236,6 +245,14 @@ class TestEstimateKl:
         payload = est.to_json_dict()
         for key in ("kl", "se", "inv_z", "inv_z_se", "k", "k2", "acceptance_rate", "config"):
             assert key in payload
+
+    def test_non_finite_phi_at_a_draw_raises_structured_error(self):
+        # before, the infinite phi averaged into an infinite kl, silently
+        model = InfTailGaussian(np.zeros(2), np.eye(2))
+        fit = fit_laplace(model)
+        with pytest.raises(NonFiniteObjectiveError, match="fit draw") as exc_info:
+            estimate_kl(model, fit, 1000, seed=0, log_inv_z=0.0)
+        assert exc_info.value.theta[0] > 1.0
 
     def test_invalid_inputs(self, gaussian_5d):
         model, fit = gaussian_5d

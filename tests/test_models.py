@@ -12,6 +12,7 @@ from laplace_audit import (
     UnsupportedOrderError,
     generate_dataset,
     load_dataset_csv,
+    random_gaussian_model,
     save_dataset_csv,
 )
 from laplace_audit import models as models_module
@@ -103,6 +104,45 @@ class TestGradientHessian:
             h = model.hessian(theta)
             np.testing.assert_allclose(h, h.T, rtol=0, atol=0)
             assert np.linalg.eigvalsh(h).min() >= 1 / 16.0 - 1e-12
+
+
+class TestHessianEigenvalueFloor:
+    """The proven floor must lie below the Hessian spectrum at every theta."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            _random_logistic(2, d=4, n=60, sigma0=5.0),
+            # fewer observations than parameters: the likelihood Hessian is
+            # singular, so the floor is attained
+            _random_logistic(3, d=6, n=3, sigma0=2.0),
+            random_gaussian_model(5, seed=4),
+            GaussianModel(np.ones(3), np.diag([0.1, 4.0, 30.0])),
+        ],
+        ids=["logistic", "logistic_wide", "gaussian", "gaussian_diag"],
+    )
+    def test_floor_below_hessian_spectrum(self, model):
+        floor = model.hessian_eigenvalue_floor()
+        assert floor > 0
+        rng = np.random.default_rng(17)
+        lowest = []
+        for scale in (0.5, 3.0, 1e3, 1e6):
+            for _ in range(5):
+                eigs = np.linalg.eigvalsh(model.hessian(rng.standard_normal(model.dim) * scale))
+                # eigvalsh is accurate to a few ulp of the largest eigenvalue
+                assert floor <= eigs.min() + 1e-12 * np.abs(eigs).max()
+                lowest.append(eigs.min())
+        if not isinstance(model, LogisticRegressionModel) or model.n_obs < model.dim:
+            assert min(lowest) == pytest.approx(floor, rel=1e-9)
+
+    def test_values(self):
+        model = _random_logistic(1, sigma0=4.0)
+        assert model.hessian_eigenvalue_floor() == 1 / 16.0
+        gaussian = GaussianModel(np.zeros(2), np.diag([0.5, 8.0]))
+        assert gaussian.hessian_eigenvalue_floor() == 1 / 8.0
+
+    def test_custom_model_has_no_floor_by_default(self):
+        assert SoftplusTilt1D(1.0).hessian_eigenvalue_floor() is None
 
 
 class TestRayDerivatives:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import cumulative_trapezoid, quad
 from scipy.stats import chi, chisquare, kstest
 
@@ -18,6 +19,7 @@ from laplace_audit import (
     sample_direction_pairs,
     to_theta,
 )
+from laplace_audit.radial import QUADRATURE_NODES
 
 
 class TestSampleDirection:
@@ -160,6 +162,19 @@ class TestRadialMinCurvature:
             assert np.all(curv >= radial_min_curvature(d) - 1e-9)
 
 
+def _zero_based_rule(d, nodes):
+    """Gauss-Legendre nodes on [0, r_hi] against the chi density, r_hi the 1 - 1e-14 quantile.
+
+    With 64 nodes it is the accuracy baseline the default rule of
+    ``chi_quadrature``, half as many nodes on a span fitted to the chi mass,
+    is held to.
+    """
+    x, w = leggauss(nodes)
+    r_hi = chi.isf(1e-14, d)
+    rs = 0.5 * r_hi * (x + 1.0)
+    return rs, 0.5 * r_hi * w * chi.pdf(rs, d)
+
+
 class TestChiQuadrature:
     @pytest.mark.parametrize("d", [1, 2, 5, 50])
     def test_matches_moment_formula(self, d):
@@ -173,6 +188,25 @@ class TestChiQuadrature:
         h = lambda r: np.log1p(r) * np.sin(r)  # smooth non-polynomial integrand
         assert abs(float(ws64 @ h(rs64)) - float(ws128 @ h(rs128))) < 1e-10
 
+    def test_default_rule_no_worse_than_the_zero_based_64_node_rule(self):
+        # both rules leave out 2e-14 of chi mass, which moves the moments by
+        # up to 4.9e-10 relative (d = 1, k = 7); quadrature error under
+        # 1e-10 relative is below that, wherever the old rule did better
+        assert QUADRATURE_NODES == 32
+        integrands = [lambda r, k=k: r**k for k in range(8)]
+        integrands.append(lambda r: np.log1p(r) * np.sin(r))
+        for d in range(1, 201):
+            rs, ws = chi_quadrature(d, QUADRATURE_NODES)
+            rs_ref, ws_ref = chi_quadrature(d, 512)
+            rs_old, ws_old = _zero_based_rule(d, 64)
+            for h in integrands:
+                ref = float(ws_ref @ h(rs_ref))
+                err = abs(float(ws @ h(rs)) - ref)
+                err_old = abs(float(ws_old @ h(rs_old)) - ref)
+                assert err <= max(err_old, 1e-10 * max(1.0, abs(ref))), d
+            for k in range(8):
+                assert float(ws @ rs**k) == pytest.approx(chi_moment(d, k), rel=5e-10)
+
 
 class TestChiQuantiles:
     def test_match_scipy_stats_chi(self):
@@ -182,8 +216,11 @@ class TestChiQuantiles:
             for p in (1e-6, 0.25, 0.5, 1.0 - 1e-6):
                 assert chi_quantile(d, p) == pytest.approx(chi.ppf(p, d), rel=1e-15)
             rs, _ = chi_quadrature(d, 16)
-            # Gauss-Legendre nodes on [0, r_hi]: the outermost ones are symmetric about r_hi / 2
-            assert rs[0] + rs[-1] == pytest.approx(chi.isf(1e-14, d), rel=1e-14)
+            # Gauss-Legendre nodes on [r_lo, r_hi], the 1e-14 and 1 - 1e-14
+            # chi quantiles: the outermost ones are symmetric about the midpoint
+            assert rs[0] + rs[-1] == pytest.approx(
+                chi.ppf(1e-14, d) + chi.isf(1e-14, d), rel=1e-14
+            )
 
 
 class TestCoordinateMaps:
