@@ -19,17 +19,18 @@ variable. Averaging over sampled directions assembles two certificates:
 ``audit`` wires the full pipeline (mode search, fit, log-concavity check,
 direction sampling, assembly) into a reproducible report. Log-concavity is
 proven when the model gives ``hessian_eigenvalue_floor`` (both built-ins
-do), and otherwise sampled by ``logconcavity_spotcheck``. It treats all
-sampled directions at once: one ``TargetModel.ray_batch`` call gives delta3,
-the analytic delta4 bound and the ray values on the quadrature nodes for
-the whole (m x d) direction matrix, and the curvature floor, the
-conditional-KL bound and the ELBO proxy are array expressions over it:
-``min_conditional_curvature`` and ``conditional_kl_bound`` take one value
-or an array of them. The curvature floor is minimized exactly, at the real
-roots of its derivative. The one-direction helpers ``delta3``, ``delta4``
-and ``xi_elbo`` run the same code on a single direction. A model without an
-analytic delta4 bound gets a heuristic grid maximum instead, the only step
-that loops over directions.
+do), and otherwise sampled by ``logconcavity_spotcheck``. It treats all m
+sampled directions, one normal draw, in O(m) array passes: one
+``TargetModel.ray_batch`` call gives delta3, the analytic delta4 bound and
+the ray values on the quadrature nodes for the (m x d) direction matrix; the
+curvature floor, the conditional-KL bound and the ELBO proxy are array
+expressions over it (``min_conditional_curvature`` and
+``conditional_kl_bound`` take one value or an array);
+``direction_kl_bound``'s jackknife scans per-block sums. The curvature floor
+is minimized exactly, at the real roots of its derivative. The one-direction
+helpers ``delta3``, ``delta4`` and ``xi_elbo`` run the same code on one
+direction. A model without an analytic delta4 bound gets a heuristic grid
+maximum, the only step that loops over directions.
 
 The model must be a ``TargetModel`` subclass: the direction pass reaches it
 only through ``ray_batch`` (and ``ray_derivatives`` over an array of offsets
@@ -43,7 +44,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import AssumptionViolationError, NonFiniteObjectiveError
 from .laplace import LaplaceFit, fit_laplace, logconcavity_spotcheck
@@ -61,9 +62,6 @@ _DIR_STREAM = 1
 _LSI_STREAM = 5
 
 DELTA4_GRID_POINTS = 512
-# elements of each (blocks x directions) mask of the jackknife, which bounds
-# its memory whatever the number of directions
-JACKKNIFE_ELEMENTS = 1 << 18
 
 
 def json_ready(value):
@@ -80,6 +78,12 @@ def json_ready(value):
     if isinstance(value, (list, tuple)):
         return [json_ready(item) for item in value]
     return value
+
+
+def _logsumexp(values) -> float:
+    """log(sum(exp(values))) of a finite 1-d array, taken around its maximum."""
+    top = np.max(values)
+    return float(top + np.log(np.sum(np.exp(values - top))))
 
 
 def _whiten(fit: LaplaceFit, es) -> np.ndarray:
@@ -157,7 +161,8 @@ def min_conditional_curvature(d: int, delta3, delta4, boundary_term: str = "lemm
     eigenvalue solve of its companion matrices. The minimum over (0, r0] is
     then taken over those roots and r0 itself. Evaluating the floor at a
     point of (0, r0] never undercuts that minimum, so every root's real part
-    is tried, clipped to r0. Rows with a non-finite input get NaN.
+    is tried, clipped to r0. Rows with a non-finite input get NaN, and rows
+    with delta3 = delta4 = 0 ``radial_min_curvature(d)`` without a solve.
 
     A nonpositive value means the Taylor control is too weak for this
     direction; callers must flag the direction as outside the certificate's
@@ -170,6 +175,9 @@ def min_conditional_curvature(d: int, delta3, delta4, boundary_term: str = "lemm
     if boundary_term not in ("lemma", "derivation"):
         raise ValueError("boundary_term must be 'lemma' or 'derivation'")
     d3, d4 = np.broadcast_arrays(np.asarray(delta3, dtype=float), np.asarray(delta4, dtype=float))
+    out = np.full(d3.shape, radial_min_curvature(d))
+    rows = (d3 != 0.0) | (d4 != 0.0)
+    d3, d4 = d3[rows], d4[rows]
     a = 2.0 * d - 1.0
     finite = np.isfinite(d3) & np.isfinite(d4)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -205,9 +213,8 @@ def min_conditional_curvature(d: int, delta3, delta4, boundary_term: str = "lemm
     if boundary_term == "derivation":
         flat = flat + r0
     floor = np.where(np.isfinite(r0), np.minimum(floor, flat), floor)
-    floor = np.where(finite, floor, np.nan)
-    floor = np.where((d3 == 0.0) & (d4 == 0.0), radial_min_curvature(d), floor)
-    return float(floor) if floor.ndim == 0 else floor
+    out[rows] = np.where(finite, floor, np.nan)
+    return float(out) if out.ndim == 0 else out
 
 
 def conditional_kl_bound(d: int, delta3, delta4, min_curvature):
@@ -302,8 +309,7 @@ class DirectionKlTerms:
 
 
 def _log_moment(xis: np.ndarray) -> float:
-    centered = 2.0 * (xis - xis.mean())
-    return 0.5 * float(logsumexp(centered) - np.log(xis.shape[0]))
+    return 0.5 * float(_logsumexp(2.0 * (xis - xis.mean())) - np.log(xis.shape[0]))
 
 
 def _jackknife_se(loo: np.ndarray) -> float:
@@ -319,6 +325,10 @@ def direction_kl_bound(xis, eps1, pair_size: int = 1) -> DirectionKlTerms:
     Requires at least two directions and finite values. ``pair_size``
     declares the antithetic block structure so the jackknife respects the
     dependence inside each block.
+
+    The jackknife is one O(m) pass of prefix plus suffix scans over per-block
+    sums, no sum subtracted from another; the estimate without the largest
+    xi, whose exponentials can all underflow, takes a log-sum-exp instead.
     """
     xis = np.asarray(xis, dtype=float)
     eps1 = np.asarray(eps1, dtype=float)
@@ -340,21 +350,25 @@ def direction_kl_bound(xis, eps1, pair_size: int = 1) -> DirectionKlTerms:
     log_moment_se = eps1_se = float("nan")
     if n_blocks >= 2:
         kept = m - pair_size
-        loo_log_moment = np.empty(n_blocks)
-        loo_eps1 = np.empty(n_blocks)
-        step = max(1, JACKKNIFE_ELEMENTS // m)
-        for lo in range(0, n_blocks, step):
-            rows = slice(lo, min(lo + step, n_blocks))
-            # row j of ``keep`` leaves out block lo + j, so each reduction
-            # along a row is one leave-one-block-out estimate
-            keep = np.arange(m) // pair_size != np.arange(rows.start, rows.stop)[:, None]
-            loo_mean = np.where(keep, xis, 0.0).sum(axis=1) / kept
-            centered = np.where(keep, 2.0 * (xis - loo_mean[:, None]), -np.inf)
-            loo_log_moment[rows] = 0.5 * (logsumexp(centered, axis=1) - np.log(kept))
-            sub = np.where(keep, eps1, 0.0)
-            loo_eps1[rows] = (sub * sub).sum(axis=1) / kept + sub.sum(axis=1) / kept
+        shifted = xis - xis.max()
+        columns = np.stack([np.exp(2.0 * shifted), shifted, eps1 * eps1, eps1], axis=1)
+        means = columns.mean(axis=0)
+        blocks = (columns - means).reshape(n_blocks, pair_size, 4).sum(axis=1)
+        # row b: the means without block b less the full means, from prefix
+        # sums of the blocks before b plus suffix sums of those after it
+        loo = np.zeros_like(blocks)
+        loo[1:] = np.cumsum(blocks[:-1], axis=0)
+        loo[:-1] += np.cumsum(blocks[:0:-1], axis=0)[::-1]
+        loo /= kept
+        # the jackknife needs each estimate only up to a shared constant
+        with np.errstate(divide="ignore", invalid="ignore"):
+            loo_log_moment = 0.5 * np.log1p(loo[:, 0] / means[0]) - loo[:, 1]
+        # leaving out the maximum's block can underflow every exponential left
+        b = int(np.argmax(xis)) // pair_size
+        rest = np.delete(shifted, np.s_[b * pair_size:(b + 1) * pair_size])
+        loo_log_moment[b] = 0.5 * (_logsumexp(2.0 * rest) - np.log(kept * means[0])) - loo[b, 1]
         log_moment_se = _jackknife_se(loo_log_moment)
-        eps1_se = _jackknife_se(loo_eps1)
+        eps1_se = _jackknife_se(loo[:, 2] + loo[:, 3])
 
     return DirectionKlTerms(
         log_moment_term=log_moment,

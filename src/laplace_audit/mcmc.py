@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .bound import _logsumexp, json_ready
 from .errors import DimensionMismatchError, NonFiniteObjectiveError
 from .kernels import lockstep_sweep
 from .laplace import LaplaceFit, laplace_log_density
@@ -158,21 +158,19 @@ class KLEstimate:
         return float(self.inv_z * self.inv_z_rel_se)
 
     def to_json_dict(self) -> dict:
-        def _finite_or_none(value: float):
-            return value if np.isfinite(value) else None
-
-        return {
+        """The estimate as a JSON payload; a non-finite number is null."""
+        return json_ready({
             "kl": self.kl,
             "se": self.standard_error,
-            "inv_z": _finite_or_none(self.inv_z),
-            "inv_z_se": _finite_or_none(self.inv_z_se),
+            "inv_z": self.inv_z,
+            "inv_z_se": self.inv_z_se,
             "log_inv_z": self.log_inv_z,
             "inv_z_rel_se": self.inv_z_rel_se,
             "k": self.k,
             "k2": self.k2,
             "acceptance_rate": self.acceptance_rate,
             "config": self.config,
-        }
+        })
 
 
 def split_rhat(draws) -> float:
@@ -270,16 +268,11 @@ def estimate_log_inv_z(model: TargetModel, fit: LaplaceFit, posterior_samples):
         raise NonFiniteObjectiveError(
             f"non-finite importance ratio at sample index {int(bad[0])}", theta=samples[bad[0]]
         )
-    log_inv_z = float(logsumexp(log_ratio) - np.log(k))
+    log_inv_z = _logsumexp(log_ratio) - float(np.log(k))
     n_batches = min(N_BATCHES, k)
     bounds = np.linspace(0, k, n_batches + 1, dtype=int)
-    # batch means relative to the overall mean stay O(1)
-    rel_batch_means = np.array(
-        [
-            np.exp(logsumexp(log_ratio[a:b]) - np.log(b - a) - log_inv_z)
-            for a, b in zip(bounds[:-1], bounds[1:])
-        ]
-    )
+    # ratios over their mean are at most k, and their batch means stay O(1)
+    rel_batch_means = np.add.reduceat(np.exp(log_ratio - log_inv_z), bounds[:-1]) / np.diff(bounds)
     rel_se = (
         float(np.std(rel_batch_means, ddof=1) / np.sqrt(n_batches)) if n_batches > 1 else 0.0
     )

@@ -30,19 +30,22 @@ def sample_direction(d: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("d must be >= 1")
     while True:
         eta = rng.standard_normal(d)
-        norm = float(np.linalg.norm(eta))
+        norm = float(np.sqrt(np.sum(eta * eta)))
         if norm > 0.0:
             return eta / norm
 
 
 def sample_direction_pairs(d: int, n_pairs: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack n_pairs antithetic direction pairs (e, -e) into a (2*n_pairs, d) array."""
-    out = np.empty((2 * n_pairs, d))
-    for i in range(n_pairs):
-        e = sample_direction(d, rng)
-        out[2 * i] = e
-        out[2 * i + 1] = -e
-    return out
+    """Stack n_pairs antithetic direction pairs (e, -e) into a (2*n_pairs, d) array.
+
+    The e rows come from one normal draw: the stream of n_pairs ``sample_direction`` calls.
+    """
+    eta = rng.standard_normal((n_pairs, d))
+    norms = np.sqrt(np.sum(eta * eta, axis=1))
+    for i in np.flatnonzero(norms == 0.0):
+        eta[i], norms[i] = sample_direction(d, rng), 1.0
+    e = eta / norms[:, None]
+    return np.stack([e, -e], axis=1).reshape(2 * n_pairs, d)
 
 
 def chi_moment(d: int, k: int) -> float:

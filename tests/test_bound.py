@@ -161,12 +161,17 @@ class TestMinConditionalCurvature:
             assert value == pytest.approx(reference, rel=1e-6, abs=1e-9)
 
     def test_batched_rows_match_scalar_and_flag_non_finite(self):
-        d3 = np.array([0.3, -0.2, 0.0, np.nan, 1.0, -0.5])
-        d4 = np.array([0.1, 0.4, 0.0, 0.1, 0.0, 0.0])
+        # exactly quadratic rows (0, 0) between ordinary and non-finite ones
+        d3 = np.array([0.3, 0.0, -0.2, 0.0, 0.0, np.nan, 1.0, -0.5, 0.2, 0.0, 0.0, -0.0])
+        d4 = np.array([0.1, 0.0, 0.4, 0.0, 0.3, 0.1, 0.0, 0.0, np.inf, np.nan, 0.0, 0.0])
         floors = min_conditional_curvature(5, d3, d4)
-        for i in (0, 1, 2, 4, 5):
-            assert floors[i] == min_conditional_curvature(5, d3[i], d4[i])
-        assert np.isnan(floors[3])
+        scalar = [min_conditional_curvature(5, a, b) for a, b in zip(d3, d4)]
+        np.testing.assert_array_equal(floors, scalar)
+        np.testing.assert_array_equal(
+            min_conditional_curvature(5, d3.reshape(3, 4), d4.reshape(3, 4)), floors.reshape(3, 4)
+        )
+        assert np.all(np.isnan(floors[[5, 8, 9]]))
+        assert np.all(floors[[1, 3, 10, 11]] == radial_min_curvature(5))
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -266,10 +271,35 @@ class TestEps2Bound:
         assert eps2_bound(5, 2.0) == pytest.approx(2 * eps2_bound(5, 1.0), rel=1e-15)
 
 
+def _loop_log_moment(x):
+    centered = 2.0 * (x - x.mean())
+    top = centered.max()
+    return 0.5 * (top + np.log(np.sum(np.exp(centered - top))) - np.log(x.size))
+
+
+def _loop_jackknife(xis, eps1, pair_size):
+    """Jackknife standard errors of the two direction terms, one block at a time."""
+
+    def jackknife_se(loo):
+        loo = np.array(loo)
+        return np.sqrt((loo.size - 1) / loo.size * np.sum((loo - loo.mean()) ** 2))
+
+    m = xis.size
+    keep = [np.r_[0:p * pair_size, (p + 1) * pair_size:m] for p in range(m // pair_size)]
+    return (
+        jackknife_se([_loop_log_moment(xis[k]) for k in keep]),
+        jackknife_se([np.mean(eps1[k] ** 2) + np.mean(eps1[k]) for k in keep]),
+    )
+
+
 class TestDirectionKlBound:
     def test_constant_xi_gives_exact_zero_term(self):
-        terms = direction_kl_bound(np.full(8, 0.37), np.zeros(8), pair_size=2)
-        assert terms.log_moment_term == 0.0
+        # 14: seven blocks, and numpy's mean of fourteen 0.37s (or 0.1s) is inexact
+        for m in (8, 14):
+            terms = direction_kl_bound(np.full(m, 0.37), np.full(m, 0.1), pair_size=2)
+            assert terms.log_moment_term == 0.0
+            assert terms.log_moment_term_se == 0.0
+            assert terms.eps1_correction_se == 0.0
 
     def test_two_point_closed_form(self):
         a = 0.4
@@ -289,32 +319,31 @@ class TestDirectionKlBound:
         assert terms.eps1_sq_term == pytest.approx((0.01 + 0.09) / 2, rel=1e-15)
         assert terms.eps1_correction == pytest.approx(terms.cond_term + terms.eps1_sq_term)
 
-    @pytest.mark.parametrize("pair_size", [1, 2, 4])
-    @pytest.mark.parametrize("mask_elements", [bound_module.JACKKNIFE_ELEMENTS, 200])
-    def test_jackknife_matches_loop_oracle(self, pair_size, mask_elements, monkeypatch):
-        # 200 elements hold three of the 64-wide masks: every chunk size path runs
-        monkeypatch.setattr(bound_module, "JACKKNIFE_ELEMENTS", mask_elements)
+    @pytest.mark.parametrize(
+        "m, pair_size",
+        # 33, 66 and 132 directions give an odd block count
+        [(64, 1), (64, 2), (64, 4), (4096, 1), (4096, 2), (4096, 4), (33, 1), (66, 2), (132, 4)],
+    )
+    def test_jackknife_matches_loop_oracle(self, m, pair_size):
         rng = np.random.default_rng(12)
-        xis = rng.normal(0.0, 0.4, size=64)
-        eps1 = rng.uniform(0.0, 0.2, size=64)
+        xis = rng.normal(0.0, 0.4, size=m)
+        eps1 = rng.uniform(0.0, 0.2, size=m)
         terms = direction_kl_bound(xis, eps1, pair_size)
-
-        def log_moment(x):
-            centered = 2.0 * (x - x.mean())
-            return 0.5 * (np.log(np.sum(np.exp(centered))) - np.log(x.size))
-
-        def jackknife_se(loo):
-            loo = np.array(loo)
-            return np.sqrt((loo.size - 1) / loo.size * np.sum((loo - loo.mean()) ** 2))
-
-        blocks = range(64 // pair_size)
-        keep = [np.r_[0:p * pair_size, (p + 1) * pair_size:64] for p in blocks]
-        loo_xi = [log_moment(xis[k]) for k in keep]
-        loo_eps1 = [np.mean(eps1[k] ** 2) + np.mean(eps1[k]) for k in keep]
-        assert terms.log_moment_term == pytest.approx(log_moment(xis), rel=1e-12)
+        log_moment_se, eps1_se = _loop_jackknife(xis, eps1, pair_size)
+        assert terms.log_moment_term == pytest.approx(_loop_log_moment(xis), rel=1e-12)
         assert terms.eps1_correction == pytest.approx(np.mean(eps1**2) + np.mean(eps1), rel=1e-12)
-        assert terms.log_moment_term_se == pytest.approx(jackknife_se(loo_xi), rel=1e-12)
-        assert terms.eps1_correction_se == pytest.approx(jackknife_se(loo_eps1), rel=1e-12)
+        assert terms.log_moment_term_se == pytest.approx(log_moment_se, rel=1e-12)
+        assert terms.eps1_correction_se == pytest.approx(eps1_se, rel=1e-12)
+
+    def test_jackknife_finite_when_one_block_dominates(self):
+        # leaving the top block out leaves only terms exp(-800) of it
+        xis = np.array([0.0] * 62 + [400.0, 400.0])
+        eps1 = np.linspace(0.0, 0.1, 64)
+        terms = direction_kl_bound(xis, eps1, pair_size=2)
+        log_moment_se, eps1_se = _loop_jackknife(xis, eps1, 2)
+        assert np.isfinite(log_moment_se)
+        assert terms.log_moment_term_se == pytest.approx(log_moment_se, rel=1e-12)
+        assert terms.eps1_correction_se == pytest.approx(eps1_se, rel=1e-12)
 
     def test_single_block_has_no_standard_error(self):
         terms = direction_kl_bound(np.array([0.1, -0.1]), np.zeros(2), pair_size=2)

@@ -1,5 +1,7 @@
 """Chain behavior, normalizing-constant estimation, and the KL pipeline."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,9 @@ class TestEstimateKl:
         payload = est.to_json_dict()
         for key in ("kl", "se", "inv_z", "inv_z_se", "k", "k2", "acceptance_rate", "config"):
             assert key in payload
+        # no chain ran, so the acceptance rate is undefined: null, not NaN
+        assert payload["acceptance_rate"] is None
+        json.loads(json.dumps(payload, allow_nan=False))
 
     def test_non_finite_phi_at_a_draw_raises_structured_error(self):
         # before, the infinite phi averaged into an infinite kl, silently

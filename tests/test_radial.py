@@ -65,6 +65,33 @@ class TestSampleDirection:
         assert pairs.shape == (10, 3)
         np.testing.assert_array_equal(pairs[0::2], -pairs[1::2])
 
+    @pytest.mark.parametrize("d", [1, 3, 50])
+    def test_pairs_follow_the_single_direction_stream(self, d):
+        pairs = sample_direction_pairs(d, 64, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        singles = np.array([sample_direction(d, rng) for _ in range(64)])
+        np.testing.assert_allclose(pairs[0::2], singles, rtol=1e-15, atol=0.0)
+        assert np.all(np.isfinite(pairs))
+        assert np.all(np.any(pairs != 0.0, axis=1))
+
+    def test_pairs_redraw_a_zero_row(self):
+        class FirstRowZero:
+            def __init__(self):
+                self.rng = np.random.default_rng(3)
+                self.calls = 0
+
+            def standard_normal(self, size):
+                eta = self.rng.standard_normal(size)
+                if self.calls == 0:
+                    eta[0] = 0.0
+                self.calls += 1
+                return eta
+
+        rng = FirstRowZero()
+        pairs = sample_direction_pairs(3, 4, rng)
+        assert rng.calls == 2
+        np.testing.assert_allclose(np.linalg.norm(pairs, axis=1), 1.0, rtol=1e-15)
+
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             sample_direction(0, np.random.default_rng(0))
