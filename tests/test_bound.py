@@ -1,5 +1,7 @@
 """Direction diagnostics, curvature floors, and the assembled KL certificates."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -277,19 +279,38 @@ def _loop_log_moment(x):
     return 0.5 * (top + np.log(np.sum(np.exp(centered - top))) - np.log(x.size))
 
 
+def _jackknife_se(loo):
+    loo = np.array(loo)
+    return np.sqrt((loo.size - 1) / loo.size * np.sum((loo - loo.mean()) ** 2))
+
+
 def _loop_jackknife(xis, eps1, pair_size):
     """Jackknife standard errors of the two direction terms, one block at a time."""
-
-    def jackknife_se(loo):
-        loo = np.array(loo)
-        return np.sqrt((loo.size - 1) / loo.size * np.sum((loo - loo.mean()) ** 2))
-
     m = xis.size
     keep = [np.r_[0:p * pair_size, (p + 1) * pair_size:m] for p in range(m // pair_size)]
     return (
-        jackknife_se([_loop_log_moment(xis[k]) for k in keep]),
-        jackknife_se([np.mean(eps1[k] ** 2) + np.mean(eps1[k]) for k in keep]),
+        _jackknife_se([_loop_log_moment(xis[k]) for k in keep]),
+        _jackknife_se([np.mean(eps1[k] ** 2) + np.mean(eps1[k]) for k in keep]),
     )
+
+
+def _loop_jackknife_by_subtraction(xis, eps1, pair_size):
+    """``_loop_jackknife`` in O(m): each leave-one-block-out sum is a correctly
+    rounded total less the block's own terms. The log-moments drop the
+    constant 0.5 log(total) shared by every block, which the jackknife does
+    not see and whose rounding would swamp their spread at large m."""
+    m = xis.size
+    kept = m - pair_size
+    columns = [np.exp(2.0 * (xis - xis.max())), xis, eps1 * eps1, eps1]
+    totals = [math.fsum(c) for c in columns]
+    columns = [c.tolist() for c in columns]
+    loo_log_moment, loo_eps1 = [], []
+    for lo in range(0, m, pair_size):
+        exp_b, xi_b, sq_b, eps1_b = (math.fsum(c[lo:lo + pair_size]) for c in columns)
+        loo_mean = (totals[1] - xi_b) / kept
+        loo_log_moment.append(0.5 * math.log1p(-exp_b / totals[0]) - loo_mean)
+        loo_eps1.append((totals[2] - sq_b) / kept + (totals[3] - eps1_b) / kept)
+    return _jackknife_se(loo_log_moment), _jackknife_se(loo_eps1)
 
 
 class TestDirectionKlBound:
@@ -321,19 +342,24 @@ class TestDirectionKlBound:
 
     @pytest.mark.parametrize(
         "m, pair_size",
-        # 33, 66 and 132 directions give an odd block count
-        [(64, 1), (64, 2), (64, 4), (4096, 1), (4096, 2), (4096, 4), (33, 1), (66, 2), (132, 4)],
+        # 33, 66 and 132 directions give an odd block count; at 2^18 directions
+        # recomputing every block's estimate is out of reach, so only the O(m)
+        # oracle runs there, checked against the direct one at every smaller m
+        [(64, 1), (64, 2), (64, 4), (200, 1), (200, 2), (200, 4), (4096, 1), (4096, 2), (4096, 4)]
+        + [(33, 1), (66, 2), (132, 4), (262144, 1), (262144, 2), (262144, 4)],
     )
     def test_jackknife_matches_loop_oracle(self, m, pair_size):
         rng = np.random.default_rng(12)
         xis = rng.normal(0.0, 0.4, size=m)
         eps1 = rng.uniform(0.0, 0.2, size=m)
         terms = direction_kl_bound(xis, eps1, pair_size)
-        log_moment_se, eps1_se = _loop_jackknife(xis, eps1, pair_size)
+        oracles = [_loop_jackknife_by_subtraction] + ([_loop_jackknife] if m <= 4096 else [])
         assert terms.log_moment_term == pytest.approx(_loop_log_moment(xis), rel=1e-12)
         assert terms.eps1_correction == pytest.approx(np.mean(eps1**2) + np.mean(eps1), rel=1e-12)
-        assert terms.log_moment_term_se == pytest.approx(log_moment_se, rel=1e-12)
-        assert terms.eps1_correction_se == pytest.approx(eps1_se, rel=1e-12)
+        for oracle in oracles:
+            log_moment_se, eps1_se = oracle(xis, eps1, pair_size)
+            assert terms.log_moment_term_se == pytest.approx(log_moment_se, rel=1e-12)
+            assert terms.eps1_correction_se == pytest.approx(eps1_se, rel=1e-12)
 
     def test_jackknife_finite_when_one_block_dominates(self):
         # leaving the top block out leaves only terms exp(-800) of it
