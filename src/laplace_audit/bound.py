@@ -17,14 +17,15 @@ variable. Averaging over sampled directions assembles two certificates:
   plus the conditional-KL corrections.
 
 ``audit`` wires the full pipeline (mode search, fit, log-concavity check,
-direction sampling, assembly) into a reproducible report. Log-concavity is
-proven when the model gives ``hessian_eigenvalue_floor`` (both built-ins
-do), and otherwise sampled by ``logconcavity_spotcheck``. It treats all m
-sampled directions, one normal draw, in O(m) array passes: one
-``TargetModel.ray_batch`` call gives delta3, the analytic delta4 bound and
-the ray values on the quadrature nodes for the (m x d) direction matrix; the
-curvature floor, the conditional-KL bound and the ELBO proxy are array
-expressions over it (``min_conditional_curvature`` and
+direction sampling, assembly) into a reproducible report that always
+carries both certificates, since both come from the same direction pass.
+Log-concavity is proven when the model gives ``hessian_eigenvalue_floor``
+(both built-ins do), and otherwise sampled by ``logconcavity_spotcheck``.
+It treats all m sampled directions, one normal draw, in O(m) array passes:
+one ``TargetModel.ray_batch`` call gives delta3, the analytic delta4 bound
+and the ray values on the quadrature nodes for the (m x d) direction
+matrix; the curvature floor, the conditional-KL bound and the ELBO proxy are
+array expressions over it (``min_conditional_curvature`` and
 ``conditional_kl_bound`` take one value or an array);
 ``direction_kl_bound``'s jackknife scans per-block sums. The curvature floor
 is minimized exactly, at the real roots of its derivative. The one-direction
@@ -142,15 +143,13 @@ def _curvature_floor_poly(r, d, d3, d4):
     return (2.0 * d - 1.0) / r + r * (6.0 + r * (5.0 * d3 - (7.0 / 3.0) * (d4 * r)))
 
 
-def min_conditional_curvature(d: int, delta3, delta4, boundary_term: str = "lemma"):
+def min_conditional_curvature(d: int, delta3, delta4):
     """Lower bound on the minimum curvature of the conditional z-law.
 
     Combines the polynomial floor (2d-1)/z^2 + 6 z^2 + 5*delta3*z^4
     - (7/3)*delta4*z^6 over the region where the quadratic Taylor control of
-    the ray still gives information (z^2 <= r0), with a flat floor beyond r0
-    derived from monotonicity. ``boundary_term="derivation"`` switches the
-    flat floor from r0 + delta3 r0^2 - delta4 r0^3/3 to the larger
-    2 r0 + delta3 r0^2 - delta4 r0^3/3; the smaller default is conservative.
+    the ray still gives information (z^2 <= r0), with the lemma's flat floor
+    r0 + delta3 r0^2 - delta4 r0^3/3 beyond r0, derived from monotonicity.
 
     Takes one (delta3, delta4) pair or arrays of them, and returns a float
     or an array to match. The floor's stationary points on r = z^2 > 0 are
@@ -172,8 +171,6 @@ def min_conditional_curvature(d: int, delta3, delta4, boundary_term: str = "lemm
         raise ValueError("d must be >= 1")
     if np.any(np.asarray(delta4) < 0):
         raise ValueError("delta4 must be nonnegative")
-    if boundary_term not in ("lemma", "derivation"):
-        raise ValueError("boundary_term must be 'lemma' or 'derivation'")
     d3, d4 = np.broadcast_arrays(np.asarray(delta3, dtype=float), np.asarray(delta4, dtype=float))
     out = np.full(d3.shape, radial_min_curvature(d))
     rows = (d3 != 0.0) | (d4 != 0.0)
@@ -210,8 +207,6 @@ def min_conditional_curvature(d: int, delta3, delta4, boundary_term: str = "lemm
             # delta3*r0 stay bounded even when r0 is astronomically large
             r0 * (1.0 + r0 * (d3 - (d4 * r0) / 3.0)),
         )
-    if boundary_term == "derivation":
-        flat = flat + r0
     floor = np.where(np.isfinite(r0), np.minimum(floor, flat), floor)
     out[rows] = np.where(finite, floor, np.nan)
     return float(out) if out.ndim == 0 else out
@@ -309,7 +304,9 @@ class DirectionKlTerms:
 
 
 def _log_moment(xis: np.ndarray) -> float:
-    return 0.5 * float(_logsumexp(2.0 * (xis - xis.mean())) - np.log(xis.shape[0]))
+    # centered on the maximum, which is exact, so constant xis give exactly 0
+    shifted = xis - xis.max()
+    return 0.5 * (_logsumexp(2.0 * shifted) - math.log(xis.shape[0])) - float(shifted.mean())
 
 
 def _jackknife_se(loo: np.ndarray) -> float:
@@ -407,15 +404,12 @@ class AuditConfig:
     n_directions: int = 256
     quadrature_nodes: int = QUADRATURE_NODES
     seed: int = 0
-    bound_form: str = "both"
 
     def validate(self) -> None:
         if self.n_directions < 2 or self.n_directions % 2 != 0:
             raise ValueError("n_directions must be an even integer >= 2")
         if self.quadrature_nodes < 16:
             raise ValueError("quadrature_nodes must be at least 16")
-        if self.bound_form not in ("approx", "detailed", "both"):
-            raise ValueError("bound_form must be 'approx', 'detailed' or 'both'")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -423,20 +417,24 @@ class AuditConfig:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Assembled certificate values with per-term breakdown and provenance."""
+    """Assembled certificate values with per-term breakdown and provenance.
+
+    Both certificates are always present. A standard error that is undefined
+    (one antithetic pair or one jackknife block) is NaN, written as null.
+    """
 
     d: int
     n_directions: int
     seed: int
     mean_delta3_sq: float
     se_delta3_sq: float
-    approx_bound: float | None
-    detailed_bound: float | None
-    e_term: float | None
-    e_term_se: float | None
-    cond_term: float | None
-    eps1_term: float | None
-    eps1_correction_se: float | None
+    approx_bound: float
+    detailed_bound: float
+    e_term: float
+    e_term_se: float
+    cond_term: float
+    eps1_term: float
+    eps1_correction_se: float
     invalid_directions: int
     delta4_mode_counts: dict
     spotcheck: dict
@@ -504,20 +502,22 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
     """Run the full certificate pipeline on one target.
 
     Mode search, Hessian factorization, log-concavity check, antithetic
-    direction sampling, per-direction diagnostics, and assembly of the
-    requested bound forms. The report's ``spotcheck`` says how log-concavity
-    was checked: ``"method": "proven"`` when the model's
-    ``hessian_eigenvalue_floor`` is not None (no Hessian is sampled, and
-    ``min_eigenvalue`` is that floor), ``"sampled"`` with
+    direction sampling, per-direction diagnostics, and assembly of both
+    certificates, the third-derivative ``approx_bound`` and the
+    ``detailed_bound``, from the one ``ray_batch`` pass. The report's
+    ``spotcheck`` says how log-concavity was checked: ``"method": "proven"``
+    when the model's ``hessian_eigenvalue_floor`` is not None (no Hessian is
+    sampled, and ``min_eigenvalue`` is that floor), ``"sampled"`` with
     ``logconcavity_spotcheck``'s counts otherwise. The radius average uses
     ``config.quadrature_nodes`` nodes of ``chi_quadrature``. Deterministic
     given the config seed; per-direction work is independent and reduced in
     fixed index order. ``model`` must be a ``TargetModel`` subclass, since
     its ``ray_batch`` supplies every per-direction quantity.
 
-    Directions whose curvature floor is nonpositive are excluded from the
-    detailed bound and counted in ``invalid_directions``; if every direction
-    is invalid an AssumptionViolationError carries the partial report data.
+    Directions whose curvature floor is nonpositive, or whose ray values are
+    not finite, are excluded from the detailed bound and counted in
+    ``invalid_directions``; if fewer than two directions are valid an
+    AssumptionViolationError carries the partial report data.
     """
     config = config or AuditConfig()
     config.validate()
@@ -525,12 +525,11 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
         fit = fit_laplace(model)
     spotcheck = _logconcavity_check(model, fit, config.seed)
     d = model.dim
-    need_detailed = config.bound_form in ("detailed", "both")
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_DIR_STREAM,)))
     directions = sample_direction_pairs(d, config.n_directions // 2, rng)
 
     vs = _whiten(fit, directions)
-    rs = chi_quadrature(d, config.quadrature_nodes)[0] if need_detailed else None
+    rs = chi_quadrature(d, config.quadrature_nodes)[0]
     batch = model.ray_batch(fit.theta_star, vs, rs)
     d3 = batch.delta3
     d4, d4_mode = _delta4s(model, fit, vs, batch.delta4)
@@ -540,12 +539,11 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
     valid = mc > 0.0
     ckl = np.full(d3.shape, np.nan)
     ckl[valid] = conditional_kl_bound(d, d3[valid], d4[valid], mc[valid])
+    finite = np.all(np.isfinite(batch.values), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if need_detailed:
-            finite = np.all(np.isfinite(batch.values), axis=1)
-            xi = _xi_values(fit, batch.values, config.quadrature_nodes)
-            xi = np.where(exact, 0.0, np.where(finite, xi, np.nan))
-            valid &= exact | finite
+        xi = _xi_values(fit, batch.values, config.quadrature_nodes)
+    xi = np.where(exact, 0.0, np.where(finite, xi, np.nan))
+    valid &= exact | finite
 
     delta3_sq = d3 * d3
     pair_vals = delta3_sq[0::2]
@@ -555,29 +553,17 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
         float(np.std(pair_vals, ddof=1) / np.sqrt(n_pairs)) if n_pairs > 1 else float("nan")
     )
 
-    approx = None
-    if config.bound_form in ("approx", "both"):
-        approx = approximate_bound(mean_delta3_sq, d)
-
-    detailed = e_term = e_term_se = cond_term = eps1_term = eps1_se = None
     invalid = int(np.count_nonzero(~valid))
-    if need_detailed:
-        if np.count_nonzero(valid) < 2:
-            raise AssumptionViolationError(
-                "all sampled directions fall outside the certificate's validity range",
-                details={
-                    "invalid_directions": invalid,
-                    "n_directions": config.n_directions,
-                    "mean_delta3_sq": mean_delta3_sq,
-                },
-            )
-        terms = direction_kl_bound(xi[valid], ckl[valid], pair_size=2 if invalid == 0 else 1)
-        e_term = terms.log_moment_term
-        e_term_se = terms.log_moment_term_se
-        cond_term = terms.cond_term
-        eps1_term = terms.eps1_sq_term
-        eps1_se = terms.eps1_correction_se
-        detailed = e_term + eps1_term + cond_term
+    if np.count_nonzero(valid) < 2:
+        raise AssumptionViolationError(
+            "all sampled directions fall outside the certificate's validity range",
+            details={
+                "invalid_directions": invalid,
+                "n_directions": config.n_directions,
+                "mean_delta3_sq": mean_delta3_sq,
+            },
+        )
+    terms = direction_kl_bound(xi[valid], ckl[valid], pair_size=2 if invalid == 0 else 1)
 
     report = BoundReport(
         d=d,
@@ -585,13 +571,13 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
         seed=config.seed,
         mean_delta3_sq=mean_delta3_sq,
         se_delta3_sq=se_delta3_sq,
-        approx_bound=approx,
-        detailed_bound=detailed,
-        e_term=e_term,
-        e_term_se=e_term_se,
-        cond_term=cond_term,
-        eps1_term=eps1_term,
-        eps1_correction_se=eps1_se,
+        approx_bound=approximate_bound(mean_delta3_sq, d),
+        detailed_bound=terms.log_moment_term + terms.eps1_sq_term + terms.cond_term,
+        e_term=terms.log_moment_term,
+        e_term_se=terms.log_moment_term_se,
+        cond_term=terms.cond_term,
+        eps1_term=terms.eps1_sq_term,
+        eps1_correction_se=terms.eps1_correction_se,
         invalid_directions=invalid,
         delta4_mode_counts={d4_mode: config.n_directions},
         spotcheck=spotcheck,
@@ -603,7 +589,7 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
         config=config.to_json_dict(),
     )
     for value in (report.mean_delta3_sq, report.approx_bound, report.detailed_bound):
-        if value is not None and not np.isfinite(value):
+        if not np.isfinite(value):
             raise AssumptionViolationError(
                 "non-finite value in assembled bound report",
                 details={"report": report.to_json_dict()},

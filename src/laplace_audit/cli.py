@@ -36,7 +36,6 @@ from .models import (
     random_gaussian_model,
     save_dataset_csv,
 )
-from .radial import QUADRATURE_NODES
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -116,7 +115,6 @@ def _cmd_audit(args, parser) -> int:
         n_directions=args.directions,
         quadrature_nodes=args.nodes,
         seed=args.seed,
-        bound_form=args.bound,
     )
     report = audit(model, config)
     _emit(report.to_json_dict(), args.out, args.format, args.pretty)
@@ -169,9 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="compute the KL certificate for one target")
     _add_model_flags(p_audit)
-    p_audit.add_argument("--directions", type=int, default=256)
-    p_audit.add_argument("--nodes", type=int, default=QUADRATURE_NODES)
-    p_audit.add_argument("--bound", choices=("approx", "detailed", "both"), default="both")
+    p_audit.add_argument("--directions", type=int, default=AuditConfig.n_directions)
+    p_audit.add_argument("--nodes", type=int, default=AuditConfig.quadrature_nodes)
     p_audit.add_argument("--out")
     p_audit.add_argument("--format", choices=("json", "csv"), default="json")
     p_audit.add_argument("--pretty", action="store_true")

@@ -23,7 +23,6 @@ from .errors import AssumptionViolationError, MapNotConvergedError, NonFiniteObj
 from .laplace import fit_laplace
 from .mcmc import estimate_true_kl, get_preset
 from .models import SyntheticDatasetConfig, generate_dataset, random_gaussian_model
-from .radial import QUADRATURE_NODES
 
 _DATA_STREAM = 0
 _AUDIT_STREAM = 1
@@ -90,19 +89,26 @@ class ExperimentSpec:
     rows: tuple
     replicates: int
     seed: int
-    n_directions: int = 256
-    quadrature_nodes: int = QUADRATURE_NODES
-    bound_form: str = "both"
+    n_directions: int = AuditConfig.n_directions
+    quadrature_nodes: int = AuditConfig.quadrature_nodes
     mcmc_preset: str = "desk"
     estimate_truth: bool = True
 
     def validate(self) -> None:
+        """Check every setting before any cell runs, truth or not."""
         if not self.rows:
             raise ValueError("spec needs at least one row")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         for row in self.rows:
             row.validate()
+        self.audit_config(0).validate()
+        get_preset(self.mcmc_preset)
+
+    def audit_config(self, seed: int) -> AuditConfig:
+        return AuditConfig(
+            n_directions=self.n_directions, quadrature_nodes=self.quadrature_nodes, seed=seed
+        )
 
     def to_json_dict(self) -> dict:
         out = asdict(self)
@@ -181,26 +187,16 @@ def _run_cell(spec: ExperimentSpec, row_idx: int, replicate: int) -> ReplicateRe
             dataset = generate_dataset(SyntheticDatasetConfig(d=row.d, n=row.n, seed=data_seed))
             model = dataset.model(row.sigma0)
         fit = fit_laplace(model)
-        report = audit(
-            model,
-            AuditConfig(
-                n_directions=spec.n_directions,
-                quadrature_nodes=spec.quadrature_nodes,
-                seed=audit_seed,
-                bound_form=spec.bound_form,
-            ),
-            fit=fit,
-        )
+        report = audit(model, spec.audit_config(audit_seed), fit=fit)
         kl = kl_se = nan
         if spec.estimate_truth:
             estimate = estimate_true_kl(model, fit, get_preset(spec.mcmc_preset, chain_seed))
             kl, kl_se = estimate.kl, estimate.standard_error
-        approx = report.approx_bound if report.approx_bound is not None else nan
-        detailed = report.detailed_bound if report.detailed_bound is not None else nan
-        efficiency = kl / approx if (approx and approx > 0 and math.isfinite(kl)) else nan
+        approx = report.approx_bound
+        efficiency = kl / approx if (approx > 0 and math.isfinite(kl)) else nan
         return ReplicateResult(
-            **cell, kl=kl, kl_se=kl_se, approx_bound=approx, detailed_bound=detailed,
-            efficiency=efficiency, status="ok",
+            **cell, kl=kl, kl_se=kl_se, approx_bound=approx,
+            detailed_bound=report.detailed_bound, efficiency=efficiency, status="ok",
         )
     except (AssumptionViolationError, MapNotConvergedError, NonFiniteObjectiveError) as exc:
         return ReplicateResult(

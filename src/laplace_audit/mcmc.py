@@ -134,10 +134,9 @@ class ChainResult:
 class KLEstimate:
     """Sampling-based estimate of KL(g, f) with its error budget.
 
-    The reciprocal normalizing constant is carried as ``log_inv_z`` with a
-    *relative* standard error, because 1/Z overflows double precision already
-    at moderate dimensions; ``inv_z``/``inv_z_se`` are the exponentiated
-    values where representable.
+    The reciprocal normalizing constant is carried only as ``log_inv_z``
+    with a *relative* standard error ``inv_z_rel_se``, because 1/Z overflows
+    double precision already at moderate dimensions.
     """
 
     kl: float
@@ -149,21 +148,11 @@ class KLEstimate:
     acceptance_rate: float
     config: dict
 
-    @property
-    def inv_z(self) -> float:
-        return float(np.exp(self.log_inv_z))
-
-    @property
-    def inv_z_se(self) -> float:
-        return float(self.inv_z * self.inv_z_rel_se)
-
     def to_json_dict(self) -> dict:
         """The estimate as a JSON payload; a non-finite number is null."""
         return json_ready({
             "kl": self.kl,
             "se": self.standard_error,
-            "inv_z": self.inv_z,
-            "inv_z_se": self.inv_z_se,
             "log_inv_z": self.log_inv_z,
             "inv_z_rel_se": self.inv_z_rel_se,
             "k": self.k,

@@ -142,11 +142,6 @@ class TestMinConditionalCurvature:
         grid_min = (9.0 / rs + 6.0 * rs + 5.0 * rs**2).min()
         assert value == pytest.approx(grid_min, abs=1e-8)
 
-    def test_boundary_term_variants_ordered(self):
-        lemma = min_conditional_curvature(5, 0.0, 0.5, boundary_term="lemma")
-        deriv = min_conditional_curvature(5, 0.0, 0.5, boundary_term="derivation")
-        assert lemma <= deriv
-
     def test_matches_independent_scan_with_boundary(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -178,8 +173,6 @@ class TestMinConditionalCurvature:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             min_conditional_curvature(3, 0.0, -1.0)
-        with pytest.raises(ValueError):
-            min_conditional_curvature(3, 0.0, 0.0, boundary_term="other")
 
 
 class TestConditionalKlBound:
@@ -315,8 +308,9 @@ def _loop_jackknife_by_subtraction(xis, eps1, pair_size):
 
 class TestDirectionKlBound:
     def test_constant_xi_gives_exact_zero_term(self):
-        # 14: seven blocks, and numpy's mean of fourteen 0.37s (or 0.1s) is inexact
-        for m in (8, 14):
+        # 14: seven blocks, and numpy's mean of fourteen 0.37s (or 0.1s) is
+        # inexact; 26: the mean of 26 0.37s is inexact too
+        for m in (8, 14, 26):
             terms = direction_kl_bound(np.full(m, 0.37), np.full(m, 0.1), pair_size=2)
             assert terms.log_moment_term == 0.0
             assert terms.log_moment_term_se == 0.0
@@ -522,8 +516,8 @@ class TestAudit:
 
         def forcing(rows, value):
             # the floor of the chosen rows becomes the nonpositive ``value``
-            def forced(d, d3, d4, boundary_term="lemma"):
-                out = floors(d, d3, d4, boundary_term).copy()
+            def forced(d, d3, d4):
+                out = floors(d, d3, d4).copy()
                 out[rows] = value
                 return out
 
@@ -627,11 +621,6 @@ class TestAudit:
         with pytest.raises(ValueError, match="hessian_eigenvalue_floor"):
             audit(WrongFloor(0.5), AuditConfig(n_directions=16))
 
-    def test_bound_form_approx_skips_detailed(self, logistic_tiny):
-        model, fit = logistic_tiny
-        report = audit(model, AuditConfig(n_directions=32, seed=1, bound_form="approx"), fit=fit)
-        assert report.approx_bound is not None and report.detailed_bound is None
-
     def test_mean_delta3_sq_decreases_with_data(self):
         # more data -> more Gaussian posterior; seed-averaged over 10 replicates
         means = {}
@@ -640,10 +629,7 @@ class TestAudit:
             for rep in range(10):
                 dataset = generate_dataset(SyntheticDatasetConfig(d=5, n=n, seed=1000 + rep))
                 model = dataset.model(10.0)
-                report = audit(
-                    model,
-                    AuditConfig(n_directions=64, seed=rep, bound_form="approx"),
-                )
+                report = audit(model, AuditConfig(n_directions=64, seed=rep))
                 vals.append(report.mean_delta3_sq)
             means[n] = float(np.mean(vals))
         assert means[20] > means[100] > means[1000]
@@ -651,8 +637,6 @@ class TestAudit:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AuditConfig(n_directions=7).validate()
-        with pytest.raises(ValueError):
-            AuditConfig(bound_form="best").validate()
 
 
 class TestLsiBound:

@@ -212,9 +212,12 @@ class TestExitCodes:
             main(["audit", "--frobnicate"])
         assert exc_info.value.code == 1
 
-    def test_removed_delta4_mode_flag_exits_one(self):
+    @pytest.mark.parametrize(
+        "flag", [["--delta4-mode", "grid"], ["--bound", "approx"]], ids=["delta4_mode", "bound"]
+    )
+    def test_removed_delta4_mode_flag_exits_one(self, flag):
         with pytest.raises(SystemExit) as exc_info:
-            main(["audit", "--d", "3", "--n", "30", "--delta4-mode", "grid"])
+            main(["audit", "--d", "3", "--n", "30", *flag])
         assert exc_info.value.code == 1
 
     def test_missing_required_args_exit_one(self):
@@ -257,11 +260,15 @@ class TestExitCodes:
             (lambda p: p.update(replicates="2"), "spec key 'replicates' must be an integer"),
             (lambda p: p.update(n_directions=8.0), "spec key 'n_directions' must be an integer"),
             (lambda p: p.update(estimate_truth=0), "key 'estimate_truth' must be true or false"),
+            (lambda p: p.update(bound_form="approx"), "unknown spec key 'bound_form'"),
+            (lambda p: p.update(mcmc_preset="fast"), "unknown mcmc preset 'fast'"),
+            (lambda p: p.update(n_directions=7), "n_directions must be an even integer"),
         ],
         ids=[
             "row_key", "row_missing", "row_type", "spec_key", "spec_missing", "delta4_mode",
             "rows_not_list", "d_string", "d_float", "n_bool", "sigma0_bool", "model_not_string",
-            "replicates_string", "n_directions_float", "estimate_truth_int",
+            "replicates_string", "n_directions_float", "estimate_truth_int", "bound_form",
+            "mcmc_preset", "n_directions_odd",
         ],
     )
     def test_malformed_table_spec_exits_one(self, tmp_path, capsys, change, message):
