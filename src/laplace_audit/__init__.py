@@ -10,7 +10,6 @@ from .bound import (
     AuditConfig,
     BoundReport,
     DirectionKlTerms,
-    LsiBound,
     approximate_bound,
     approximate_bound_coefficient,
     audit,
@@ -19,8 +18,6 @@ from .bound import (
     delta3,
     delta4,
     direction_kl_bound,
-    eps2_bound,
-    lsi_kl_bound,
     min_conditional_curvature,
     xi_elbo,
 )
@@ -66,15 +63,12 @@ from .models import (
     save_dataset_csv,
 )
 from .radial import (
-    RadialLaw,
     chi_moment,
     chi_quadrature,
     chi_quantile,
-    from_theta,
     radial_min_curvature,
     sample_direction,
     sample_direction_pairs,
-    to_theta,
 )
 
 __version__ = "0.1.0"

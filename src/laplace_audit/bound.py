@@ -60,7 +60,6 @@ from .radial import (
 )
 
 _DIR_STREAM = 1
-_LSI_STREAM = 5
 
 DELTA4_GRID_POINTS = 512
 
@@ -256,16 +255,6 @@ def xi_elbo(
     if not np.all(np.isfinite(values)):
         raise NonFiniteObjectiveError("negative log-density non-finite along ray")
     return float(_xi_values(fit, values, quadrature_nodes)[0])
-
-
-def eps2_bound(d: int, delta4):
-    """Bound on the third-order remainder of the ELBO proxy: delta4 E[r^4]/24.
-
-    Takes one delta4 value or an array of them.
-    """
-    if np.any(np.asarray(delta4) < 0):
-        raise ValueError("delta4 must be nonnegative")
-    return delta4 * chi_moment(d, 4) / 24.0
 
 
 def conditional_curvature_profile(fit: LaplaceFit, model: TargetModel, e, zs) -> np.ndarray:
@@ -596,40 +585,3 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
             )
     return report
 
-
-@dataclass(frozen=True)
-class LsiBound:
-    """Strong-log-concavity KL bound estimate with its Monte-Carlo error."""
-
-    value: float
-    standard_error: float
-    n_samples: int
-
-
-def lsi_kl_bound(
-    fit: LaplaceFit,
-    model: TargetModel,
-    beta: float,
-    n_samples: int = 4096,
-    seed: int = 0,
-) -> LsiBound:
-    """Direct KL bound for beta-strongly log-concave targets.
-
-    (1/(2 beta)) E_g ||grad phi_f - grad phi_g||^2, estimated over draws from
-    the fit. The caller asserts beta-strong convexity of the negative
-    log-density; for the logistic posterior beta = sigma0^-2 holds globally.
-    Practically loose, provided as the baseline the direction-based
-    certificate improves on.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_LSI_STREAM,)))
-    eta = rng.standard_normal((n_samples, fit.dim))
-    thetas = fit.theta_star + eta @ fit.sqrt_covariance
-    diff = model.gradient_many(thetas) - (thetas - fit.theta_star) @ fit.hessian_at_mode
-    sq = np.einsum("ij,ij->i", diff, diff)
-    value = float(sq.mean() / (2.0 * beta))
-    se = float(np.std(sq, ddof=1) / np.sqrt(n_samples) / (2.0 * beta))
-    return LsiBound(value=value, standard_error=se, n_samples=n_samples)

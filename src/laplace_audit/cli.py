@@ -58,21 +58,28 @@ def _flatten(payload, prefix=""):
             yield name, value
 
 
-def _emit(payload: dict, out: str | None, fmt: str, pretty: bool) -> None:
-    if fmt == "json":
-        text = json.dumps(payload, indent=2 if pretty else None, allow_nan=False) + "\n"
-    else:
-        lines = ["key,value"]
-        for key, value in _flatten(payload):
-            if isinstance(value, (list, tuple)):
-                value = json.dumps(value)
-            lines.append(f"{key},{value}")
-        text = "\n".join(lines) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+
+
+def _emit(payload: dict, out: str | None, fmt: str, pretty: bool) -> None:
+    if fmt == "json":
+        text = json.dumps(payload, indent=2 if pretty else None, allow_nan=False) + "\n"
+    else:
+        # an undefined number, null in JSON, is NA here as in the table CSV
+        lines = ["key,value"]
+        for key, value in _flatten(payload):
+            if value is None:
+                value = "NA"
+            elif isinstance(value, (list, tuple)):
+                value = json.dumps(value)
+            lines.append(f"{key},{value}")
+        text = "\n".join(lines) + "\n"
+    _write(text, out)
 
 
 def _add_model_flags(parser) -> None:
@@ -143,11 +150,7 @@ def _cmd_table(args, parser) -> int:
         text = json.dumps(
             report.to_json_dict(), indent=2 if args.pretty else None, allow_nan=False
         ) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write(text, args.out)
     return EXIT_OK
 
 

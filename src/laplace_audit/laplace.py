@@ -9,7 +9,6 @@ direction/radius change of variable is written in terms of.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,6 @@ class LaplaceFit:
     hessian_at_mode : H, the Hessian of phi at the mode.
     covariance : Sigma = H^-1.
     sqrt_covariance : symmetric PSD square root S with S @ S = Sigma.
-    sqrt_precision : symmetric H^(1/2), inverse of S.
     log_det_covariance : log det Sigma.
     neg_log_density_at_mode : phi(theta*).
     grad_norm : sup-norm of the gradient at theta*.
@@ -56,7 +54,6 @@ class LaplaceFit:
     hessian_at_mode: np.ndarray
     covariance: np.ndarray
     sqrt_covariance: np.ndarray
-    sqrt_precision: np.ndarray
     log_det_covariance: float
     neg_log_density_at_mode: float
     grad_norm: float
@@ -65,20 +62,6 @@ class LaplaceFit:
     @property
     def dim(self) -> int:
         return self.theta_star.shape[0]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theta_star": self.theta_star.tolist(),
-            "hessian": self.hessian_at_mode.tolist(),
-            "log_det_sigma": self.log_det_covariance,
-            "grad_norm": self.grad_norm,
-            "iterations": self.iterations,
-        }
-
-    def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json_dict(), handle)
-            handle.write("\n")
 
 
 def _newton_step(hess: np.ndarray, grad: np.ndarray):
@@ -170,14 +153,12 @@ def build_fit(model: TargetModel, theta_star, iterations: int = 0) -> LaplaceFit
         )
     cov = (v / w) @ v.T
     sqrt_cov = (v / np.sqrt(w)) @ v.T
-    sqrt_prec = (v * np.sqrt(w)) @ v.T
     grad = model.gradient(theta_star)
     return LaplaceFit(
         theta_star=theta_star,
         hessian_at_mode=h,
         covariance=0.5 * (cov + cov.T),
         sqrt_covariance=0.5 * (sqrt_cov + sqrt_cov.T),
-        sqrt_precision=0.5 * (sqrt_prec + sqrt_prec.T),
         log_det_covariance=float(-np.sum(np.log(w))),
         neg_log_density_at_mode=float(model.neg_log_density(theta_star)),
         grad_norm=float(np.max(np.abs(grad))) if grad.size else 0.0,

@@ -12,7 +12,7 @@ numbers on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -323,10 +323,9 @@ def estimate_true_kl(
     model: TargetModel,
     fit: LaplaceFit,
     preset: TruthPreset,
-    seed: int | None = None,
 ) -> KLEstimate:
     """Full pipeline: chain -> log 1/Z -> KL(g, f), all seeded from one integer."""
-    chain_config = preset.chain if seed is None else replace(preset.chain, seed=seed)
+    chain_config = preset.chain
     chain = run_chain(model, fit, chain_config)
     log_inv_z, rel_se = estimate_log_inv_z(model, fit, chain.samples)
     config_echo = {

@@ -89,9 +89,9 @@ class TargetModel(abc.ABC):
     Subclasses must set ``dim`` and implement ``neg_log_density``,
     ``gradient``, ``hessian`` and ``ray_derivatives``; the last takes one
     offset or an array of them. The vectorized hooks (``ray_batch``,
-    ``neg_log_density_many``, ``gradient_many``) have generic defaults that
-    loop over the scalar methods, and exist so models with structure can
-    avoid per-point Python overhead. ``ray_batch`` is all the certificate's
+    ``neg_log_density_many``) have generic defaults that loop over the
+    scalar methods, and exist so models with structure can avoid per-point
+    Python overhead. ``ray_batch`` is all the certificate's
     direction pass asks of a model: for a block of directions it returns the
     values on the quadrature nodes, delta3 at the base and the analytic
     delta4 bound; ``ray_values`` is its one-direction form. Two optional
@@ -199,10 +199,6 @@ class TargetModel(abc.ABC):
         thetas = np.asarray(thetas, dtype=float)
         return np.array([self.neg_log_density(t) for t in thetas])
 
-    def gradient_many(self, thetas) -> np.ndarray:
-        thetas = np.asarray(thetas, dtype=float)
-        return np.array([self.gradient(t) for t in thetas])
-
 
 class GaussianModel(TargetModel):
     """Multivariate Gaussian target, kept unnormalized.
@@ -280,10 +276,6 @@ class GaussianModel(TargetModel):
     def neg_log_density_many(self, thetas) -> np.ndarray:
         deltas = np.asarray(thetas, dtype=float) - self.mean
         return 0.5 * np.einsum("ij,ij->i", deltas @ self.precision, deltas)
-
-    def gradient_many(self, thetas) -> np.ndarray:
-        deltas = np.asarray(thetas, dtype=float) - self.mean
-        return deltas @ self.precision
 
 
 class LogisticRegressionModel(TargetModel):
@@ -438,14 +430,6 @@ class LogisticRegressionModel(TargetModel):
         out = 0.5 * self._inv_prior_var * np.einsum("ij,ij->i", thetas, thetas)
         for rows, t in self._margin_blocks(thetas):
             out[rows] += _neg_log_expit(t, out=t).sum(axis=1)
-        return out
-
-    def gradient_many(self, thetas) -> np.ndarray:
-        thetas = np.asarray(thetas, dtype=float)
-        out = self._inv_prior_var * thetas
-        for rows, t in self._margin_blocks(thetas):
-            np.negative(t, out=t)
-            out[rows] -= expit(t, out=t) @ self._signed_x
         return out
 
 

@@ -7,14 +7,12 @@ tail enough that the negative log-density of z is strongly convex, which is
 what the conditional KL machinery exploits. This module provides the sphere
 sampler, chi moments and quantiles, the chi quadrature rule that averages
 over the radius (Gauss-Legendre nodes on the span between the 1e-14 and
-1 - 1e-14 chi quantiles, ``QUADRATURE_NODES`` of them by default), the z-law
-density and its curvature floor, and the coordinate maps between theta-space
-and (z, e)-space.
+1 - 1e-14 chi quantiles, ``QUADRATURE_NODES`` of them by default) and the
+curvature floor of the z-law.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -71,31 +69,6 @@ def chi_quantile(d: int, p: float) -> float:
     return float(np.sqrt(2.0 * gammaincinv(0.5 * d, p)))
 
 
-@dataclass(frozen=True)
-class RadialLaw:
-    """Law of z = sqrt(|eta|) for a d-dimensional standard Gaussian eta.
-
-    Density: z^(2d-1) exp(-z^4/2) / (2^(d/2-2) Gamma(d/2)) on z > 0.
-    """
-
-    d: int
-
-    @property
-    def log_normalizer(self) -> float:
-        return (0.5 * self.d - 2.0) * LOG_2 + float(gammaln(0.5 * self.d))
-
-    @property
-    def mode(self) -> float:
-        return (0.5 * (2.0 * self.d - 1.0)) ** 0.25
-
-    def log_density(self, z):
-        z = np.asarray(z, dtype=float)
-        if np.any(z <= 0.0):
-            raise ValueError("the square-root-radius law is supported on z > 0")
-        val = (2.0 * self.d - 1.0) * np.log(z) - 0.5 * z**4 - self.log_normalizer
-        return float(val) if val.ndim == 0 else val
-
-
 def radial_min_curvature(d: int) -> float:
     """Curvature floor 2 sqrt(6) sqrt(2d-1) of the z-law negative log-density.
 
@@ -146,20 +119,3 @@ def chi_quadrature(d: int, nodes: int):
         raise ValueError("nodes must be >= 2")
     return _chi_quadrature_cached(int(d), int(nodes))
 
-
-def to_theta(fit, z: float, e: np.ndarray) -> np.ndarray:
-    """Map (z, e) coordinates back to theta = theta* + z^2 * S e."""
-    if z < 0:
-        raise ValueError("z must be >= 0")
-    e = np.asarray(e, dtype=float)
-    return fit.theta_star + (z * z) * (fit.sqrt_covariance @ e)
-
-
-def from_theta(fit, theta):
-    """Invert ``to_theta``: return (z, e) with e = None at the degenerate center."""
-    theta = np.asarray(theta, dtype=float)
-    u = fit.sqrt_precision @ (theta - fit.theta_star)
-    r = float(np.linalg.norm(u))
-    if r == 0.0:
-        return 0.0, None
-    return float(np.sqrt(r)), u / r

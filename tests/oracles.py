@@ -7,22 +7,15 @@ adaptive quadrature, and distributions from direct sampling.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import expit
+from scipy.special import expit, gammaln
 
 from laplace_audit.laplace import laplace_log_density
 from laplace_audit.models import GaussianModel, TargetModel
-
-
-def central_gradient(f, theta, h=1e-5):
-    theta = np.asarray(theta, dtype=float)
-    grad = np.zeros_like(theta)
-    for j in range(theta.size):
-        step = np.zeros_like(theta)
-        step[j] = h
-        grad[j] = (f(theta + step) - f(theta - step)) / (2 * h)
-    return grad
+from laplace_audit.radial import LOG_2
 
 
 def central_directional(f, theta, v, h=1e-5):
@@ -120,6 +113,31 @@ def quadrature_kl_1d(model: TargetModel, fit, lo=-40.0, hi=40.0):
         limit=400,
     )[0]
     return float(val)
+
+
+@dataclass(frozen=True)
+class RadialLaw:
+    """Law of z = sqrt(|eta|) for a d-dimensional standard Gaussian eta.
+
+    Density: z^(2d-1) exp(-z^4/2) / (2^(d/2-2) Gamma(d/2)) on z > 0.
+    """
+
+    d: int
+
+    @property
+    def log_normalizer(self) -> float:
+        return (0.5 * self.d - 2.0) * LOG_2 + float(gammaln(0.5 * self.d))
+
+    @property
+    def mode(self) -> float:
+        return (0.5 * (2.0 * self.d - 1.0)) ** 0.25
+
+    def log_density(self, z):
+        z = np.asarray(z, dtype=float)
+        if np.any(z <= 0.0):
+            raise ValueError("the square-root-radius law is supported on z > 0")
+        val = (2.0 * self.d - 1.0) * np.log(z) - 0.5 * z**4 - self.log_normalizer
+        return float(val) if val.ndim == 0 else val
 
 
 class SoftplusTilt1D(TargetModel):

@@ -11,8 +11,6 @@ from scipy.integrate import quad
 from laplace_audit import (
     AssumptionViolationError,
     AuditConfig,
-    GaussianModel,
-    RadialLaw,
     SyntheticDatasetConfig,
     TargetModel,
     approximate_bound,
@@ -26,10 +24,8 @@ from laplace_audit import (
     delta3,
     delta4,
     direction_kl_bound,
-    eps2_bound,
     fit_laplace,
     generate_dataset,
-    lsi_kl_bound,
     min_conditional_curvature,
     radial_min_curvature,
     sample_direction,
@@ -38,7 +34,7 @@ from laplace_audit import (
 from laplace_audit import bound as bound_module
 from laplace_audit.bound import _curvature_floor_poly
 
-from oracles import CubicRay1D, SoftplusTilt1D, third_derivative_7pt
+from oracles import CubicRay1D, RadialLaw, SoftplusTilt1D, third_derivative_7pt
 
 
 class NoBoundTilt(SoftplusTilt1D):
@@ -257,13 +253,6 @@ class TestXiElbo:
         model, fit = logistic_small
         with pytest.raises(ValueError):
             xi_elbo(fit, model, np.eye(5)[0], 8)
-
-
-class TestEps2Bound:
-    def test_values(self):
-        assert eps2_bound(5, 0.0) == 0.0
-        assert eps2_bound(5, 1.0) == pytest.approx(35.0 / 24.0, rel=1e-13)
-        assert eps2_bound(5, 2.0) == pytest.approx(2 * eps2_bound(5, 1.0), rel=1e-15)
 
 
 def _loop_log_moment(x):
@@ -637,35 +626,6 @@ class TestAudit:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AuditConfig(n_directions=7).validate()
-
-
-class TestLsiBound:
-    def test_gaussian_matching_fit_is_zero(self, gaussian_5d):
-        # anchor the fit at the exact mean so both gradients agree bitwise
-        model, _ = gaussian_5d
-        fit = build_fit(model, model.mean)
-        assert lsi_kl_bound(fit, model, beta=0.5, n_samples=256).value == 0.0
-
-    def test_weaker_than_detailed_bound_on_logistic(self):
-        dataset = generate_dataset(SyntheticDatasetConfig(d=5, n=1000, seed=7))
-        model = dataset.model(10.0)
-        fit = fit_laplace(model)
-        report = audit(model, AuditConfig(n_directions=128, seed=3), fit=fit)
-        lsi = lsi_kl_bound(fit, model, beta=1e-2, n_samples=4096, seed=1)
-        assert lsi.value > report.detailed_bound
-        assert lsi.value > report.approx_bound
-
-    def test_estimate_stabilizes_with_more_samples(self, logistic_small):
-        model, fit = logistic_small
-        a = lsi_kl_bound(fit, model, beta=1e-2, n_samples=4096, seed=5)
-        b = lsi_kl_bound(fit, model, beta=1e-2, n_samples=8192, seed=6)
-        combined = np.hypot(a.standard_error, b.standard_error)
-        assert abs(a.value - b.value) < 3 * combined
-
-    def test_nonpositive_beta_rejected(self, logistic_small):
-        model, fit = logistic_small
-        with pytest.raises(ValueError):
-            lsi_kl_bound(fit, model, beta=0.0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -84,6 +84,18 @@ class TestGenDataAuditPipeline:
         keys = {line.split(",", 1)[0] for line in lines[1:]}
         assert {"approx_bound", "detailed_bound", "term_breakdown.e_term"} <= keys
 
+    def test_csv_writes_undefined_numbers_as_na(self, capsys):
+        # one antithetic pair: the standard errors are null in JSON, NA here
+        assert main(
+            ["audit", "--d", "3", "--n", "40", "--seed", "1", "--directions", "2", "--format", "csv"]
+        ) == 0
+        text = capsys.readouterr().out
+        cells = dict(line.split(",", 1) for line in text.strip().splitlines()[1:])
+        assert cells["se_delta3_sq"] == "NA"
+        assert cells["term_standard_errors.e_term_se"] == "NA"
+        assert cells["spotcheck.radius_multiplier"] == "NA"
+        assert "None" not in text
+
 
 class TestStrictJson:
     def test_audit_with_undefined_standard_errors(self, capsys):

@@ -1,7 +1,5 @@
 """Mode search, Hessian factorization and log-concavity spot checks."""
 
-import json
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -267,19 +265,3 @@ class TestSpotcheckMatchesPerPointLoop:
         result = logconcavity_spotcheck(model, fit, n_points=0)
         assert result.passed and result.min_eigenvalue == np.inf
 
-
-class TestFitExport:
-    def test_json_schema_and_roundtrip(self, logistic_small, tmp_path):
-        _, fit = logistic_small
-        path = tmp_path / "fit.json"
-        fit.save_json(path)
-        payload = json.loads(path.read_text())
-        assert set(payload) == {
-            "theta_star",
-            "hessian",
-            "log_det_sigma",
-            "grad_norm",
-            "iterations",
-        }
-        np.testing.assert_array_equal(np.array(payload["theta_star"]), fit.theta_star)
-        assert payload["iterations"] == fit.iterations

@@ -10,7 +10,6 @@ from laplace_audit import (
     GaussianModel,
     NonFiniteObjectiveError,
     TruthPreset,
-    build_fit,
     estimate_kl,
     estimate_log_inv_z,
     estimate_true_kl,

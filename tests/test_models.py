@@ -22,7 +22,6 @@ from oracles import (
     CubicRay1D,
     SoftplusTilt1D,
     central_directional,
-    central_gradient,
     fourth_derivative_5pt,
     third_derivative_7pt,
 )
@@ -265,22 +264,15 @@ class TestVectorizedHooks:
             [model.neg_log_density(t) for t in thetas],
             rtol=1e-13,
         )
-        np.testing.assert_allclose(
-            model.gradient_many(thetas),
-            [model.gradient(t) for t in thetas],
-            rtol=1e-12,
-            atol=1e-14,
-        )
 
 
     def test_many_point_hooks_split_into_row_blocks(self, logistic_small, monkeypatch):
         model, _ = logistic_small
         thetas = np.random.default_rng(43).standard_normal((10, 5))
-        whole = model.neg_log_density_many(thetas), model.gradient_many(thetas)
+        whole = model.neg_log_density_many(thetas)
         # blocks of 4 rows: two full blocks and a short one
         monkeypatch.setattr(models_module, "ROW_BLOCK", 4)
-        np.testing.assert_allclose(model.neg_log_density_many(thetas), whole[0], rtol=1e-14)
-        np.testing.assert_allclose(model.gradient_many(thetas), whole[1], rtol=1e-14)
+        np.testing.assert_allclose(model.neg_log_density_many(thetas), whole, rtol=1e-14)
         assert model.neg_log_density_many(np.zeros((0, 5))).shape == (0,)
 
 
