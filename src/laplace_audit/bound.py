@@ -45,7 +45,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import AssumptionViolationError, NonFiniteObjectiveError
 from .laplace import LaplaceFit, fit_laplace, logconcavity_spotcheck
@@ -374,8 +373,8 @@ def approximate_bound_coefficient(d: int) -> float:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    g5 = math.exp(gammaln(0.5 * (d + 5)) - gammaln(0.5 * d))
-    g3 = math.exp(gammaln(0.5 * (d + 3)) - gammaln(0.5 * d))
+    g5 = math.exp(math.lgamma(0.5 * (d + 5)) - math.lgamma(0.5 * d))
+    g3 = math.exp(math.lgamma(0.5 * (d + 3)) - math.lgamma(0.5 * d))
     return 2.0 / (math.sqrt(3.0) * math.sqrt(2.0 * d - 1.0)) * g5 + g3 * g3 / 9.0
 
 

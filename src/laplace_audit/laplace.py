@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import (
     AssumptionViolationError,
@@ -65,16 +64,20 @@ class LaplaceFit:
 
 
 def _newton_step(hess: np.ndarray, grad: np.ndarray):
-    # Cholesky solve plus one round of iterative refinement: the refinement
-    # keeps the reachable gradient floor near eps*||H|| even for
-    # ill-conditioned Hessians, where a plain solve stalls around eps*cond(H)
+    # a Cholesky factorization only to prove H positive definite, then an LU
+    # solve plus one round of iterative refinement: the refinement keeps the
+    # reachable gradient floor near eps*||H|| even for ill-conditioned
+    # Hessians, where a plain solve stalls around eps*cond(H). numpy has no
+    # solve from a Cholesky factor, and two LU solves beat four triangular
+    # ones, each a full LU solve in numpy. None when H is not positive
+    # definite or LU finds it exactly singular
     try:
-        factor = cho_factor(hess, check_finite=False)
-    except (LinAlgError, ValueError):
+        np.linalg.cholesky(hess)
+        step = np.linalg.solve(hess, -grad)
+        residual = hess @ step + grad
+        step -= np.linalg.solve(hess, residual)
+    except np.linalg.LinAlgError:
         return None
-    step = cho_solve(factor, -grad, check_finite=False)
-    residual = hess @ step + grad
-    step -= cho_solve(factor, residual, check_finite=False)
     return step
 
 
@@ -89,7 +92,7 @@ def _minimize(model: TargetModel, init, tol: float, max_iter: int):
     grad_norm = float(np.max(np.abs(grad))) if theta.size else 0.0
     for iteration in range(1, max_iter + 1):
         if grad_norm <= tol:
-            return theta, grad_norm, iteration - 1
+            return theta, phi, grad_norm, iteration - 1
         step = _newton_step(model.hessian(theta), grad)
         if step is None or not np.all(np.isfinite(step)) or float(step @ grad) >= 0.0:
             step = -grad
@@ -138,6 +141,13 @@ def build_fit(model: TargetModel, theta_star, iterations: int = 0) -> LaplaceFit
     theta_star = np.asarray(theta_star, dtype=float)
     if theta_star.shape != (model.dim,):
         raise DimensionMismatchError("theta_star has the wrong length")
+    grad = model.gradient(theta_star)
+    grad_norm = float(np.max(np.abs(grad))) if grad.size else 0.0
+    return _factorize(model, theta_star, model.neg_log_density(theta_star), grad_norm, iterations)
+
+
+def _factorize(model: TargetModel, theta_star, phi, grad_norm: float, iterations: int):
+    """``build_fit`` given phi and the gradient sup-norm at theta_star."""
     h = model.hessian(theta_star)
     h = 0.5 * (h + h.T)
     w, v = np.linalg.eigh(h)
@@ -153,15 +163,14 @@ def build_fit(model: TargetModel, theta_star, iterations: int = 0) -> LaplaceFit
         )
     cov = (v / w) @ v.T
     sqrt_cov = (v / np.sqrt(w)) @ v.T
-    grad = model.gradient(theta_star)
     return LaplaceFit(
         theta_star=theta_star,
         hessian_at_mode=h,
         covariance=0.5 * (cov + cov.T),
         sqrt_covariance=0.5 * (sqrt_cov + sqrt_cov.T),
         log_det_covariance=float(-np.sum(np.log(w))),
-        neg_log_density_at_mode=float(model.neg_log_density(theta_star)),
-        grad_norm=float(np.max(np.abs(grad))) if grad.size else 0.0,
+        neg_log_density_at_mode=float(phi),
+        grad_norm=grad_norm,
         iterations=iterations,
     )
 
@@ -188,8 +197,8 @@ def fit_laplace(
         init = np.asarray(init, dtype=float)
         if init.shape != (model.dim,):
             raise DimensionMismatchError("init has the wrong length")
-    theta, _, iterations = _minimize(model, init, tol, max_iter)
-    return build_fit(model, theta, iterations=iterations)
+    # the search ends holding phi and the gradient at the mode
+    return _factorize(model, *_minimize(model, init, tol, max_iter))
 
 
 def laplace_log_density(fit: LaplaceFit, theta):

@@ -114,11 +114,13 @@ def get_preset(name: str, seed: int = 0) -> TruthPreset:
 class ChainResult:
     """Kept states, chain by chain, with the chains' diagnostics.
 
-    ``rhat`` is the split-R-hat of phi at the kept states over the chains
-    (see ``split_rhat``); it is NaN when undefined.
+    ``phi`` holds the negative log-density at each row of ``samples``, as
+    the chain computed it. ``rhat`` is the split-R-hat of phi at the kept
+    states over the chains (see ``split_rhat``); it is NaN when undefined.
     """
 
     samples: np.ndarray
+    phi: np.ndarray
     acceptance_rate: float
     n_steps: int
     thin: int
@@ -226,6 +228,7 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
         )
     return ChainResult(
         samples=out.reshape(-1, d),
+        phi=out_phi.reshape(-1),
         acceptance_rate=float(rate),
         n_steps=config.n_steps,
         thin=config.thin,
@@ -234,7 +237,7 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
     )
 
 
-def estimate_log_inv_z(model: TargetModel, fit: LaplaceFit, posterior_samples):
+def estimate_log_inv_z(model: TargetModel, fit: LaplaceFit, posterior_samples, phi=None):
     """log of the importance estimate of 1/Z = E_f[g(theta)/f~(theta)].
 
     The per-sample log-ratios are reduced with a single log-sum-exp, so the
@@ -242,6 +245,8 @@ def estimate_log_inv_z(model: TargetModel, fit: LaplaceFit, posterior_samples):
     error is a *relative* standard error from means over 50 contiguous
     batches, which absorbs chain autocorrelation. A non-finite log-ratio
     (phi infinite or NaN at a sample) raises NonFiniteObjectiveError.
+    ``phi``, when given, holds the model's phi at each sample (a chain's
+    ``ChainResult.phi``), and the model is not evaluated again.
 
     Returns
     -------
@@ -251,7 +256,11 @@ def estimate_log_inv_z(model: TargetModel, fit: LaplaceFit, posterior_samples):
     k = samples.shape[0]
     if k == 0:
         raise ValueError("no posterior samples supplied")
-    log_ratio = laplace_log_density(fit, samples) + model.neg_log_density_many(samples)
+    if phi is None:
+        phi = model.neg_log_density_many(samples)
+    elif np.shape(phi) != (k,):
+        raise DimensionMismatchError("phi needs one value per posterior sample")
+    log_ratio = laplace_log_density(fit, samples) + phi
     bad = np.flatnonzero(~np.isfinite(log_ratio))
     if bad.size:
         raise NonFiniteObjectiveError(
@@ -327,7 +336,7 @@ def estimate_true_kl(
     """Full pipeline: chain -> log 1/Z -> KL(g, f), all seeded from one integer."""
     chain_config = preset.chain
     chain = run_chain(model, fit, chain_config)
-    log_inv_z, rel_se = estimate_log_inv_z(model, fit, chain.samples)
+    log_inv_z, rel_se = estimate_log_inv_z(model, fit, chain.samples, chain.phi)
     config_echo = {
         "preset": preset.name,
         "n_steps": chain_config.n_steps,

@@ -20,7 +20,6 @@ import abc
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionMismatchError, UnsupportedOrderError
 
@@ -33,6 +32,16 @@ SIGMOID_THIRD_DERIVATIVE_MAX = 0.125
 ROW_BLOCK = 1024
 # elements of the (directions x nodes x n_obs) margin buffer of ``ray_batch``
 RAY_BLOCK_ELEMENTS = 1 << 18
+
+
+@np.errstate(over="ignore")
+def _expit(t):
+    """The logistic function 1 / (1 + exp(-t)) elementwise.
+
+    Below t = -709.78 exp(-t) overflows to inf, and the value is the limit 0
+    in place of a subnormal number, with no overflow warning. NaN propagates.
+    """
+    return 1.0 / (1.0 + np.exp(-t))
 
 
 def _neg_log_expit(t, out=None):
@@ -329,14 +338,14 @@ class LogisticRegressionModel(TargetModel):
     def gradient(self, theta) -> np.ndarray:
         theta = self._check_theta(theta)
         t = self._signed_x @ theta
-        return self._inv_prior_var * theta - self._signed_x.T @ expit(-t)
+        return self._inv_prior_var * theta - self._signed_x.T @ _expit(-t)
 
     def hessian(self, theta) -> np.ndarray:
         theta = self._check_theta(theta)
         t = self._signed_x @ theta
-        w = expit(t) * expit(-t)
+        w = _expit(t) * _expit(-t)
         h = (self._signed_x * w[:, None]).T @ self._signed_x
-        h[np.diag_indices_from(h)] += self._inv_prior_var
+        h.flat[:: self.dim + 1] += self._inv_prior_var
         return 0.5 * (h + h.T)
 
     def ray_derivatives(self, base, direction, r=0.0, max_order: int = 4) -> np.ndarray:
@@ -347,8 +356,8 @@ class LogisticRegressionModel(TargetModel):
         s = self._signed_x @ v
         # one row of margins per offset
         t = self._signed_x @ base + r[..., None] * s
-        p = expit(t)
-        q = expit(-t)
+        p = _expit(t)
+        q = _expit(-t)
         w = p * q
         out = np.zeros(r.shape + (max_order,))
         s_sq = s * s
@@ -374,8 +383,8 @@ class LogisticRegressionModel(TargetModel):
         vs = _check_directions(directions, self.dim)
         k = vs.shape[0]
         t0 = self._signed_x @ base
-        p0 = expit(t0)
-        w3 = p0 * expit(-t0) * (1.0 - 2.0 * p0)
+        p0 = _expit(t0)
+        w3 = p0 * _expit(-t0) * (1.0 - 2.0 * p0)
         delta3 = np.empty(k)
         delta4 = np.empty(k)
         values = None
@@ -466,7 +475,7 @@ def generate_dataset(config: SyntheticDatasetConfig) -> LogisticDataset:
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     theta_true = rng.standard_normal(config.d) * config.d ** (-0.25)
     x = rng.standard_normal((config.n, config.d))
-    p_plus = expit(x @ theta_true)
+    p_plus = _expit(x @ theta_true)
     y = np.where(rng.random(config.n) < p_plus, 1.0, -1.0)
     return LogisticDataset(labels=y, covariates=x, theta_true=theta_true)
 

@@ -1,12 +1,16 @@
 """End-to-end command-line behavior: pipelines, formats, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import laplace_audit
 from laplace_audit import cli, experiments, random_gaussian_model
 from laplace_audit.cli import main
 from laplace_audit.experiments import CSV_COLUMNS, ExperimentSpec, run_experiment
@@ -299,6 +303,50 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "audit" in proc.stdout and "truth" in proc.stdout
+
+
+class TestRuntimeNeedsNoScipy:
+    """numpy is the only runtime dependency; scipy serves the tests alone."""
+
+    @staticmethod
+    def _python(code):
+        src = str(Path(laplace_audit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(code)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_import_loads_no_scipy_module(self):
+        proc = self._python(
+            """
+            import sys
+            import laplace_audit, laplace_audit.cli
+            print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+            """
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_audit_runs_where_scipy_cannot_be_imported(self):
+        # a finder that refuses scipy stands in for an install without it
+        proc = self._python(
+            """
+            import sys
+
+            class NoScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        raise ImportError("scipy is not installed")
+                    return None
+
+            sys.meta_path.insert(0, NoScipy())
+            from laplace_audit.cli import main
+            sys.exit(main(["audit", "--d", "5", "--n", "100", "--seed", "1"]))
+            """
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert _strict_json(proc.stdout)["approx_bound"] > 0.0
 
 
 class TestExperimentApi:

@@ -7,6 +7,7 @@ import pytest
 
 from laplace_audit import (
     ChainConfig,
+    DimensionMismatchError,
     GaussianModel,
     NonFiniteObjectiveError,
     TruthPreset,
@@ -201,6 +202,27 @@ class TestEstimateInvZ:
         model, fit = gaussian_5d
         with pytest.raises(ValueError):
             estimate_log_inv_z(model, fit, np.zeros((0, 5)))
+
+    @pytest.mark.parametrize("kind", ["logistic", "gaussian"])
+    def test_chain_phi_stands_in_for_the_model(self, kind, logistic_tiny, gaussian_5d):
+        model, fit = logistic_tiny if kind == "logistic" else gaussian_5d
+        chain = run_chain(model, fit, ChainConfig(n_steps=20_000, thin=20, seed=8))
+        again = model.neg_log_density_many(chain.samples)
+        with_phi = estimate_log_inv_z(model, fit, chain.samples, chain.phi)
+        recomputed = estimate_log_inv_z(model, fit, chain.samples)
+        if kind == "logistic":
+            # the chain scores each state by the same row-wise margins
+            np.testing.assert_array_equal(chain.phi, again)
+            assert with_phi == recomputed
+        else:
+            # deltas @ precision may round differently over 20 rows and over all
+            np.testing.assert_allclose(chain.phi, again, rtol=1e-13, atol=0)
+            assert with_phi == pytest.approx(recomputed, rel=1e-13, abs=0)
+
+    def test_phi_needs_one_value_per_sample(self, gaussian_5d):
+        model, fit = gaussian_5d
+        with pytest.raises(DimensionMismatchError):
+            estimate_log_inv_z(model, fit, np.zeros((4, 5)), np.zeros(3))
 
     def test_non_finite_ratio_raises_structured_error(self):
         model = InfTailGaussian(np.zeros(2), np.eye(2))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import cumulative_trapezoid, quad
+from scipy.special import gammainccinv, gammaincinv, gammaln
 from scipy.stats import chi, chisquare, kstest
 
 from laplace_audit import (
@@ -16,7 +17,7 @@ from laplace_audit import (
     sample_direction,
     sample_direction_pairs,
 )
-from laplace_audit.radial import QUADRATURE_NODES
+from laplace_audit.radial import QUADRATURE_NODES, _gamma_tail_inverse
 
 from oracles import RadialLaw
 
@@ -123,6 +124,15 @@ class TestChiMoment:
         rhs = (d + k - 2) * chi_moment(d, k - 2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    def test_matches_scipy_gammaln(self):
+        for d in range(1, 1001):
+            for k in range(13):
+                want = np.exp(0.5 * k * np.log(2.0) + gammaln(0.5 * (d + k)) - gammaln(0.5 * d))
+                # both sides lose about one ulp of lgamma(d/2) to the
+                # difference of log-gammas, 4.5e-13 at d = 1000; the largest
+                # gap measured is 1.4e-12 (d = 901, k = 11)
+                assert chi_moment(d, k) == pytest.approx(want, rel=1.5e-12, abs=0)
+
     def test_overflow_safe_at_large_arguments(self):
         value = chi_moment(9_990, 10)
         assert np.isfinite(value) and value > 0
@@ -164,6 +174,20 @@ class TestRadialLaw:
             law.log_density(0.0)
         with pytest.raises(ValueError):
             law.log_density(-1.0)
+
+    def test_gaussian_posterior_z_follows_the_law(self):
+        rng = np.random.default_rng(12)
+        eta = rng.standard_normal((100_000, 5))
+        zs = np.sqrt(np.linalg.norm(eta, axis=1))
+        # quadrature CDF of the square-root-radius law as the reference
+        law = RadialLaw(5)
+        grid = np.linspace(1e-9, 6.0, 40_001)
+        pdf = np.exp(law.log_density(np.maximum(grid, 1e-12)))
+        cdf = cumulative_trapezoid(pdf, grid, initial=0.0)
+        cdf /= cdf[-1]
+        stat = kstest(zs, lambda q: np.interp(q, grid, cdf)).statistic
+        critical_1pct = 1.628 / np.sqrt(zs.shape[0])
+        assert stat < critical_1pct
 
 
 class TestRadialMinCurvature:
@@ -248,18 +272,36 @@ class TestChiQuantiles:
                 chi.ppf(1e-14, d) + chi.isf(1e-14, d), rel=1e-14
             )
 
+    def test_tail_quantiles_of_the_quadrature_span_match_scipy(self):
+        # the 1e-14 and 1 - 1e-14 chi quantiles that bound chi_quadrature's span
+        for d in range(1, 1001):
+            a = 0.5 * d
+            lower = np.sqrt(2.0 * _gamma_tail_inverse(a, 1e-14, False))
+            upper = np.sqrt(2.0 * _gamma_tail_inverse(a, 1e-14, True))
+            assert lower == pytest.approx(np.sqrt(2.0 * gammaincinv(a, 1e-14)), rel=1e-14, abs=0)
+            assert upper == pytest.approx(np.sqrt(2.0 * gammainccinv(a, 1e-14)), rel=1e-14, abs=0)
 
-class TestCoordinateMaps:
-    def test_gaussian_posterior_z_follows_the_law(self):
-        rng = np.random.default_rng(12)
-        eta = rng.standard_normal((100_000, 5))
-        zs = np.sqrt(np.linalg.norm(eta, axis=1))
-        # quadrature CDF of the square-root-radius law as the reference
-        law = RadialLaw(5)
-        grid = np.linspace(1e-9, 6.0, 40_001)
-        pdf = np.exp(law.log_density(np.maximum(grid, 1e-12)))
-        cdf = cumulative_trapezoid(pdf, grid, initial=0.0)
-        cdf /= cdf[-1]
-        stat = kstest(zs, lambda q: np.interp(q, grid, cdf)).statistic
-        critical_1pct = 1.628 / np.sqrt(zs.shape[0])
-        assert stat < critical_1pct
+    @pytest.mark.parametrize("d", [1, 2, 5, 39, 40, 41, 100, 1000, 10_000])
+    def test_far_tails_match_scipy(self, d):
+        # Newton starts far from these roots; at d = 1 the 1e-300 lower root
+        # underflows to 0, as scipy's does
+        a = 0.5 * d
+        for tail in (1e-300, 1e-100, 1e-30, 1e-17):
+            for upper, want in ((False, gammaincinv(a, tail)), (True, gammainccinv(a, tail))):
+                got = _gamma_tail_inverse(a, tail, upper)
+                assert got == pytest.approx(want, rel=5e-14, abs=0), (tail, upper)
+
+    def test_quantiles_match_scipy_stats_chi_strictly(self):
+        # largest gap measured: 1.9e-15 (d = 160, p = 1e-6)
+        for d in range(1, 401):
+            for p in (1e-10, 1e-6, 0.25, 0.5, 0.75, 1.0 - 1e-6):
+                assert chi_quantile(d, p) == pytest.approx(chi.ppf(p, d), rel=2e-15, abs=0)
+
+    def test_endpoints_and_invalid_arguments(self):
+        assert chi_quantile(3, 0.0) == 0.0
+        assert chi_quantile(3, 1.0) == np.inf
+        for p in (-0.1, 1.5, np.nan):
+            with pytest.raises(ValueError):
+                chi_quantile(3, p)
+        with pytest.raises(ValueError):
+            chi_quantile(0, 0.5)
