@@ -27,7 +27,7 @@ from .errors import (
 )
 from .experiments import ExperimentSpec, run_experiment
 from .laplace import fit_laplace
-from .mcmc import estimate_true_kl, get_preset
+from .mcmc import PRESETS, estimate_true_kl, get_preset
 from .models import (
     LogisticRegressionModel,
     SyntheticDatasetConfig,
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_truth = sub.add_parser("truth", help="estimate the true KL(g, f) by sampling")
     _add_model_flags(p_truth)
-    p_truth.add_argument("--mcmc-preset", choices=("desk", "paper"), default="desk")
+    p_truth.add_argument("--mcmc-preset", choices=tuple(PRESETS), default="desk")
     p_truth.add_argument("--out")
     p_truth.add_argument("--format", choices=("json", "csv"), default="json")
     p_truth.add_argument("--pretty", action="store_true")
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="run an experiment grid from a JSON spec")
     p_table.add_argument("--spec", required=True)
-    p_table.add_argument("--mcmc-preset", choices=("desk", "paper"), default=None)
+    p_table.add_argument("--mcmc-preset", choices=tuple(PRESETS), default=None)
     p_table.add_argument("--jobs", type=int, default=1)
     p_table.add_argument("--out")
     p_table.add_argument("--format", choices=("json", "csv"), default="csv")

@@ -29,6 +29,9 @@ N_CHAINS = 20
 BLOCK_STEPS = 256
 N_BATCHES = 50
 
+# share of each chain's own steps discarded before any state is kept
+BURN_IN_FRACTION = 0.1
+
 ACCEPT_RATE_LOW = 0.05
 ACCEPT_RATE_HIGH = 0.7
 
@@ -41,18 +44,15 @@ class ChainConfig:
     """Random-walk chain settings.
 
     ``n_steps`` is the total over the ``N_CHAINS`` chains and must be a
-    multiple of it. ``proposal_scale`` multiplies the fit square root; None
-    selects the standard 2.38/sqrt(d) random-walk scaling at run time. The
-    burn-in fraction and the thinning apply to each chain's own steps.
+    multiple of it. Each chain discards the first ``BURN_IN_FRACTION`` of
+    its own steps and keeps every ``thin``-th state after that.
     ``n_steps / thin`` must be at least 100; that rule counts steps over all
-    chains, not kept states, so ``validate`` also requires each chain to
-    keep at least one state after burn-in.
+    chains, not kept states, but it puts each chain's first kept step below
+    0.3 of its steps, so every valid config keeps a state of every chain.
     """
 
     n_steps: int = 1_000_000
     thin: int = 100
-    proposal_scale: float | None = None
-    burn_in_fraction: float = 0.1
     seed: int = 0
 
     def validate(self) -> None:
@@ -64,17 +64,11 @@ class ChainConfig:
             raise ValueError("thin must be positive")
         if self.n_steps // self.thin < 100:
             raise ValueError("n_steps/thin must be at least 100")
-        if self.proposal_scale is not None and self.proposal_scale <= 0:
-            raise ValueError("proposal_scale must be positive")
-        if not 0.0 <= self.burn_in_fraction < 1.0:
-            raise ValueError("burn_in_fraction must lie in [0, 1)")
-        if self._kept_steps().size == 0:
-            raise ValueError("burn-in and thinning leave no state of any chain to keep")
 
     def _kept_steps(self) -> np.ndarray:
         """Indices of the steps, within each chain, whose states are kept."""
         steps = self.n_steps // N_CHAINS
-        burn = int(round(self.burn_in_fraction * steps))
+        burn = int(round(BURN_IN_FRACTION * steps))
         # first kept state lands `thin` steps after burn-in ends
         return np.arange(burn + self.thin - 1, steps, self.thin, dtype=np.int64)
 
@@ -88,26 +82,28 @@ class TruthPreset:
     k2: int
 
 
+# the named truth presets: (chain steps, thinning, Gaussian draws k2)
+PRESETS = {
+    "desk": (1_000_000, 100, 10_000),
+    "paper": (10_000_000, 1000, 100_000),
+}
+
+
+def get_preset(name: str, seed: int = 0) -> TruthPreset:
+    if name not in PRESETS:
+        raise ValueError(f"unknown mcmc preset {name!r}")
+    n_steps, thin, k2 = PRESETS[name]
+    return TruthPreset(name=name, chain=ChainConfig(n_steps, thin, seed), k2=k2)
+
+
 def desk_preset(seed: int = 0) -> TruthPreset:
     """Reduced preset that runs a full experiment grid in minutes."""
-    return TruthPreset(
-        name="desk", chain=ChainConfig(n_steps=1_000_000, thin=100, seed=seed), k2=10_000
-    )
+    return get_preset("desk", seed)
 
 
 def paper_preset(seed: int = 0) -> TruthPreset:
     """Full-scale preset: 1e7 steps thinned by 1000, 1e5 Gaussian samples."""
-    return TruthPreset(
-        name="paper", chain=ChainConfig(n_steps=10_000_000, thin=1000, seed=seed), k2=100_000
-    )
-
-
-def get_preset(name: str, seed: int = 0) -> TruthPreset:
-    if name == "desk":
-        return desk_preset(seed)
-    if name == "paper":
-        return paper_preset(seed)
-    raise ValueError(f"unknown mcmc preset {name!r}")
+    return get_preset("paper", seed)
 
 
 @dataclass(frozen=True)
@@ -122,8 +118,6 @@ class ChainResult:
     samples: np.ndarray
     phi: np.ndarray
     acceptance_rate: float
-    n_steps: int
-    thin: int
     rhat: float
     warnings: tuple = field(default_factory=tuple)
 
@@ -188,18 +182,20 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
 
     ``N_CHAINS`` independent chains run in lock-step, ``n_steps / N_CHAINS``
     steps each. Every chain starts at the mode, proposes N(0, (scale * S)^2)
-    jumps, discards its own burn-in and keeps every ``thin``-th state after
-    it; the samples are returned chain by chain. The draws come in blocks of
-    ``BLOCK_STEPS`` steps: first (steps * chains) x d standard normals, row
-    ``step * N_CHAINS + chain``, then steps x chains uniforms. An acceptance
-    rate outside [0.05, 0.7] attaches a tuning warning to the result rather
-    than failing.
+    jumps with S the fit square root and scale the standard 2.38/sqrt(d)
+    random-walk scaling (Roberts, Gelman & Gilks 1997), discards the first
+    ``BURN_IN_FRACTION`` of its steps and keeps every ``thin``-th state after
+    them; the samples are returned chain by chain. The draws come in blocks
+    of ``BLOCK_STEPS`` steps: first (steps * chains) x d standard normals,
+    row ``step * N_CHAINS + chain``, then steps x chains uniforms. An
+    acceptance rate outside [0.05, 0.7] attaches a warning to the result
+    rather than failing.
     """
     config.validate()
     d = model.dim
     if fit.dim != d:
         raise DimensionMismatchError("fit dimension does not match the model")
-    scale = config.proposal_scale if config.proposal_scale is not None else 2.38 / np.sqrt(d)
+    scale = 2.38 / np.sqrt(d)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_CHAIN_STREAM,)))
     steps = config.n_steps // N_CHAINS
     keep = config._kept_steps()
@@ -224,29 +220,27 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
     if not ACCEPT_RATE_LOW <= rate <= ACCEPT_RATE_HIGH:
         warnings = (
             f"acceptance rate {rate:.3f} outside [{ACCEPT_RATE_LOW}, {ACCEPT_RATE_HIGH}]; "
-            "consider adjusting proposal_scale",
+            "the samples may not represent the target",
         )
     return ChainResult(
         samples=out.reshape(-1, d),
         phi=out_phi.reshape(-1),
         acceptance_rate=float(rate),
-        n_steps=config.n_steps,
-        thin=config.thin,
         rhat=split_rhat(out_phi),
         warnings=warnings,
     )
 
 
-def estimate_log_inv_z(model: TargetModel, fit: LaplaceFit, posterior_samples, phi=None):
+def estimate_log_inv_z(fit: LaplaceFit, posterior_samples, phi):
     """log of the importance estimate of 1/Z = E_f[g(theta)/f~(theta)].
 
-    The per-sample log-ratios are reduced with a single log-sum-exp, so the
+    ``phi`` holds the model's phi at each posterior sample, as a chain's
+    ``ChainResult.phi`` does; the model itself is not evaluated. The
+    per-sample log-ratios are reduced with a single log-sum-exp, so the
     estimate survives ratios spanning hundreds of orders of magnitude. The
     error is a *relative* standard error from means over 50 contiguous
     batches, which absorbs chain autocorrelation. A non-finite log-ratio
     (phi infinite or NaN at a sample) raises NonFiniteObjectiveError.
-    ``phi``, when given, holds the model's phi at each sample (a chain's
-    ``ChainResult.phi``), and the model is not evaluated again.
 
     Returns
     -------
@@ -256,9 +250,7 @@ def estimate_log_inv_z(model: TargetModel, fit: LaplaceFit, posterior_samples, p
     k = samples.shape[0]
     if k == 0:
         raise ValueError("no posterior samples supplied")
-    if phi is None:
-        phi = model.neg_log_density_many(samples)
-    elif np.shape(phi) != (k,):
+    if np.shape(phi) != (k,):
         raise DimensionMismatchError("phi needs one value per posterior sample")
     log_ratio = laplace_log_density(fit, samples) + phi
     bad = np.flatnonzero(~np.isfinite(log_ratio))
@@ -285,19 +277,16 @@ def estimate_kl(
     *,
     log_inv_z: float,
     inv_z_rel_se: float = 0.0,
-    acceptance_rate: float = float("nan"),
-    k: int = 0,
-    config: dict | None = None,
-) -> KLEstimate:
-    """Monte-Carlo estimate of KL(g, f) given the log 1/Z estimate.
+) -> tuple[float, float]:
+    """Monte-Carlo estimate ``(kl, se)`` of KL(g, f) given the log 1/Z estimate.
 
     Averages log g(theta) + phi(theta) over ``k2`` fresh draws from the fit
     and subtracts ``log_inv_z``, the log 1/Z estimate of
     ``estimate_log_inv_z``, whose relative standard error is
-    ``inv_z_rel_se``. The reported standard error combines the i.i.d.
-    sample variance with the 1/Z uncertainty propagated as an additive
-    log-term. A non-finite log g + phi at any draw raises
-    NonFiniteObjectiveError rather than averaging into a NaN or infinite KL.
+    ``inv_z_rel_se``. The standard error combines the i.i.d. sample
+    variance with the 1/Z uncertainty propagated as an additive log-term.
+    A non-finite log g + phi at any draw raises NonFiniteObjectiveError
+    rather than averaging into a NaN or infinite KL.
     """
     if not np.isfinite(log_inv_z):
         raise ValueError("log_inv_z must be finite")
@@ -316,46 +305,32 @@ def estimate_kl(
         )
     kl = float(vals.mean() - log_inv_z)
     se = float(np.sqrt(vals.var(ddof=1) / k2 + inv_z_rel_se**2))
+    return kl, se
+
+
+def estimate_true_kl(model: TargetModel, fit: LaplaceFit, preset: TruthPreset) -> KLEstimate:
+    """Full pipeline: chain -> log 1/Z -> KL(g, f), all seeded from one integer."""
+    config = preset.chain
+    chain = run_chain(model, fit, config)
+    log_inv_z, rel_se = estimate_log_inv_z(fit, chain.samples, chain.phi)
+    kl, se = estimate_kl(
+        model, fit, preset.k2, config.seed, log_inv_z=log_inv_z, inv_z_rel_se=rel_se
+    )
     return KLEstimate(
         kl=kl,
         standard_error=se,
         log_inv_z=log_inv_z,
-        inv_z_rel_se=float(inv_z_rel_se),
-        k=k,
-        k2=k2,
-        acceptance_rate=acceptance_rate,
-        config=config or {},
-    )
-
-
-def estimate_true_kl(
-    model: TargetModel,
-    fit: LaplaceFit,
-    preset: TruthPreset,
-) -> KLEstimate:
-    """Full pipeline: chain -> log 1/Z -> KL(g, f), all seeded from one integer."""
-    chain_config = preset.chain
-    chain = run_chain(model, fit, chain_config)
-    log_inv_z, rel_se = estimate_log_inv_z(model, fit, chain.samples, chain.phi)
-    config_echo = {
-        "preset": preset.name,
-        "n_steps": chain_config.n_steps,
-        "thin": chain_config.thin,
-        "burn_in_fraction": chain_config.burn_in_fraction,
-        "proposal_scale": chain_config.proposal_scale,
-        "seed": chain_config.seed,
-        "k2": preset.k2,
-        "rhat": chain.rhat if np.isfinite(chain.rhat) else None,
-        "warnings": list(chain.warnings),
-    }
-    return estimate_kl(
-        model,
-        fit,
-        preset.k2,
-        seed=chain_config.seed,
-        log_inv_z=log_inv_z,
         inv_z_rel_se=rel_se,
-        acceptance_rate=chain.acceptance_rate,
         k=chain.k,
-        config=config_echo,
+        k2=preset.k2,
+        acceptance_rate=chain.acceptance_rate,
+        config={
+            "preset": preset.name,
+            "n_steps": config.n_steps,
+            "thin": config.thin,
+            "seed": config.seed,
+            "k2": preset.k2,
+            "rhat": chain.rhat if np.isfinite(chain.rhat) else None,
+            "warnings": list(chain.warnings),
+        },
     )

@@ -275,9 +275,6 @@ class GaussianModel(TargetModel):
             values = c + b[:, None] * rs + a[:, None] * rs * rs
         return RayBatch(values, np.zeros(vs.shape[0]), np.zeros(vs.shape[0]))
 
-    def ray_fourth_derivative_bound(self, base, direction) -> float:
-        return 0.0
-
     def hessian_eigenvalue_floor(self) -> float:
         """1 / lambda_max(covariance): the Hessian is the precision at every theta."""
         return self._precision_floor
@@ -414,12 +411,6 @@ class LogisticRegressionModel(TargetModel):
             )
             values += 0.5 * self._inv_prior_var * quad
         return RayBatch(values, delta3, delta4)
-
-    def ray_fourth_derivative_bound(self, base, direction) -> float:
-        v = self._check_theta(direction)
-        s = self._signed_x @ v
-        s_sq = s * s
-        return SIGMOID_THIRD_DERIVATIVE_MAX * float(np.sum(s_sq * s_sq))
 
     def hessian_eigenvalue_floor(self) -> float:
         """1 / sigma0^2: the likelihood Hessian X' diag(w) X has weights w >= 0."""

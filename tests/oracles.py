@@ -58,9 +58,10 @@ def replay_chain(model: TargetModel, fit, config):
     Redraws the stream ``run_chain`` documents: per block of
     ``mcmc.BLOCK_STEPS`` steps, (steps * chains) x d standard normals, row
     ``step * N_CHAINS + chain``, then steps x chains uniforms. Each chain then
-    starts at the mode, scores every proposal with ``neg_log_density`` and
-    applies the Metropolis-Hastings rule; states are kept per chain after its
-    burn-in, every ``thin``-th step.
+    starts at the mode, proposes jumps of 2.38/sqrt(d) times the fit square
+    root, scores every proposal with ``neg_log_density`` and applies the
+    Metropolis-Hastings rule; states are kept per chain after its burn-in of
+    ``mcmc.BURN_IN_FRACTION`` of its steps, every ``thin``-th step.
 
     Returns (samples chain by chain, accepted count per chain).
     """
@@ -68,7 +69,7 @@ def replay_chain(model: TargetModel, fit, config):
 
     d, chains = model.dim, mcmc.N_CHAINS
     steps = config.n_steps // chains
-    scale = config.proposal_scale if config.proposal_scale is not None else 2.38 / np.sqrt(d)
+    scale = 2.38 / np.sqrt(d)
     rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(mcmc._CHAIN_STREAM,))
     )
@@ -78,7 +79,7 @@ def replay_chain(model: TargetModel, fit, config):
         normals.append(rng.standard_normal((block * chains, d)).reshape(block, chains, d))
         uniforms.append(rng.random((block, chains)))
     eta, u = np.concatenate(normals), np.concatenate(uniforms)
-    burn = int(round(config.burn_in_fraction * steps))
+    burn = int(round(mcmc.BURN_IN_FRACTION * steps))
     samples, accepted = [], []
     for c in range(chains):
         theta = fit.theta_star.copy()

@@ -328,10 +328,11 @@ class TestRuntimeNeedsNoScipy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_audit_runs_where_scipy_cannot_be_imported(self):
+    @classmethod
+    def _main_without_scipy(cls, argv):
         # a finder that refuses scipy stands in for an install without it
-        proc = self._python(
-            """
+        return cls._python(
+            f"""
             import sys
 
             class NoScipy:
@@ -342,11 +343,21 @@ class TestRuntimeNeedsNoScipy:
 
             sys.meta_path.insert(0, NoScipy())
             from laplace_audit.cli import main
-            sys.exit(main(["audit", "--d", "5", "--n", "100", "--seed", "1"]))
+            sys.exit(main({argv!r}))
             """
         )
+
+    def test_audit_runs_where_scipy_cannot_be_imported(self):
+        proc = self._main_without_scipy(["audit", "--d", "5", "--n", "100", "--seed", "1"])
         assert proc.returncode == 0, proc.stderr
         assert _strict_json(proc.stdout)["approx_bound"] > 0.0
+
+    def test_truth_runs_where_scipy_cannot_be_imported(self):
+        proc = self._main_without_scipy(["truth", "--model", "gaussian", "--d", "3", "--seed", "5"])
+        assert proc.returncode == 0, proc.stderr
+        payload = _strict_json(proc.stdout)
+        assert abs(payload["kl"]) <= max(3 * payload["se"], 1e-10)
+        assert payload["k"] == 9_000
 
 
 class TestExperimentApi:

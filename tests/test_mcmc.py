@@ -1,9 +1,12 @@
 """Chain behavior, normalizing-constant estimation, and the KL pipeline."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laplace_audit import (
     ChainConfig,
@@ -18,7 +21,7 @@ from laplace_audit import (
     run_chain,
 )
 
-from laplace_audit.mcmc import BLOCK_STEPS, N_CHAINS, split_rhat
+from laplace_audit.mcmc import BLOCK_STEPS, N_CHAINS, PRESETS, split_rhat
 
 from oracles import InfTailGaussian, SoftplusTilt1D, quadrature_kl_1d, replay_chain
 
@@ -93,9 +96,9 @@ class TestRunChain:
 
     def test_absurd_scale_attaches_warning(self, logistic_tiny):
         model, fit = logistic_tiny
-        chain = run_chain(
-            model, fit, ChainConfig(n_steps=20_000, thin=100, seed=2, proposal_scale=80.0)
-        )
+        # a fit 80 times too wide makes the fixed-scale proposals absurd
+        wide = dataclasses.replace(fit, sqrt_covariance=80 * fit.sqrt_covariance)
+        chain = run_chain(model, wide, ChainConfig(n_steps=20_000, thin=100, seed=2))
         assert chain.acceptance_rate < 0.05
         assert len(chain.warnings) == 1
 
@@ -103,23 +106,37 @@ class TestRunChain:
         with pytest.raises(ValueError):
             ChainConfig(n_steps=1000, thin=100).validate()
         with pytest.raises(ValueError):
-            ChainConfig(proposal_scale=-1.0).validate()
+            ChainConfig(n_steps=0).validate()
         with pytest.raises(ValueError):
-            ChainConfig(burn_in_fraction=1.0).validate()
+            ChainConfig(thin=0).validate()
 
     def test_config_that_keeps_no_state_rejected(self, logistic_tiny):
         model, fit = logistic_tiny
-        # 1,000 steps per chain: 900 burn-in leave 100, fewer than thin = 200
-        config = ChainConfig(n_steps=20_000, thin=200, burn_in_fraction=0.9)
-        with pytest.raises(ValueError, match="no state"):
+        # 1,000 steps per chain: 100 burn-in leave 900, fewer than thin = 1,000;
+        # the 100-step rule turns it away
+        config = ChainConfig(n_steps=20_000, thin=1_000)
+        assert config._kept_steps().size == 0
+        with pytest.raises(ValueError, match="at least 100"):
             config.validate()
-        with pytest.raises(ValueError, match="no state"):
+        with pytest.raises(ValueError, match="at least 100"):
             run_chain(model, fit, config)
         # 500 steps per chain: 50 burn-in, then four kept states in each chain
         short = ChainConfig(n_steps=10_000, thin=100, seed=1)
         short.validate()
         assert run_chain(model, fit, short).k == N_CHAINS * 4
-        ChainConfig(n_steps=20_000, thin=100, burn_in_fraction=0.9).validate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        chain_steps=st.integers(min_value=1, max_value=20_000),
+        thin=st.integers(min_value=1, max_value=4_000),
+    )
+    def test_every_valid_config_keeps_a_state(self, chain_steps, thin):
+        config = ChainConfig(n_steps=N_CHAINS * chain_steps, thin=thin)
+        try:
+            config.validate()
+        except ValueError:
+            return
+        assert config._kept_steps().size > 0
 
     def test_steps_must_split_evenly_over_the_chains(self, logistic_tiny):
         model, fit = logistic_tiny
@@ -176,7 +193,7 @@ class TestEstimateInvZ:
     def test_gaussian_matches_analytic_constant(self, gaussian_5d):
         model, fit = gaussian_5d
         chain = run_chain(model, fit, ChainConfig(n_steps=100_000, thin=100, seed=3))
-        log_inv_z, rel_se = estimate_log_inv_z(model, fit, chain.samples)
+        log_inv_z, rel_se = estimate_log_inv_z(fit, chain.samples, chain.phi)
         analytic = -0.5 * (5 * np.log(2 * np.pi) + np.linalg.slogdet(model.covariance)[1])
         # the per-sample ratio is constant for an exact-Gaussian target
         assert log_inv_z == pytest.approx(analytic, abs=1e-10)
@@ -185,9 +202,10 @@ class TestEstimateInvZ:
     def test_constant_rescaling_of_target(self, logistic_tiny):
         model, fit = logistic_tiny
         chain = run_chain(model, fit, ChainConfig(n_steps=50_000, thin=50, seed=5))
-        base, _ = estimate_log_inv_z(model, fit, chain.samples)
+        base, _ = estimate_log_inv_z(fit, chain.samples, chain.phi)
         scaled = _ShiftedPhi(model, -np.log(10.0))  # f~ -> 10 * f~
-        scaled_log_inv_z, _ = estimate_log_inv_z(scaled, fit, chain.samples)
+        scaled_phi = scaled.neg_log_density_many(chain.samples)
+        scaled_log_inv_z, _ = estimate_log_inv_z(fit, chain.samples, scaled_phi)
         assert scaled_log_inv_z == pytest.approx(base - np.log(10.0), abs=1e-12)
 
     def test_normalized_target_gives_one(self, gaussian_5d):
@@ -195,21 +213,22 @@ class TestEstimateInvZ:
         shift = 0.5 * (5 * np.log(2 * np.pi) + fit.log_det_covariance)
         normalized = _ShiftedPhi(model, shift)
         chain = run_chain(model, fit, ChainConfig(n_steps=50_000, thin=50, seed=6))
-        log_inv_z, _ = estimate_log_inv_z(normalized, fit, chain.samples)
+        phi = normalized.neg_log_density_many(chain.samples)
+        log_inv_z, _ = estimate_log_inv_z(fit, chain.samples, phi)
         assert log_inv_z == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_samples_rejected(self, gaussian_5d):
         model, fit = gaussian_5d
         with pytest.raises(ValueError):
-            estimate_log_inv_z(model, fit, np.zeros((0, 5)))
+            estimate_log_inv_z(fit, np.zeros((0, 5)), np.zeros(0))
 
     @pytest.mark.parametrize("kind", ["logistic", "gaussian"])
     def test_chain_phi_stands_in_for_the_model(self, kind, logistic_tiny, gaussian_5d):
         model, fit = logistic_tiny if kind == "logistic" else gaussian_5d
         chain = run_chain(model, fit, ChainConfig(n_steps=20_000, thin=20, seed=8))
         again = model.neg_log_density_many(chain.samples)
-        with_phi = estimate_log_inv_z(model, fit, chain.samples, chain.phi)
-        recomputed = estimate_log_inv_z(model, fit, chain.samples)
+        with_phi = estimate_log_inv_z(fit, chain.samples, chain.phi)
+        recomputed = estimate_log_inv_z(fit, chain.samples, again)
         if kind == "logistic":
             # the chain scores each state by the same row-wise margins
             np.testing.assert_array_equal(chain.phi, again)
@@ -222,14 +241,14 @@ class TestEstimateInvZ:
     def test_phi_needs_one_value_per_sample(self, gaussian_5d):
         model, fit = gaussian_5d
         with pytest.raises(DimensionMismatchError):
-            estimate_log_inv_z(model, fit, np.zeros((4, 5)), np.zeros(3))
+            estimate_log_inv_z(fit, np.zeros((4, 5)), np.zeros(3))
 
     def test_non_finite_ratio_raises_structured_error(self):
         model = InfTailGaussian(np.zeros(2), np.eye(2))
         fit = fit_laplace(model)
         samples = np.array([[0.0, 0.0], [0.5, 1.0], [2.0, 0.0], [0.1, -0.3]])
         with pytest.raises(NonFiniteObjectiveError, match="sample index 2") as exc_info:
-            estimate_log_inv_z(model, fit, samples)
+            estimate_log_inv_z(fit, samples, model.neg_log_density_many(samples))
         np.testing.assert_array_equal(exc_info.value.theta, samples[2])
 
 
@@ -237,9 +256,9 @@ class TestEstimateKl:
     def test_self_distribution_is_zero(self, gaussian_5d):
         model, fit = gaussian_5d
         chain = run_chain(model, fit, ChainConfig(n_steps=100_000, thin=100, seed=7))
-        log_inv_z, rel_se = estimate_log_inv_z(model, fit, chain.samples)
-        est = estimate_kl(model, fit, 10_000, seed=8, log_inv_z=log_inv_z, inv_z_rel_se=rel_se)
-        assert abs(est.kl) <= max(3 * est.standard_error, 1e-12)
+        log_inv_z, rel_se = estimate_log_inv_z(fit, chain.samples, chain.phi)
+        kl, se = estimate_kl(model, fit, 10_000, seed=8, log_inv_z=log_inv_z, inv_z_rel_se=rel_se)
+        assert abs(kl) <= max(3 * se, 1e-12)
 
     def test_1d_pipeline_matches_quadrature(self):
         model = SoftplusTilt1D(1.0)
@@ -257,22 +276,26 @@ class TestEstimateKl:
         values = {}
         for thin in (500, 1000):
             chain = run_chain(model, fit, ChainConfig(n_steps=400_000, thin=thin, seed=11))
-            values[thin] = estimate_log_inv_z(model, fit, chain.samples)
+            values[thin] = estimate_log_inv_z(fit, chain.samples, chain.phi)
         (a, ra), (b, rb) = values[500], values[1000]
         # |1/Z_a - 1/Z_b| <= 3 (combined se), divided through by 1/Z_b
         assert abs(np.exp(a - b) - 1.0) <= 3 * np.hypot(np.exp(a - b) * ra, rb)
 
     def test_json_schema(self, gaussian_5d):
         model, fit = gaussian_5d
-        est = estimate_kl(model, fit, 100, seed=0, log_inv_z=0.0)
-        payload = est.to_json_dict()
+        preset = TruthPreset(
+            name="test", chain=ChainConfig(n_steps=10_000, thin=100, seed=0), k2=100
+        )
+        payload = estimate_true_kl(model, fit, preset).to_json_dict()
         # the linear 1/Z overflows past moderate d, so inv_z and inv_z_se are
         # absent: only the log form is written
         assert set(payload) == {
             "kl", "se", "log_inv_z", "inv_z_rel_se", "k", "k2", "acceptance_rate", "config"
         }
-        # no chain ran, so the acceptance rate is undefined: null, not NaN
-        assert payload["acceptance_rate"] is None
+        assert set(payload["config"]) == {
+            "preset", "n_steps", "thin", "seed", "k2", "rhat", "warnings"
+        }
+        assert (payload["k"], payload["k2"]) == (N_CHAINS * 4, 100)
         json.loads(json.dumps(payload, allow_nan=False))
 
     def test_non_finite_phi_at_a_draw_raises_structured_error(self):
@@ -310,5 +333,9 @@ class TestPresets:
             1000,
             100_000,
         )
+        assert {name: get_preset(name).name for name in PRESETS} == {
+            "desk": "desk", "paper": "paper"
+        }
+        assert get_preset("paper", seed=4).chain.seed == 4
         with pytest.raises(ValueError):
             get_preset("huge")

@@ -212,7 +212,7 @@ class TestRayDerivatives:
         rng = np.random.default_rng(17)
         base = rng.standard_normal(4)
         v = rng.standard_normal(4)
-        bound = model.ray_fourth_derivative_bound(base, v)
+        bound = model.ray_batch(base, v[None]).delta4[0]
         rs = np.linspace(-8.0, 8.0, 400)
         profile = model.ray_derivatives(base, v, rs, 4)[:, 3]
         assert np.all(np.abs(profile) <= bound + 1e-12)
@@ -354,7 +354,12 @@ class TestRayBatch:
     def _scalar_hooks(model, base, vs, rs):
         values = [[model.neg_log_density(base + r * v) for r in rs] for v in vs]
         delta3 = [model.ray_derivatives(base, v, 0.0, 3)[2] for v in vs]
-        delta4 = [model.ray_fourth_derivative_bound(base, v) for v in vs]
+        if isinstance(model, LogisticRegressionModel):
+            # |d^4/dt^4 log(1 + e^-t)| <= 1/8, times sum((y_i x_i . v)^4)
+            delta4 = [0.125 * np.sum((model.signed_covariates @ v) ** 4) for v in vs]
+        else:
+            # a quadratic phi has no fourth derivative
+            delta4 = [0.0] * len(vs)
         return np.array(values), np.array(delta3), delta4
 
     @pytest.mark.parametrize("kind", ["gaussian", "logistic", "scalar_only"])
