@@ -47,7 +47,6 @@ from .mcmc import (
     estimate_log_inv_z,
     estimate_true_kl,
     get_preset,
-    paper_preset,
     run_chain,
 )
 from .models import (

@@ -369,12 +369,13 @@ def approximate_bound_coefficient(d: int) -> float:
     """Dimension coefficient of the third-derivative-only certificate.
 
     2/(sqrt(3) sqrt(2d-1)) * Gamma((d+5)/2)/Gamma(d/2)
-    + (1/9) * (Gamma((d+3)/2)/Gamma(d/2))^2, gamma ratios via log-gamma.
+    + (1/9) * (Gamma((d+3)/2)/Gamma(d/2))^2, the gamma ratios being the chi
+    moments E[r^5] / 2^(5/2) and E[r^3] / 2^(3/2).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    g5 = math.exp(math.lgamma(0.5 * (d + 5)) - math.lgamma(0.5 * d))
-    g3 = math.exp(math.lgamma(0.5 * (d + 3)) - math.lgamma(0.5 * d))
+    g5 = chi_moment(d, 5) / 2**2.5
+    g3 = chi_moment(d, 3) / 2**1.5
     return 2.0 / (math.sqrt(3.0) * math.sqrt(2.0 * d - 1.0)) * g5 + g3 * g3 / 9.0
 
 

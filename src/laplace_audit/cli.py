@@ -138,19 +138,11 @@ def _cmd_truth(args, parser) -> int:
 
 
 def _cmd_table(args, parser) -> int:
-    spec = ExperimentSpec.from_file(args.spec)
-    if args.mcmc_preset is not None:
-        payload = spec.to_json_dict()
-        payload["mcmc_preset"] = args.mcmc_preset
-        spec = ExperimentSpec.from_json_dict(payload)
-    report = run_experiment(spec, jobs=args.jobs)
+    report = run_experiment(ExperimentSpec.from_file(args.spec), jobs=args.jobs)
     if args.format == "csv":
-        text = report.to_csv(pretty=args.pretty)
+        _write(report.to_csv(pretty=args.pretty), args.out)
     else:
-        text = json.dumps(
-            report.to_json_dict(), indent=2 if args.pretty else None, allow_nan=False
-        ) + "\n"
-    _write(text, args.out)
+        _emit(report.to_json_dict(), args.out, "json", args.pretty)
     return EXIT_OK
 
 
@@ -187,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="run an experiment grid from a JSON spec")
     p_table.add_argument("--spec", required=True)
-    p_table.add_argument("--mcmc-preset", choices=tuple(PRESETS), default=None)
     p_table.add_argument("--jobs", type=int, default=1)
     p_table.add_argument("--out")
     p_table.add_argument("--format", choices=("json", "csv"), default="csv")

@@ -257,19 +257,16 @@ def spec_content_hash(spec: ExperimentSpec) -> str:
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
     """Run every (row, replicate) cell and aggregate per-row medians.
 
-    Cells are independent and individually seeded, so ``jobs > 1`` fans them
-    out over threads without changing any output; results are emitted in
-    (row, replicate) order regardless of completion order. Per-cell failures
-    are recorded in the report and do not stop the run.
+    The cells run on a pool of ``jobs`` threads (a ValueError when ``jobs``
+    is below 1). They are independent and individually seeded, so ``jobs``
+    changes no output, and ``pool.map`` returns them in (row, replicate)
+    order whatever order they finish in. Per-cell failures are recorded in
+    the report and do not stop the run.
     """
     spec.validate()
     cells = [(r, k) for r in range(len(spec.rows)) for k in range(spec.replicates)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda cell: _run_cell(spec, *cell), cells))
-    else:
-        results = [_run_cell(spec, *cell) for cell in cells]
-    results.sort(key=lambda r: (r.row, r.replicate))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        results = list(pool.map(lambda cell: _run_cell(spec, *cell), cells))
 
     aggregates = []
     for row_idx, row in enumerate(spec.rows):

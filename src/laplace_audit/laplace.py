@@ -3,7 +3,7 @@
 ``fit_laplace`` locates the minimizer theta* of the negative log-density with
 a line-search Newton method (gradient-descent fallback when the Newton step is
 not a descent direction), then ``build_fit`` factorizes the Hessian at the
-mode into the covariance and its symmetric square root, which the
+mode into the covariance's symmetric square root, which the
 direction/radius change of variable is written in terms of.
 """
 
@@ -41,8 +41,7 @@ class LaplaceFit:
     ----------
     theta_star : mode of the target density.
     hessian_at_mode : H, the Hessian of phi at the mode.
-    covariance : Sigma = H^-1.
-    sqrt_covariance : symmetric PSD square root S with S @ S = Sigma.
+    sqrt_covariance : symmetric PSD square root S with S @ S = Sigma = H^-1.
     log_det_covariance : log det Sigma.
     neg_log_density_at_mode : phi(theta*).
     grad_norm : sup-norm of the gradient at theta*.
@@ -51,7 +50,6 @@ class LaplaceFit:
 
     theta_star: np.ndarray
     hessian_at_mode: np.ndarray
-    covariance: np.ndarray
     sqrt_covariance: np.ndarray
     log_det_covariance: float
     neg_log_density_at_mode: float
@@ -161,12 +159,10 @@ def _factorize(model: TargetModel, theta_star, phi, grad_norm: float, iterations
                 "relative_floor": SPD_RELATIVE_FLOOR,
             },
         )
-    cov = (v / w) @ v.T
     sqrt_cov = (v / np.sqrt(w)) @ v.T
     return LaplaceFit(
         theta_star=theta_star,
         hessian_at_mode=h,
-        covariance=0.5 * (cov + cov.T),
         sqrt_covariance=0.5 * (sqrt_cov + sqrt_cov.T),
         log_det_covariance=float(-np.sum(np.log(w))),
         neg_log_density_at_mode=float(phi),

@@ -258,6 +258,11 @@ class TestExitCodes:
     def test_missing_file_exits_one(self, capsys):
         assert main(["audit", "--data", "/nonexistent.csv"]) == 1
 
+    def test_table_zero_jobs_exits_one(self, tmp_path, capsys):
+        spec = _write_spec(tmp_path / "spec.json")
+        assert main(["table", "--spec", str(spec), "--jobs", "0"]) == 1
+        assert "max_workers" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "change, message",
         [
@@ -358,6 +363,14 @@ class TestRuntimeNeedsNoScipy:
         payload = _strict_json(proc.stdout)
         assert abs(payload["kl"]) <= max(3 * payload["se"], 1e-10)
         assert payload["k"] == 9_000
+
+    def test_table_runs_where_scipy_cannot_be_imported(self, tmp_path):
+        spec = _write_spec(tmp_path / "spec.json", n_directions=16)
+        proc = self._main_without_scipy(["table", "--spec", str(spec), "--format", "json"])
+        assert proc.returncode == 0, proc.stderr
+        replicates = _strict_json(proc.stdout)["replicates"]
+        assert [r["status"] for r in replicates] == ["ok", "ok"]
+        assert all(r["approx_bound"] > 0.0 and r["kl"] is None for r in replicates)
 
 
 class TestExperimentApi:

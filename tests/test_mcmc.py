@@ -106,9 +106,9 @@ class TestRunChain:
         with pytest.raises(ValueError):
             ChainConfig(n_steps=1000, thin=100).validate()
         with pytest.raises(ValueError):
-            ChainConfig(n_steps=0).validate()
+            ChainConfig(n_steps=0, thin=100).validate()
         with pytest.raises(ValueError):
-            ChainConfig(thin=0).validate()
+            ChainConfig(n_steps=1_000_000, thin=0).validate()
 
     def test_config_that_keeps_no_state_rejected(self, logistic_tiny):
         model, fit = logistic_tiny
@@ -323,11 +323,11 @@ class TestEstimateKl:
 
 class TestPresets:
     def test_preset_sizes(self):
-        from laplace_audit import desk_preset, get_preset, paper_preset
+        from laplace_audit import desk_preset, get_preset
 
         desk = desk_preset()
         assert (desk.chain.n_steps, desk.chain.thin, desk.k2) == (1_000_000, 100, 10_000)
-        paper = paper_preset()
+        paper = get_preset("paper")
         assert (paper.chain.n_steps, paper.chain.thin, paper.k2) == (
             10_000_000,
             1000,
