@@ -202,6 +202,7 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
     out_phi = np.empty((N_CHAINS, keep.shape[0]))
 
     theta = np.tile(fit.theta_star, (N_CHAINS, 1))
+    proposal = np.empty_like(theta)
     phi = model.neg_log_density_many(theta)
     accepted = np.zeros(N_CHAINS, dtype=np.int64)
     kept = 0
@@ -211,7 +212,7 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
         jumps = (scale * (eta @ fit.sqrt_covariance)).reshape(block, N_CHAINS, d)
         log_u = np.log(rng.random((block, N_CHAINS)))
         for b in range(block):
-            proposal = theta + jumps[b]
+            np.add(theta, jumps[b], out=proposal)
             phi_prop = model.neg_log_density_many(proposal)
             move = log_u[b] < phi - phi_prop
             np.copyto(theta, proposal, where=move[:, None])

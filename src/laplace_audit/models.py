@@ -44,28 +44,28 @@ def _expit(t):
     return 1.0 / (1.0 + np.exp(-t))
 
 
-def _neg_log_expit(t, out=None):
-    """log(1 + exp(-t)) elementwise, that is -log expit(t), written into ``out``.
+def _log1p_exp(u, out=None):
+    """log(1 + exp(u)) elementwise, the softplus, written into ``out``.
 
-    exp(-t) overflows below t = -709, so an array reaching below -700 takes
-    the form log1p(exp(-|t|)) - min(t, 0); any other takes log1p(exp(-t)),
-    three passes fewer. Both run on numpy's vectorized exp and log1p, several
-    times faster than ``np.logaddexp``, and agree with it to a few ulp. NaN
-    and infinities propagate.
+    exp(u) overflows above u = 709, so an array reaching above 700 takes the
+    form log1p(exp(-|u|)) + max(u, 0); any other takes log1p(exp(u)), three
+    passes fewer. Both run on numpy's vectorized exp and log1p, several times
+    faster than ``np.logaddexp``, and agree with it to a few ulp. NaN and
+    infinities propagate. With u = -t it is -log expit(t), the logistic loss
+    at margin t.
     """
-    t = np.asarray(t, dtype=float)
+    u = np.asarray(u, dtype=float)
     if out is None:
-        out = np.empty_like(t)
-    if t.min(initial=np.inf) > -700.0:
-        np.negative(t, out=out)
-        np.exp(out, out=out)
+        out = np.empty_like(u)
+    if u.max(initial=-np.inf) < 700.0:
+        np.exp(u, out=out)
         return np.log1p(out, out=out)
-    low = np.minimum(t, 0.0)
-    np.abs(t, out=out)
+    high = np.maximum(u, 0.0)
+    np.abs(u, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    return np.subtract(out, low, out=out)
+    return np.add(out, high, out=out)
 
 
 @dataclass(frozen=True)
@@ -293,6 +293,14 @@ class LogisticRegressionModel(TargetModel):
     so all derivatives reduce to weighted sums of powers of projections; the
     scalar chain uses sigmoid identities and stays finite for |t| well beyond
     the exp overflow threshold.
+
+    Besides the row-major signed covariates, whose products give the fit's
+    gradient and Hessian, the constructor stores one C-contiguous copy of
+    their transpose (d x n, 8 n d bytes). The many-point and ray hooks
+    multiply a block of negated points or directions by it, which gives the
+    negated margins u = -t exactly, since negation is exact, and they take
+    the loss as log(1 + exp(u)). Evaluation is still pure after
+    construction: neither array is written again.
     """
 
     def __init__(self, labels, covariates, prior_sigma0: float):
@@ -317,6 +325,9 @@ class LogisticRegressionModel(TargetModel):
         self._inv_prior_var = 1.0 / (sigma0 * sigma0)
         # rows y_i * x_i; margins are signed_x @ theta
         self._signed_x = np.ascontiguousarray(y[:, None] * x)
+        # its transpose, contiguous, for the row-block products of the
+        # many-point and ray hooks
+        self._signed_xt = np.ascontiguousarray(self._signed_x.T)
 
     @property
     def signed_covariates(self) -> np.ndarray:
@@ -373,8 +384,10 @@ class LogisticRegressionModel(TargetModel):
 
         The margins at the base, t0, and p0 = expit(t0) do not depend on the
         direction, so with s = signed_x @ v, delta3 is (w0 (1 - 2 p0)) . s^3
-        and the delta4 bound is 0.125 * sum(s^4). The values on the nodes
-        come from one (rows x nodes x n) margin buffer, reused by every chunk.
+        and the delta4 bound is 0.125 * sum(s^4). The projections s of a
+        chunk are one product with the stored transpose. The values on the
+        nodes come from one (rows x nodes x n) buffer, reused by every chunk,
+        that holds the negated margins u = (-r) s - t0, exactly -(r s + t0).
         """
         base = self._check_theta(base)
         vs = _check_directions(directions, self.dim)
@@ -393,17 +406,17 @@ class LogisticRegressionModel(TargetModel):
         buffer = None if rs is None else np.empty((min(rows, k), nodes, self.n_obs))
         for lo in range(0, k, rows):
             hi = min(lo + rows, k)
-            s = vs[lo:hi] @ self._signed_x.T
+            s = vs[lo:hi] @ self._signed_xt
             s_sq = s * s
             # a row-by-row reduction rather than a BLAS product, so that the
             # value for -v is exactly minus the value for v
             delta3[lo:hi] = np.einsum("ij,j->i", s_sq * s, w3)
             delta4[lo:hi] = SIGMOID_THIRD_DERIVATIVE_MAX * np.sum(s_sq * s_sq, axis=1)
             if values is not None:
-                t = buffer[: hi - lo]
-                np.multiply(rs[:, None], s[:, None, :], out=t)
-                t += t0
-                values[lo:hi] = _neg_log_expit(t, out=t).sum(axis=2)
+                u = buffer[: hi - lo]
+                np.multiply(-rs[:, None], s[:, None, :], out=u)
+                u -= t0
+                values[lo:hi] = _log1p_exp(u, out=u).sum(axis=2)
         if values is not None:
             # ||base + r v||^2 expanded, so that no (k x nodes x d) array is formed
             quad = float(base @ base) + rs * (2.0 * (vs @ base))[:, None] + (
@@ -416,20 +429,16 @@ class LogisticRegressionModel(TargetModel):
         """1 / sigma0^2: the likelihood Hessian X' diag(w) X has weights w >= 0."""
         return self._inv_prior_var
 
-    def _margin_blocks(self, thetas):
-        """Yield (rows, margins) for ROW_BLOCK-row slices of ``thetas``, in one buffer."""
-        buffer = np.empty((min(ROW_BLOCK, thetas.shape[0]), self.n_obs))
-        for lo in range(0, thetas.shape[0], ROW_BLOCK):
-            rows = slice(lo, min(lo + ROW_BLOCK, thetas.shape[0]))
-            t = buffer[: rows.stop - lo]
-            np.matmul(thetas[rows], self._signed_x.T, out=t)
-            yield rows, t
-
     def neg_log_density_many(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
         out = 0.5 * self._inv_prior_var * np.einsum("ij,ij->i", thetas, thetas)
-        for rows, t in self._margin_blocks(thetas):
-            out[rows] += _neg_log_expit(t, out=t).sum(axis=1)
+        # one buffer of negated margins u = -t for every ROW_BLOCK-row slice
+        buffer = np.empty((min(ROW_BLOCK, thetas.shape[0]), self.n_obs))
+        for lo in range(0, thetas.shape[0], ROW_BLOCK):
+            rows = slice(lo, min(lo + ROW_BLOCK, thetas.shape[0]))
+            u = buffer[: rows.stop - lo]
+            np.matmul(-thetas[rows], self._signed_xt, out=u)
+            out[rows] += _log1p_exp(u, out=u).sum(axis=1)
         return out
 
 

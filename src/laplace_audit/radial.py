@@ -48,24 +48,53 @@ def sample_direction_pairs(d: int, n_pairs: int, rng: np.random.Generator) -> np
     return np.stack([e, -e], axis=1).reshape(2 * n_pairs, d)
 
 
-def chi_moment(d: int, k: int) -> float:
-    """E[r^k] for r chi-distributed with d degrees of freedom.
-
-    Uses the gamma-ratio form 2^(k/2) Gamma((d+k)/2) / Gamma(d/2) evaluated
-    through log-gamma, so it stays finite where the raw gamma values overflow.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return float(np.exp(0.5 * k * LOG_2 + math.lgamma(0.5 * (d + k)) - math.lgamma(0.5 * d)))
-
-
 # remainder of Stirling's series for log Gamma(a): sum_k c_k / a^(2k-1); the
 # first term left out, 691 / (360360 a^11), is below 1e-17 for a >= 20
 _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
 _STIRLING_MIN_A = 20.0
 _EPS = 2.0**-53
+
+
+def _stirling_remainder(a: float) -> float:
+    """log Gamma(a) - ((a - 1/2) log a - a + log(2 pi) / 2), for a >= ``_STIRLING_MIN_A``."""
+    inv_sq = 1.0 / (a * a)
+    remainder = 0.0
+    for c in reversed(_STIRLING):
+        remainder = remainder * inv_sq + c
+    return remainder / a
+
+
+def chi_moment(d: int, k: int) -> float:
+    """E[r^k] for r chi-distributed with d degrees of freedom.
+
+    The moment is 2^h Gamma(a + h) / Gamma(a), with a = d/2 and h = k/2. A
+    difference of log-gammas would cancel terms of size a log a, so the
+    ratio is taken at A = a + m, the first shift of a by a whole m to reach
+    ``_STIRLING_MIN_A``, and brought back with the recurrence:
+    Gamma(a + h) / Gamma(a) = Gamma(A + h) / Gamma(A) * prod_j (a + j) / (a + h + j)
+    over j < m. At A, Stirling's series gives 2^h Gamma(A + h) / Gamma(A) =
+    (2A)^h exp(c), with the small correction
+    c = (A + h - 1/2) log1p(h / A) - h + R(A + h) - R(A), R its remainder.
+    The result is within a few ulp for every d, and inf where the moment
+    overflows.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    a, h = 0.5 * d, 0.5 * k
+    m = max(0, math.ceil(_STIRLING_MIN_A - a))
+    big_a = a + m
+    correction = (
+        (big_a + h - 0.5) * math.log1p(h / big_a)
+        - h
+        + _stirling_remainder(big_a + h)
+        - _stirling_remainder(big_a)
+    )
+    shift = 1.0
+    for j in range(m):
+        shift *= (a + j) / (a + h + j)
+    return float(np.power(2.0 * big_a, h) * np.exp(correction) * shift)
 
 
 def _log1pmx_series(t: float) -> float:
@@ -89,13 +118,9 @@ def _log_gamma_prefix(a: float, x: float) -> float:
     """
     if a < _STIRLING_MIN_A:
         return a * math.log(x) - x - math.lgamma(a)
-    inv_sq = 1.0 / (a * a)
-    remainder = 0.0
-    for c in reversed(_STIRLING):
-        remainder = remainder * inv_sq + c
     t = (x - a) / a
     log1pmx = _log1pmx_series(t) if abs(t) < 0.5 else math.log(x / a) - t
-    return a * log1pmx + 0.5 * (math.log(a) - LOG_2PI) - remainder / a
+    return a * log1pmx + 0.5 * (math.log(a) - LOG_2PI) - _stirling_remainder(a)
 
 
 def _log_gamma_tail(a: float, x: float, upper: bool):

@@ -396,8 +396,9 @@ class TestApproximateBound:
             g5 = math.exp(gammaln(0.5 * (d + 5)) - gammaln(0.5 * d))
             g3 = math.exp(gammaln(0.5 * (d + 3)) - gammaln(0.5 * d))
             want = 2.0 / (math.sqrt(3.0) * math.sqrt(2.0 * d - 1.0)) * g5 + g3 * g3 / 9.0
-            # both sides lose about one ulp of lgamma(d/2) to the difference
-            # of log-gammas; the largest gap measured is 2.7e-12 (d = 898)
+            # scipy's side loses about one ulp of lgamma(d/2) to the
+            # difference of log-gammas; the largest gap measured is 1.7e-12
+            # (d = 898)
             assert approximate_bound_coefficient(d) == pytest.approx(want, rel=3e-12, abs=0)
 
 

@@ -20,7 +20,7 @@ from laplace_audit.models import (
     SIGMOID_THIRD_DERIVATIVE_MAX,
     TargetModel,
     _expit,
-    _neg_log_expit,
+    _log1p_exp,
 )
 
 from oracles import (
@@ -281,6 +281,58 @@ class TestVectorizedHooks:
         assert model.neg_log_density_many(np.zeros((0, 5))).shape == (0,)
 
 
+class TestLogisticManyPointBranches:
+    """``neg_log_density_many`` against the scalar ``neg_log_density`` on every branch."""
+
+    @staticmethod
+    def _assert_matches_scalar(model, thetas):
+        many = model.neg_log_density_many(thetas)
+        assert many.shape == (thetas.shape[0],)
+        # np.logaddexp in the scalar form flags a NaN margin as invalid
+        with np.errstate(invalid="ignore"):
+            scalar = [model.neg_log_density(t) for t in thetas]
+        np.testing.assert_allclose(many, scalar, rtol=1e-13, atol=0)
+
+    def test_block_with_margins_below_minus_700_takes_the_abs_form(self, monkeypatch):
+        model = _random_logistic(12, d=5, n=80)
+        rng = np.random.default_rng(13)
+        thetas = 0.3 * rng.standard_normal((8, 5))
+        # one row far out: some of its margins fall below -700 and others
+        # rise above 700, so the whole 4-row block holding it takes the
+        # log1p(exp(-|u|)) + max(u, 0) form, and the other block does not
+        thetas[2] = 400.0 * rng.standard_normal(5)
+        margins = model.signed_covariates @ thetas[2]
+        assert margins.min() < -700.0 and margins.max() > 700.0
+        assert np.abs(model.signed_covariates @ thetas[4:].T).max() < 700.0
+        monkeypatch.setattr(models_module, "ROW_BLOCK", 4)
+        self._assert_matches_scalar(model, thetas)
+
+    def test_rows_with_nan_or_infinity(self):
+        model = _random_logistic(14, d=3, n=40)
+        thetas = np.array(
+            [
+                [0.1, -0.2, 0.3],
+                [np.nan, 0.0, 0.0],
+                [np.inf, 0.0, 0.0],
+                [-np.inf, 0.0, 0.0],
+                [0.0, 0.0, np.nan],
+            ]
+        )
+        many = model.neg_log_density_many(thetas)
+        np.testing.assert_array_equal(np.isnan(many), [False, True, False, False, True])
+        assert many[2] == np.inf and many[3] == np.inf
+        self._assert_matches_scalar(model, thetas)
+
+    def test_model_without_observations(self):
+        model = LogisticRegressionModel(np.zeros(0), np.zeros((0, 3)), prior_sigma0=2.0)
+        assert model.n_obs == 0
+        thetas = np.random.default_rng(16).standard_normal((5, 3))
+        self._assert_matches_scalar(model, thetas)
+        np.testing.assert_allclose(
+            model.neg_log_density_many(thetas), np.sum(thetas * thetas, axis=1) / 8.0, rtol=1e-15
+        )
+
+
 def _contract_cases():
     rng = np.random.default_rng(47)
     a = rng.standard_normal((6, 6))
@@ -404,6 +456,8 @@ class TestRayBatch:
 
 
 class TestNegLogExpit:
+    """-log expit(t) = log(1 + exp(-t)), taken as ``_log1p_exp(-t)``."""
+
     def test_within_4_ulp_of_logaddexp(self):
         ts = np.linspace(-800.0, 800.0, 400_001)
         expected = np.logaddexp(0.0, -ts)
@@ -411,27 +465,27 @@ class TestNegLogExpit:
         # pieces above -700 take the short form
         for piece in (ts, ts[ts > -700.0], ts[ts > 0.0]):
             want = np.logaddexp(0.0, -piece)
-            got = _neg_log_expit(piece)
+            got = _log1p_exp(-piece)
             assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
-        assert expected[-1] == 0.0 and _neg_log_expit(ts)[-1] == 0.0
+        assert expected[-1] == 0.0 and _log1p_exp(-ts)[-1] == 0.0
 
     @pytest.mark.parametrize("low", [-10.0, -750.0])
     def test_special_values_propagate_without_overflow(self, low):
         ts = np.array([low, np.nan, np.inf, -np.inf, 0.0])
         with np.errstate(over="raise"):
-            got = _neg_log_expit(ts)
+            got = _log1p_exp(-ts)
         np.testing.assert_array_equal(np.isnan(got), [False, True, False, False, False])
         assert got[2] == 0.0 and got[3] == np.inf
         np.testing.assert_allclose(got[[0, 4]], np.logaddexp(0.0, -ts[[0, 4]]), rtol=1e-15)
         with np.errstate(over="raise"):
-            finite = _neg_log_expit(np.array([low, 5.0]))
+            finite = _log1p_exp(-np.array([low, 5.0]))
         np.testing.assert_allclose(finite, np.logaddexp(0.0, -np.array([low, 5.0])), rtol=1e-15)
 
     def test_writes_into_out(self):
         ts = np.linspace(-3.0, 3.0, 7)
         out = np.empty_like(ts)
-        assert _neg_log_expit(ts, out=out) is out
-        assert _neg_log_expit(np.zeros(0)).shape == (0,)
+        assert _log1p_exp(-ts, out=out) is out
+        assert _log1p_exp(np.zeros(0)).shape == (0,)
 
 
 class TestExpit:
