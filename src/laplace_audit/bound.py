@@ -17,26 +17,25 @@ variable. Averaging over sampled directions assembles two certificates:
   plus the conditional-KL corrections.
 
 ``audit`` wires the full pipeline (mode search, fit, log-concavity check,
-direction sampling, assembly) into a reproducible report that always
-carries both certificates, since both come from the same direction pass.
-Log-concavity is proven when the model gives ``hessian_eigenvalue_floor``
-(both built-ins do), and otherwise sampled by ``logconcavity_spotcheck``.
-It treats all m sampled directions, one normal draw, in O(m) array passes:
-one ``TargetModel.ray_batch`` call gives delta3, the analytic delta4 bound
-and the ray values on the quadrature nodes for the (m x d) direction
-matrix; the curvature floor, the conditional-KL bound and the ELBO proxy are
-array expressions over it (``min_conditional_curvature`` and
+direction sampling, assembly) into a reproducible report that carries both
+certificates, since both come from the same direction pass; the detailed one
+needs the model's proven delta4 bound, and without one the report has no
+detailed certificate. Log-concavity is proven when the model gives
+``hessian_eigenvalue_floor`` (both built-ins do), and otherwise sampled by
+``logconcavity_spotcheck``. It treats all m sampled directions, one normal
+draw, in O(m) array passes: one ``TargetModel.ray_batch`` call gives delta3,
+the delta4 bound and the ray values on the quadrature nodes for the (m x d)
+direction matrix; the curvature floor, the conditional-KL bound and the ELBO
+proxy are array expressions over it (``min_conditional_curvature`` and
 ``conditional_kl_bound`` take one value or an array);
-``direction_kl_bound``'s jackknife scans per-block sums. The curvature floor
-is minimized exactly, at the real roots of its derivative. The one-direction
-helpers ``delta3``, ``delta4`` and ``xi_elbo`` run the same code on one
-direction. A model without an analytic delta4 bound gets a heuristic grid
-maximum, the only step that loops over directions.
+``direction_kl_bound``'s jackknife scans per-block sums. No step loops over
+directions. The curvature floor is minimized exactly, at the real roots of
+its derivative. The one-direction helpers ``delta3``, ``delta4`` and
+``xi_elbo`` run the same code on one direction.
 
 The model must be a ``TargetModel`` subclass: the direction pass reaches it
-only through ``ray_batch`` (and ``ray_derivatives`` over an array of offsets
-for grid delta4), which the base class builds from the scalar hooks when a
-model has no array form of its own.
+only through ``ray_batch``, which the base class builds from the scalar hooks
+when a model has no array form of its own.
 """
 
 from __future__ import annotations
@@ -53,14 +52,11 @@ from .radial import (
     QUADRATURE_NODES,
     chi_moment,
     chi_quadrature,
-    chi_quantile,
     radial_min_curvature,
     sample_direction_pairs,
 )
 
 _DIR_STREAM = 1
-
-DELTA4_GRID_POINTS = 512
 
 
 def json_ready(value):
@@ -100,38 +96,23 @@ def delta3(fit: LaplaceFit, model: TargetModel, e) -> float:
     return float(model.ray_batch(fit.theta_star, _whiten(fit, e)).delta3[0])
 
 
-def _delta4s(model, fit: LaplaceFit, vs, analytic):
-    """delta4 along each row of ``vs`` and the mode that produced them.
-
-    ``analytic`` is the model's bound from ``ray_batch``; when it is None
-    (the model has none) each row takes the grid maximum.
-    """
-    if analytic is not None:
-        if np.any(analytic < 0):
-            raise ValueError("analytic fourth-derivative bound must be nonnegative")
-        return analytic, "analytic"
-    rs = np.linspace(0.0, chi_quantile(fit.dim, 1.0 - 1e-6), DELTA4_GRID_POINTS)
-    values = [
-        np.max(np.abs(model.ray_derivatives(fit.theta_star, v, rs, 4)[:, 3])) for v in vs
-    ]
-    return np.array(values, dtype=float), "grid"
-
-
 def delta4(fit: LaplaceFit, model: TargetModel, e):
-    """Bound on |fourth ray derivative| along ``S e``.
+    """The model's proven bound on |fourth ray derivative| along ``S e``.
 
-    The model's analytic global bound when it has one; otherwise the max over
-    a 512-point grid on [0, r_max], r_max being the 1 - 1e-6 chi quantile.
-    The grid value is a heuristic stand-in for the unbounded maximum and is
-    flagged as such.
+    Read from ``model.ray_batch(...).delta4``. A model that gives no bound
+    raises AssumptionViolationError: a sampled maximum would be a heuristic,
+    not a bound.
 
     Returns
     -------
-    (value, flag) with flag in {"analytic", "grid"}.
+    (value, flag) with flag always "analytic".
     """
-    vs = _whiten(fit, e)
-    values, flag = _delta4s(model, fit, vs, model.ray_batch(fit.theta_star, vs).delta4)
-    return float(values[0]), flag
+    bound = model.ray_batch(fit.theta_star, _whiten(fit, e)).delta4
+    if bound is None:
+        raise AssumptionViolationError("the model gives no fourth-derivative bound")
+    if bound[0] < 0:
+        raise ValueError("analytic fourth-derivative bound must be nonnegative")
+    return float(bound[0]), "analytic"
 
 
 def _curvature_floor_poly(r, d, d3, d4):
@@ -291,6 +272,10 @@ class DirectionKlTerms:
     cond_term: float
 
 
+# the terms of a model with no fourth-derivative bound: no detailed certificate
+_NO_DETAILED_TERMS = DirectionKlTerms(*[math.nan] * 6)
+
+
 def _log_moment(xis: np.ndarray) -> float:
     # centered on the maximum, which is exact, so constant xis give exactly 0
     shifted = xis - xis.max()
@@ -408,8 +393,10 @@ class AuditConfig:
 class BoundReport:
     """Assembled certificate values with per-term breakdown and provenance.
 
-    Both certificates are always present. A standard error that is undefined
-    (one antithetic pair or one jackknife block) is NaN, written as null.
+    ``detailed_bound`` and its five terms are NaN, written as null, when the
+    model gives no fourth-derivative bound: there is no detailed certificate.
+    So is a standard error that is undefined (one antithetic pair or one
+    jackknife block).
     """
 
     d: int
@@ -425,13 +412,12 @@ class BoundReport:
     eps1_term: float
     eps1_correction_se: float
     invalid_directions: int
-    delta4_mode_counts: dict
     spotcheck: dict
     fit_summary: dict
     config: dict
 
     def to_json_dict(self) -> dict:
-        """The report as a JSON payload; an undefined standard error is null."""
+        """The report as a JSON payload; an undefined value is null."""
         return json_ready({
             "d": self.d,
             "n_directions": self.n_directions,
@@ -449,7 +435,6 @@ class BoundReport:
                 "eps1_correction_se": self.eps1_correction_se,
             },
             "invalid_directions": self.invalid_directions,
-            "delta4_mode_counts": self.delta4_mode_counts,
             "spotcheck": self.spotcheck,
             "fit": self.fit_summary,
             "config": self.config,
@@ -506,7 +491,9 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
     Directions whose curvature floor is nonpositive, or whose ray values are
     not finite, are excluded from the detailed bound and counted in
     ``invalid_directions``; if fewer than two directions are valid an
-    AssumptionViolationError carries the partial report data.
+    AssumptionViolationError carries the partial report data. A model whose
+    ``ray_batch`` gives no delta4 bound gets ``approx_bound`` alone: the
+    detailed bound and its terms are NaN and ``invalid_directions`` is 0.
     """
     config = config or AuditConfig()
     config.validate()
@@ -521,19 +508,6 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
     rs = chi_quadrature(d, config.quadrature_nodes)[0]
     batch = model.ray_batch(fit.theta_star, vs, rs)
     d3 = batch.delta3
-    d4, d4_mode = _delta4s(model, fit, vs, batch.delta4)
-    # on an exactly quadratic ray every diagnostic has its exact limit
-    exact = (d3 == 0.0) & (d4 == 0.0)
-    mc = min_conditional_curvature(d, d3, d4)
-    valid = mc > 0.0
-    ckl = np.full(d3.shape, np.nan)
-    ckl[valid] = conditional_kl_bound(d, d3[valid], d4[valid], mc[valid])
-    finite = np.all(np.isfinite(batch.values), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi = _xi_values(fit, batch.values, config.quadrature_nodes)
-    xi = np.where(exact, 0.0, np.where(finite, xi, np.nan))
-    valid &= exact | finite
-
     delta3_sq = d3 * d3
     pair_vals = delta3_sq[0::2]
     mean_delta3_sq = float(delta3_sq.mean())
@@ -542,17 +516,32 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
         float(np.std(pair_vals, ddof=1) / np.sqrt(n_pairs)) if n_pairs > 1 else float("nan")
     )
 
-    invalid = int(np.count_nonzero(~valid))
-    if np.count_nonzero(valid) < 2:
-        raise AssumptionViolationError(
-            "all sampled directions fall outside the certificate's validity range",
-            details={
-                "invalid_directions": invalid,
-                "n_directions": config.n_directions,
-                "mean_delta3_sq": mean_delta3_sq,
-            },
-        )
-    terms = direction_kl_bound(xi[valid], ckl[valid], pair_size=2 if invalid == 0 else 1)
+    d4 = batch.delta4
+    terms, invalid = _NO_DETAILED_TERMS, 0
+    if d4 is not None:
+        # on an exactly quadratic ray every diagnostic has its exact limit
+        exact = (d3 == 0.0) & (d4 == 0.0)
+        mc = min_conditional_curvature(d, d3, d4)  # rejects a negative bound
+        valid = mc > 0.0
+        ckl = np.full(d3.shape, np.nan)
+        ckl[valid] = conditional_kl_bound(d, d3[valid], d4[valid], mc[valid])
+        finite = np.all(np.isfinite(batch.values), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = _xi_values(fit, batch.values, config.quadrature_nodes)
+        xi = np.where(exact, 0.0, np.where(finite, xi, np.nan))
+        valid &= exact | finite
+
+        invalid = int(np.count_nonzero(~valid))
+        if np.count_nonzero(valid) < 2:
+            raise AssumptionViolationError(
+                "all sampled directions fall outside the certificate's validity range",
+                details={
+                    "invalid_directions": invalid,
+                    "n_directions": config.n_directions,
+                    "mean_delta3_sq": mean_delta3_sq,
+                },
+            )
+        terms = direction_kl_bound(xi[valid], ckl[valid], pair_size=2 if invalid == 0 else 1)
 
     report = BoundReport(
         d=d,
@@ -568,7 +557,6 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
         eps1_term=terms.eps1_sq_term,
         eps1_correction_se=terms.eps1_correction_se,
         invalid_directions=invalid,
-        delta4_mode_counts={d4_mode: config.n_directions},
         spotcheck=spotcheck,
         fit_summary={
             "grad_norm": fit.grad_norm,
@@ -577,7 +565,10 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
         },
         config=config.to_json_dict(),
     )
-    for value in (report.mean_delta3_sq, report.approx_bound, report.detailed_bound):
+    checked = (report.mean_delta3_sq, report.approx_bound)
+    if d4 is not None:
+        checked += (report.detailed_bound,)
+    for value in checked:
         if not np.isfinite(value):
             raise AssumptionViolationError(
                 "non-finite value in assembled bound report",

@@ -109,8 +109,6 @@ def _build_model(args, parser):
 
 
 def _cmd_gen_data(args, parser) -> int:
-    if args.d is None or args.n is None:
-        parser.error("gen-data requires --d and --n")
     dataset = generate_dataset(SyntheticDatasetConfig(d=args.d, n=args.n, seed=args.seed))
     save_dataset_csv(args.out, dataset.labels, dataset.covariates)
     return EXIT_OK
@@ -153,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen-data", parents=[], help="write a synthetic dataset CSV")
+    p_gen = sub.add_parser("gen-data", help="write a synthetic dataset CSV")
     p_gen.add_argument("--d", type=int, required=True)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)

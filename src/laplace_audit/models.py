@@ -75,7 +75,7 @@ class RayBatch:
     ``values[i, j]`` is phi(base + rs[j] * v_i), or ``values`` is None when
     no nodes were asked for. ``delta3[i]`` is the third ray derivative at the
     base. ``delta4[i]`` bounds the absolute fourth ray derivative along the
-    whole ray; ``delta4`` is None when the model has no analytic bound.
+    whole ray, or is None when the model has none (no detailed certificate).
     """
 
     values: np.ndarray | None
@@ -105,7 +105,8 @@ class TargetModel(abc.ABC):
     values on the quadrature nodes, delta3 at the base and the analytic
     delta4 bound; ``ray_values`` is its one-direction form. Two optional
     hooks give proven facts, or None for a model without the proof:
-    ``ray_fourth_derivative_bound`` bounds delta4 along a whole ray, and
+    ``ray_fourth_derivative_bound`` bounds delta4 along a whole ray (without
+    it the audit has ``approx_bound`` but no ``detailed_bound``), and
     ``hessian_eigenvalue_floor`` bounds the Hessian's eigenvalues from below
     everywhere, which lets ``audit`` prove log-concavity instead of sampling
     it. The certificate calls ``ray_batch`` on the model itself, so its
@@ -338,10 +339,11 @@ class LogisticRegressionModel(TargetModel):
         theta = self._check_theta(theta)
         t = self._signed_x @ theta
         # kept on np.logaddexp: the mode search's line search compares these
-        # values near the mode, so another rounding moves the fit's last bits
-        return 0.5 * self._inv_prior_var * float(theta @ theta) + float(
-            np.logaddexp(0.0, -t).sum()
-        )
+        # values near the mode, so another rounding moves the fit's last bits.
+        # A NaN margin gives NaN silently, as in neg_log_density_many.
+        with np.errstate(invalid="ignore"):
+            loss = float(np.logaddexp(0.0, -t).sum())
+        return 0.5 * self._inv_prior_var * float(theta @ theta) + loss
 
     def gradient(self, theta) -> np.ndarray:
         theta = self._check_theta(theta)

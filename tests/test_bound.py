@@ -1,5 +1,6 @@
 """Direction diagnostics, curvature floors, and the assembled KL certificates."""
 
+import json
 import math
 
 import numpy as np
@@ -39,7 +40,7 @@ from oracles import CubicRay1D, RadialLaw, SoftplusTilt1D, third_derivative_7pt
 
 
 class NoBoundTilt(SoftplusTilt1D):
-    """The tilt without its analytic delta4 bound, so delta4 takes the grid maximum."""
+    """The tilt without its analytic delta4 bound, so it has no detailed certificate."""
 
     def ray_fourth_derivative_bound(self, base, direction):
         return None
@@ -81,7 +82,7 @@ class TestDelta4:
     def test_analytic_dominates_grid(self, logistic_small):
         model, fit = logistic_small
         rng = np.random.default_rng(3)
-        rs = np.linspace(0.0, chi_quantile(5, 1.0 - 1e-6), bound_module.DELTA4_GRID_POINTS)
+        rs = np.linspace(0.0, chi_quantile(5, 1.0 - 1e-6), 512)
         for _ in range(5):
             e = sample_direction(5, rng)
             analytic, fa = delta4(fit, model, e)
@@ -91,6 +92,7 @@ class TestDelta4:
             assert analytic >= grid
 
     def test_grid_fallback_when_no_analytic_hook(self, logistic_small):
+        """No grid maximum stands in for a missing bound: delta4 raises."""
         model, fit = logistic_small
 
         class NoHook(TargetModel):
@@ -104,8 +106,8 @@ class TestDelta4:
             def ray_fourth_derivative_bound(base, direction):
                 return None
 
-        _, flag = delta4(fit, NoHook(), np.eye(5)[1])
-        assert flag == "grid"
+        with pytest.raises(AssumptionViolationError, match="no fourth-derivative bound"):
+            delta4(fit, NoHook(), np.eye(5)[1])
 
     def test_data_rescaling_recomputes_consistently(self):
         base = generate_dataset(SyntheticDatasetConfig(d=3, n=50, seed=9))
@@ -492,10 +494,9 @@ class TestAudit:
         directions, batch, (xis, eps1) = seen["directions"], seen["batch"], seen["terms"]
         assert directions.shape == (16, 5) and xis.shape == eps1.shape == (16,)
         for e, g3, g4, xi, kl in zip(directions, batch.delta3, batch.delta4, xis, eps1):
-            d4, flag = delta4(fit, model, e)
+            d4, _ = delta4(fit, model, e)
             assert g3 == pytest.approx(delta3(fit, model, e), rel=1e-13)
             assert g4 == pytest.approx(d4, rel=1e-13)
-            assert report.delta4_mode_counts == {flag: 16}
             assert xi == pytest.approx(xi_elbo(fit, model, e), rel=1e-12, abs=1e-13)
             floor = min_conditional_curvature(5, g3, g4)
             assert kl == pytest.approx(conditional_kl_bound(5, g3, g4, floor), rel=1e-13)
@@ -543,22 +544,19 @@ class TestAudit:
         assert details["invalid_directions"] == 16 and details["n_directions"] == 16
         assert details["mean_delta3_sq"] == report.mean_delta3_sq
 
-    def test_grid_mode_counts_grid_directions(self):
-        model = SoftplusTilt1D(1.0)
-        fit = fit_laplace(model)
-        grid = audit(NoBoundTilt(1.0), AuditConfig(n_directions=16, seed=1), fit=fit)
-        analytic = audit(model, AuditConfig(n_directions=16, seed=1), fit=fit)
-        assert grid.delta4_mode_counts == {"grid": 16}
-        assert analytic.delta4_mode_counts == {"analytic": 16}
-        # the analytic bound dominates the grid maximum on every ray
-        assert grid.detailed_bound <= analytic.detailed_bound
-
-    def test_model_without_analytic_bound_falls_back_to_grid(self):
-        model = SoftplusTilt1D(0.5)
-        fit = fit_laplace(model)
-        report = audit(NoBoundTilt(0.5), AuditConfig(n_directions=8, seed=0), fit=fit)
-        assert report.delta4_mode_counts == {"grid": 8}
+    def test_model_without_delta4_bound_has_no_detailed_certificate(self):
+        config = AuditConfig(n_directions=16, seed=1)
+        fit = fit_laplace(SoftplusTilt1D(1.0))
+        bounded = audit(SoftplusTilt1D(1.0), config, fit=fit)
+        report = audit(NoBoundTilt(1.0), config, fit=fit)
+        for name in ("mean_delta3_sq", "se_delta3_sq", "approx_bound", "spotcheck"):
+            assert getattr(report, name) == getattr(bounded, name)
         assert report.invalid_directions == 0
+        payload = report.to_json_dict()
+        assert payload["detailed_bound"] is None
+        assert payload["term_breakdown"] == dict.fromkeys(("e_term", "cond_term", "eps1_term"))
+        assert payload["term_standard_errors"] == dict.fromkeys(("e_term_se", "eps1_correction_se"))
+        json.dumps(payload, allow_nan=False)
 
     def test_detailed_bound_assembles_from_terms(self, logistic_tiny):
         model, fit = logistic_tiny
@@ -620,6 +618,18 @@ class TestAudit:
 
         with pytest.raises(ValueError, match="hessian_eigenvalue_floor"):
             audit(WrongFloor(0.5), AuditConfig(n_directions=16))
+
+    def test_negative_delta4_bound_rejected(self):
+        class WrongBound(SoftplusTilt1D):
+            def ray_fourth_derivative_bound(self, base, direction):
+                return -1.0
+
+        model = WrongBound(0.5)
+        fit = fit_laplace(model)
+        with pytest.raises(ValueError, match="nonnegative"):
+            audit(model, AuditConfig(n_directions=16), fit=fit)
+        with pytest.raises(ValueError, match="nonnegative"):
+            delta4(fit, model, np.ones(1))
 
     def test_mean_delta3_sq_decreases_with_data(self):
         # more data -> more Gaussian posterior; seed-averaged over 10 replicates
