@@ -64,7 +64,6 @@ from .models import (
 from .radial import (
     chi_moment,
     chi_quadrature,
-    chi_quantile,
     radial_min_curvature,
     sample_direction,
     sample_direction_pairs,

@@ -102,17 +102,13 @@ def delta4(fit: LaplaceFit, model: TargetModel, e):
     Read from ``model.ray_batch(...).delta4``. A model that gives no bound
     raises AssumptionViolationError: a sampled maximum would be a heuristic,
     not a bound.
-
-    Returns
-    -------
-    (value, flag) with flag always "analytic".
     """
     bound = model.ray_batch(fit.theta_star, _whiten(fit, e)).delta4
     if bound is None:
         raise AssumptionViolationError("the model gives no fourth-derivative bound")
     if bound[0] < 0:
         raise ValueError("analytic fourth-derivative bound must be nonnegative")
-    return float(bound[0]), "analytic"
+    return float(bound[0])
 
 
 def _curvature_floor_poly(r, d, d3, d4):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
+from scipy.stats import chi
 
 from laplace_audit import (
     AssumptionViolationError,
@@ -20,7 +21,6 @@ from laplace_audit import (
     audit,
     build_fit,
     chi_moment,
-    chi_quantile,
     conditional_curvature_profile,
     conditional_kl_bound,
     delta3,
@@ -76,22 +76,20 @@ class TestDelta3:
 class TestDelta4:
     def test_gaussian_zero(self, gaussian_5d):
         model, fit = gaussian_5d
-        value, flag = delta4(fit, model, np.eye(5)[0])
-        assert value == 0.0 and flag == "analytic"
+        assert delta4(fit, model, np.eye(5)[0]) == 0.0
 
     def test_analytic_dominates_grid(self, logistic_small):
         model, fit = logistic_small
         rng = np.random.default_rng(3)
-        rs = np.linspace(0.0, chi_quantile(5, 1.0 - 1e-6), 512)
+        rs = np.linspace(0.0, chi.ppf(1.0 - 1e-6, 5), 512)
         for _ in range(5):
             e = sample_direction(5, rng)
-            analytic, fa = delta4(fit, model, e)
+            analytic = delta4(fit, model, e)
             v = fit.sqrt_covariance @ e
             grid = np.max(np.abs(model.ray_derivatives(fit.theta_star, v, rs, 4)[:, 3]))
-            assert fa == "analytic"
             assert analytic >= grid
 
-    def test_grid_fallback_when_no_analytic_hook(self, logistic_small):
+    def test_model_without_bound_raises(self, logistic_small):
         """No grid maximum stands in for a missing bound: delta4 raises."""
         model, fit = logistic_small
 
@@ -117,7 +115,7 @@ class TestDelta4:
         fit = fit_laplace(scaled_model)
         rng = np.random.default_rng(4)
         e = sample_direction(3, rng)
-        value, _ = delta4(fit, scaled_model, e)
+        value = delta4(fit, scaled_model, e)
         s = scaled_model.signed_covariates @ (fit.sqrt_covariance @ e)
         assert value == pytest.approx(0.125 * float(np.sum(s**4)), rel=1e-12)
 
@@ -420,7 +418,7 @@ class TestConditionalCurvatureProfile:
         for _ in range(10):
             e = sample_direction(5, rng)
             d3 = delta3(fit, model, e)
-            d4, _ = delta4(fit, model, e)
+            d4 = delta4(fit, model, e)
             floor = min_conditional_curvature(5, d3, d4)
             profile = conditional_curvature_profile(fit, model, e, zs)
             assert floor <= profile.min() + 1e-12
@@ -494,7 +492,7 @@ class TestAudit:
         directions, batch, (xis, eps1) = seen["directions"], seen["batch"], seen["terms"]
         assert directions.shape == (16, 5) and xis.shape == eps1.shape == (16,)
         for e, g3, g4, xi, kl in zip(directions, batch.delta3, batch.delta4, xis, eps1):
-            d4, _ = delta4(fit, model, e)
+            d4 = delta4(fit, model, e)
             assert g3 == pytest.approx(delta3(fit, model, e), rel=1e-13)
             assert g4 == pytest.approx(d4, rel=1e-13)
             assert xi == pytest.approx(xi_elbo(fit, model, e), rel=1e-12, abs=1e-13)
