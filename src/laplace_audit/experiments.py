@@ -9,6 +9,7 @@ each number stays attributable.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -29,10 +30,10 @@ _AUDIT_STREAM = 1
 _CHAIN_STREAM = 2
 
 # ReplicateResult fields, in the order of a replicate's CSV row; a row
-# aggregate fills the same columns with its medians
+# aggregate fills the same columns with its medians and no error
 CSV_COLUMNS = (
     "row", "replicate", "model", "d", "n", "sigma0", "seed",
-    "kl", "kl_se", "approx_bound", "detailed_bound", "efficiency", "status",
+    "kl", "kl_se", "approx_bound", "detailed_bound", "efficiency", "status", "error",
 )
 
 
@@ -235,17 +236,19 @@ class ExperimentReport:
             return str(value)
 
         buf = io.StringIO()
-        buf.write(",".join(CSV_COLUMNS) + "\n")
+        # quotes a cell, such as an error message, that holds a comma or a quote
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
         for r in self.replicates:
-            buf.write(",".join(fmt(getattr(r, name)) for name in CSV_COLUMNS) + "\n")
+            writer.writerow(fmt(getattr(r, name)) for name in CSV_COLUMNS)
         for a in self.aggregates:
             cells = (
                 a.row, "median", a.model, a.d, a.n, a.sigma0, "NA",
                 a.median_kl, a.median_kl_se, a.median_approx_bound,
                 a.median_detailed_bound, a.median_efficiency,
-                f"ok:{a.replicates - a.n_failed}/failed:{a.n_failed}",
+                f"ok:{a.replicates - a.n_failed}/failed:{a.n_failed}", None,
             )
-            buf.write(",".join(fmt(c) for c in cells) + "\n")
+            writer.writerow(fmt(c) for c in cells)
         return buf.getvalue()
 
 

@@ -297,11 +297,14 @@ class LogisticRegressionModel(TargetModel):
 
     Besides the row-major signed covariates, whose products give the fit's
     gradient and Hessian, the constructor stores one C-contiguous copy of
-    their transpose (d x n, 8 n d bytes). The many-point and ray hooks
-    multiply a block of negated points or directions by it, which gives the
-    negated margins u = -t exactly, since negation is exact, and they take
-    the loss as log(1 + exp(u)). Evaluation is still pure after
-    construction: neither array is written again.
+    their transpose (d x n, 8 n d bytes). The many-point hook multiplies a
+    block of negated points by it, which gives the negated margins u = -t
+    exactly, since negation is exact. The ray hook multiplies directions by
+    it for the projections s, then takes the negated node margins
+    u = (-r) s - t0 from one stacked product with two inner terms, which
+    rounds exactly as the elementwise form does. Both take the loss as
+    log(1 + exp(u)). Evaluation is still pure after construction: neither
+    array is written again.
     """
 
     def __init__(self, labels, covariates, prior_sigma0: float):
@@ -390,6 +393,11 @@ class LogisticRegressionModel(TargetModel):
         chunk are one product with the stored transpose. The values on the
         nodes come from one (rows x nodes x n) buffer, reused by every chunk,
         that holds the negated margins u = (-r) s - t0, exactly -(r s + t0).
+        Each chunk fills it with one stacked product C P, with C = [-r | -1]
+        (nodes x 2) and P = [s ; t0] (rows x 2 x n). Its inner sums have two
+        terms, taken in order, and (-1) t0 is exact, so after fl((-r) s) u
+        rounds once, in the subtraction, exactly as the elementwise form
+        does; the product only saves a broadcast pass.
         """
         base = self._check_theta(base)
         vs = _check_directions(directions, self.dim)
@@ -402,10 +410,15 @@ class LogisticRegressionModel(TargetModel):
         values = None
         if rs is not None:
             rs = np.asarray(rs, dtype=float)
-            values = np.empty((k, rs.shape[0]))
         nodes = 1 if rs is None else rs.shape[0]
         rows = max(1, RAY_BLOCK_ELEMENTS // max(1, nodes * self.n_obs))
-        buffer = None if rs is None else np.empty((min(rows, k), nodes, self.n_obs))
+        if rs is not None:
+            values = np.empty((k, nodes))
+            # u = C P for each chunk, C = [-r | -1] and P = [s ; t0]
+            coeffs = np.stack([-rs, np.full(nodes, -1.0)], axis=1)
+            stack = np.empty((min(rows, k), 2, self.n_obs))
+            stack[:, 1] = t0
+            buffer = np.empty((min(rows, k), nodes, self.n_obs))
         for lo in range(0, k, rows):
             hi = min(lo + rows, k)
             s = vs[lo:hi] @ self._signed_xt
@@ -415,9 +428,8 @@ class LogisticRegressionModel(TargetModel):
             delta3[lo:hi] = np.einsum("ij,j->i", s_sq * s, w3)
             delta4[lo:hi] = SIGMOID_THIRD_DERIVATIVE_MAX * np.sum(s_sq * s_sq, axis=1)
             if values is not None:
-                u = buffer[: hi - lo]
-                np.multiply(-rs[:, None], s[:, None, :], out=u)
-                u -= t0
+                stack[: hi - lo, 0] = s
+                u = np.matmul(coeffs, stack[: hi - lo], out=buffer[: hi - lo])
                 values[lo:hi] = _log1p_exp(u, out=u).sum(axis=2)
         if values is not None:
             # ||base + r v||^2 expanded, so that no (k x nodes x d) array is formed

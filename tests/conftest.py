@@ -32,6 +32,14 @@ def logistic_tiny():
 
 
 @pytest.fixture(scope="session")
+def logistic_d50():
+    """Seeded d=50, n=1000 logistic posterior with its fit (the high-dimension cell)."""
+    dataset = generate_dataset(SyntheticDatasetConfig(d=50, n=1000, seed=4))
+    model = dataset.model(10.0)
+    return model, fit_laplace(model)
+
+
+@pytest.fixture(scope="session")
 def gaussian_5d():
     model = random_gaussian_model(5, seed=13)
     return model, fit_laplace(model)

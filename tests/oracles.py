@@ -13,6 +13,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import expit, gammaln
 
+from laplace_audit import models
 from laplace_audit.laplace import laplace_log_density
 from laplace_audit.models import GaussianModel, TargetModel
 from laplace_audit.radial import LOG_2
@@ -95,6 +96,33 @@ def replay_chain(model: TargetModel, fit, config):
                 samples.append(theta)
         accepted.append(count)
     return np.array(samples), np.array(accepted)
+
+
+def logistic_ray_values(model, base, vs, rs):
+    """phi(base + r v) on the ray nodes of a logistic model, margins by broadcasting.
+
+    The negated margins are built elementwise, u = (-r) s - t0: one
+    broadcast multiply, then one subtraction. Each row of u goes through
+    ``_log1p_exp`` and is summed, and the prior term ||base + r v||^2 /
+    (2 sigma0^2) is added in the expanded form ``ray_batch`` uses. The
+    projections s = signed_x v are taken chunk by chunk, with the chunk rows
+    of ``ray_batch``: a product's rounding can depend on its row count (one
+    row goes through a matrix-vector call), and the margins, not the
+    projections, are what this oracle pins down.
+    """
+    t0 = model.signed_covariates @ base
+    values = np.empty((vs.shape[0], rs.shape[0]))
+    rows = max(1, models.RAY_BLOCK_ELEMENTS // max(1, rs.shape[0] * model.n_obs))
+    for lo in range(0, vs.shape[0], rows):
+        s = vs[lo : lo + rows] @ model._signed_xt
+        u = -rs[:, None] * s[:, None, :]
+        u -= t0
+        values[lo : lo + rows] = models._log1p_exp(u).sum(axis=2)
+    quad_form = float(base @ base) + rs * (2.0 * (vs @ base))[:, None] + (
+        rs * rs * np.einsum("ij,ij->i", vs, vs)[:, None]
+    )
+    values += 0.5 * (1.0 / (model.prior_sigma0 * model.prior_sigma0)) * quad_form
+    return values
 
 
 def quadrature_kl_1d(model: TargetModel, fit, lo=-40.0, hi=40.0):

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: pipelines, formats, determinism, exit codes."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -13,7 +15,13 @@ import pytest
 import laplace_audit
 from laplace_audit import cli, experiments, random_gaussian_model
 from laplace_audit.cli import main
-from laplace_audit.experiments import CSV_COLUMNS, ExperimentSpec, run_experiment
+from laplace_audit.experiments import (
+    CSV_COLUMNS,
+    ExperimentReport,
+    ExperimentSpec,
+    ReplicateResult,
+    run_experiment,
+)
 
 from oracles import InfTailGaussian
 
@@ -137,9 +145,16 @@ class TestNonFiniteTruth:
                 "n_directions": 16,
             }
         )
-        (cell,) = run_experiment(spec).replicates
+        report = run_experiment(spec)
+        (cell,) = report.replicates
         assert cell.status == "failed"
         assert cell.error.startswith("NonFiniteObjectiveError")
+        # the message reaches the CSV's last column as one cell
+        header, row, aggregate = csv.reader(io.StringIO(report.to_csv()))
+        assert header == list(CSV_COLUMNS)
+        assert row[CSV_COLUMNS.index("status")] == "failed"
+        assert row[CSV_COLUMNS.index("error")] == cell.error
+        assert aggregate[CSV_COLUMNS.index("error")] == "NA"
 
 
 class TestTruthCommand:
@@ -161,9 +176,26 @@ class TestTableCommand:
         assert main(["table", "--spec", str(spec), "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
-        # 2 replicate rows + 1 aggregate row
+        assert CSV_COLUMNS[-1] == "error"
+        # 2 replicate rows + 1 aggregate row, none with an error
         assert len(lines) == 4
         assert lines[-1].split(",")[1] == "median"
+        assert all(line.split(",")[-1] == "NA" for line in lines[1:])
+
+    def test_table_csv_quotes_an_error_with_a_comma_or_quote(self):
+        nan = float("nan")
+        message = 'NonFiniteObjectiveError: phi is "inf", at 1 of 9 draws'
+        cell = ReplicateResult(
+            row=0, replicate=0, model="gaussian", d=1, n=0, sigma0=1.0, seed=3,
+            kl=nan, kl_se=nan, approx_bound=nan, detailed_bound=nan, efficiency=nan,
+            status="failed", error=message,
+        )
+        text = ExperimentReport({}, "", (cell,), ()).to_csv()
+        (header, row) = csv.reader(io.StringIO(text))
+        assert len(row) == len(header) == len(CSV_COLUMNS)
+        assert row[-1] == message
+        # the numeric cells are written as before
+        assert text.splitlines()[1].startswith("0,0,gaussian,1,0,1,3,NA,NA,NA,NA,NA,failed,")
 
     def test_table_json_contains_replicates_and_hash(self, tmp_path):
         spec = _write_spec(tmp_path / "spec.json")

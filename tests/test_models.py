@@ -28,6 +28,7 @@ from oracles import (
     SoftplusTilt1D,
     central_directional,
     fourth_derivative_5pt,
+    logistic_ray_values,
     third_derivative_7pt,
 )
 
@@ -441,9 +442,62 @@ class TestRayBatch:
         # room for 2 directions per chunk: 13 rows take 7 chunks, the last one short
         monkeypatch.setattr(models_module, "RAY_BLOCK_ELEMENTS", 2 * rs.size * model.n_obs)
         chunked = model.ray_batch(fit.theta_star, vs, rs)
+        # not bit for bit: the projections s of a one-row chunk come from a
+        # matrix-vector product, which rounds differently from the
+        # matrix-matrix one, and some OpenBLAS kernels round a matrix-matrix
+        # row differently with the chunk's row count too
         np.testing.assert_allclose(chunked.values, whole.values, rtol=1e-14)
         np.testing.assert_allclose(chunked.delta3, whole.delta3, rtol=1e-14)
         np.testing.assert_allclose(chunked.delta4, whole.delta4, rtol=1e-14)
+
+    @staticmethod
+    def _assert_broadcast_values(model, base, vs, rs):
+        """The node values equal the broadcast-margin oracle's bit for bit."""
+        got = model.ray_batch(base, vs, rs).values
+        want = logistic_ray_values(model, base, vs, rs)
+        assert got.shape == want.shape == (vs.shape[0], rs.shape[0])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cell", ["logistic_small", "logistic_d50"])
+    def test_stacked_margins_round_like_broadcast(self, cell, request):
+        model, fit = request.getfixturevalue(cell)
+        rng = np.random.default_rng(43)
+        vs = rng.standard_normal((64, model.dim)) @ fit.sqrt_covariance
+        rs = np.linspace(0.0, 6.0, 32)
+        self._assert_broadcast_values(model, fit.theta_star, vs, rs)
+
+    def test_unsorted_offsets_round_like_broadcast(self, logistic_small):
+        model, fit = logistic_small
+        vs = np.random.default_rng(44).standard_normal((9, 5)) @ fit.sqrt_covariance
+        rs = np.array([2.5, 0.0, -1.25, 4.0, 0.5, -3.0])
+        self._assert_broadcast_values(model, fit.theta_star, vs, rs)
+
+    @pytest.mark.parametrize("per_chunk", [3, 5])
+    def test_short_last_chunk_rounds_like_broadcast(self, per_chunk, logistic_small, monkeypatch):
+        model, fit = logistic_small
+        vs = np.random.default_rng(45).standard_normal((13, 5)) @ fit.sqrt_covariance
+        rs = np.linspace(0.0, 4.0, 7)
+        # 13 rows: chunks of 3 end with one row, chunks of 5 with three
+        monkeypatch.setattr(models_module, "RAY_BLOCK_ELEMENTS", per_chunk * rs.size * model.n_obs)
+        self._assert_broadcast_values(model, fit.theta_star, vs, rs)
+
+    def test_margins_above_700_round_like_broadcast(self, logistic_small):
+        model, fit = logistic_small
+        vs = np.random.default_rng(46).standard_normal((6, 5))
+        rs = np.array([0.0, 750.0, -750.0])
+        s = vs @ model.signed_covariates.T
+        t0 = model.signed_covariates @ fit.theta_star
+        # the one chunk's largest margin -r s - t0 is above 700: the |u| form
+        assert 750.0 * np.abs(s).max() - np.abs(t0).max() > 700.0
+        self._assert_broadcast_values(model, fit.theta_star, vs, rs)
+
+    def test_empty_blocks_round_like_broadcast(self, logistic_small):
+        model, fit = logistic_small
+        rs = np.linspace(0.0, 3.0, 4)
+        self._assert_broadcast_values(model, fit.theta_star, np.zeros((0, 5)), rs)
+        no_data = LogisticRegressionModel(np.zeros(0), np.zeros((0, 3)), prior_sigma0=2.0)
+        vs = np.random.default_rng(47).standard_normal((5, 3))
+        self._assert_broadcast_values(no_data, np.array([1.0, -2.0, 0.5]), vs, rs)
 
     def test_direction_shape_checked(self, logistic_small):
         model, fit = logistic_small
