@@ -15,6 +15,8 @@ failure including usage errors.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 
@@ -70,15 +72,17 @@ def _emit(payload: dict, out: str | None, fmt: str, pretty: bool) -> None:
     if fmt == "json":
         text = json.dumps(payload, indent=2 if pretty else None, allow_nan=False) + "\n"
     else:
-        # an undefined number, null in JSON, is NA here as in the table CSV
-        lines = ["key,value"]
+        # NA for an undefined number, as in the table CSV; a comma gets quoted
+        rows = [("key", "value")]
         for key, value in _flatten(payload):
             if value is None:
                 value = "NA"
             elif isinstance(value, (list, tuple)):
                 value = json.dumps(value)
-            lines.append(f"{key},{value}")
-        text = "\n".join(lines) + "\n"
+            rows.append((key, value))
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        text = buf.getvalue()
     _write(text, out)
 
 

@@ -11,7 +11,8 @@ gradients, Hessians and directional derivatives up to fourth order, which the
 certificate machinery needs along rays through the mode, a batched ray
 method that evaluates a whole block of directions with array work, and a
 proven floor under the Hessian's eigenvalues, so that log-concavity is
-proven rather than sampled.
+proven rather than sampled. Each writes phi once, in its many-point hook;
+the scalar phi is that hook's one-row call.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ from .errors import DimensionMismatchError, UnsupportedOrderError
 # grid-maximization oracle in the test suite.
 SIGMOID_THIRD_DERIVATIVE_MAX = 0.125
 
-# rows per block in the many-point hooks, so that a batch of points never
-# builds a margin array of more than this many rows
-ROW_BLOCK = 1024
-# elements of the (directions x nodes x n_obs) margin buffer of ``ray_batch``
-RAY_BLOCK_ELEMENTS = 1 << 18
+# elements of the one margin buffer a block hook builds: points x n_obs in
+# ``neg_log_density_many``, directions x nodes x n_obs in ``ray_batch``
+BLOCK_ELEMENTS = 1 << 18
 
 
 @np.errstate(over="ignore")
@@ -97,10 +96,11 @@ class TargetModel(abc.ABC):
 
     Subclasses must set ``dim`` and implement ``neg_log_density``,
     ``gradient``, ``hessian`` and ``ray_derivatives``; the last takes one
-    offset or an array of them. The vectorized hooks (``ray_batch``,
-    ``neg_log_density_many``) have generic defaults that loop over the
-    scalar methods, and exist so models with structure can avoid per-point
-    Python overhead. ``ray_batch`` is all the certificate's
+    offset or an array of them. The vectorized hooks have generic defaults:
+    ``neg_log_density_many`` loops over ``neg_log_density``, and ``ray_batch``
+    takes each direction's node values from one ``neg_log_density_many``
+    call. They exist so models with structure can avoid per-point Python
+    overhead. ``ray_batch`` is all the certificate's
     direction pass asks of a model: for a block of directions it returns the
     values on the quadrature nodes, delta3 at the base and the analytic
     delta4 bound; ``ray_values`` is its one-direction form. Two optional
@@ -168,7 +168,7 @@ class TargetModel(abc.ABC):
 
         ``rs`` are the offsets at which to evaluate phi; None skips the
         values. This generic version loops over ``ray_derivatives``,
-        ``ray_fourth_derivative_bound`` and ``neg_log_density`` and uses
+        ``ray_fourth_derivative_bound`` and ``neg_log_density_many`` and uses
         nothing else of the model.
         """
         base = np.asarray(base, dtype=float)
@@ -181,9 +181,9 @@ class TargetModel(abc.ABC):
         values = None
         if rs is not None:
             rs = np.asarray(rs, dtype=float)
-            values = np.array(
-                [[self.neg_log_density(base + r * v) for r in rs] for v in directions], dtype=float
-            ).reshape(directions.shape[0], rs.shape[0])
+            values = np.empty((directions.shape[0], rs.shape[0]))
+            for i, v in enumerate(directions):
+                values[i] = self.neg_log_density_many(base + rs[:, None] * v)
         return RayBatch(values, delta3, delta4)
 
     def ray_values(self, base, direction, rs) -> np.ndarray:
@@ -240,8 +240,7 @@ class GaussianModel(TargetModel):
         self.precision = 0.5 * (self.precision + self.precision.T)
 
     def neg_log_density(self, theta) -> float:
-        delta = self._check_theta(theta) - self.mean
-        return 0.5 * float(delta @ self.precision @ delta)
+        return float(self.neg_log_density_many(self._check_theta(theta)[None, :])[0])
 
     def gradient(self, theta) -> np.ndarray:
         delta = self._check_theta(theta) - self.mean
@@ -299,12 +298,12 @@ class LogisticRegressionModel(TargetModel):
     gradient and Hessian, the constructor stores one C-contiguous copy of
     their transpose (d x n, 8 n d bytes). The many-point hook multiplies a
     block of negated points by it, which gives the negated margins u = -t
-    exactly, since negation is exact. The ray hook multiplies directions by
-    it for the projections s, then takes the negated node margins
-    u = (-r) s - t0 from one stacked product with two inner terms, which
-    rounds exactly as the elementwise form does. Both take the loss as
-    log(1 + exp(u)). Evaluation is still pure after construction: neither
-    array is written again.
+    exactly, since negation is exact; the scalar phi is that hook on one
+    row. The ray hook multiplies directions by it for the projections s,
+    then takes the negated node margins u = (-r) s - t0 from one stacked
+    product with two inner terms, which rounds exactly as the elementwise
+    form does. Both take the loss as log(1 + exp(u)) in buffers of at most
+    ``BLOCK_ELEMENTS``. Evaluation is pure after construction.
     """
 
     def __init__(self, labels, covariates, prior_sigma0: float):
@@ -339,14 +338,7 @@ class LogisticRegressionModel(TargetModel):
         return self._signed_x
 
     def neg_log_density(self, theta) -> float:
-        theta = self._check_theta(theta)
-        t = self._signed_x @ theta
-        # kept on np.logaddexp: the mode search's line search compares these
-        # values near the mode, so another rounding moves the fit's last bits.
-        # A NaN margin gives NaN silently, as in neg_log_density_many.
-        with np.errstate(invalid="ignore"):
-            loss = float(np.logaddexp(0.0, -t).sum())
-        return 0.5 * self._inv_prior_var * float(theta @ theta) + loss
+        return float(self.neg_log_density_many(self._check_theta(theta)[None, :])[0])
 
     def gradient(self, theta) -> np.ndarray:
         theta = self._check_theta(theta)
@@ -397,7 +389,9 @@ class LogisticRegressionModel(TargetModel):
         (nodes x 2) and P = [s ; t0] (rows x 2 x n). Its inner sums have two
         terms, taken in order, and (-1) t0 is exact, so after fl((-r) s) u
         rounds once, in the subtraction, exactly as the elementwise form
-        does; the product only saves a broadcast pass.
+        does; the product only saves a broadcast pass. A chunk's row count
+        is even (two at least) within ``BLOCK_ELEMENTS``, so a +-v pair
+        always shares one product and no even block ends on a one-row chunk.
         """
         base = self._check_theta(base)
         vs = _check_directions(directions, self.dim)
@@ -411,7 +405,7 @@ class LogisticRegressionModel(TargetModel):
         if rs is not None:
             rs = np.asarray(rs, dtype=float)
         nodes = 1 if rs is None else rs.shape[0]
-        rows = max(1, RAY_BLOCK_ELEMENTS // max(1, nodes * self.n_obs))
+        rows = max(2, BLOCK_ELEMENTS // max(1, nodes * self.n_obs) // 2 * 2)
         if rs is not None:
             values = np.empty((k, nodes))
             # u = C P for each chunk, C = [-r | -1] and P = [s ; t0]
@@ -446,10 +440,11 @@ class LogisticRegressionModel(TargetModel):
     def neg_log_density_many(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
         out = 0.5 * self._inv_prior_var * np.einsum("ij,ij->i", thetas, thetas)
-        # one buffer of negated margins u = -t for every ROW_BLOCK-row slice
-        buffer = np.empty((min(ROW_BLOCK, thetas.shape[0]), self.n_obs))
-        for lo in range(0, thetas.shape[0], ROW_BLOCK):
-            rows = slice(lo, min(lo + ROW_BLOCK, thetas.shape[0]))
+        # one buffer of negated margins u = -t for every slice of rows
+        block = max(1, BLOCK_ELEMENTS // max(1, self.n_obs))
+        buffer = np.empty((min(block, thetas.shape[0]), self.n_obs))
+        for lo in range(0, thetas.shape[0], block):
+            rows = slice(lo, min(lo + block, thetas.shape[0]))
             u = buffer[: rows.stop - lo]
             np.matmul(-thetas[rows], self._signed_xt, out=u)
             out[rows] += _log1p_exp(u, out=u).sum(axis=1)

@@ -98,6 +98,21 @@ def replay_chain(model: TargetModel, fit, config):
     return np.array(samples), np.array(accepted)
 
 
+def logistic_phi(model, thetas):
+    """phi at each row of ``thetas`` for a logistic model, the loss by ``np.logaddexp``.
+
+    The form of ``benchmarks/reference.LogisticPhi``, from the model's data
+    alone: margins t = thetas (y x)', then |theta|^2 / (2 sigma0^2) plus
+    sum logaddexp(0, -t), which agrees with the model's log(1 + exp(-t)) to
+    a few ulp per term. A NaN margin gives NaN silently.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    margins = thetas @ (model.labels[:, None] * model.covariates).T
+    prior = np.einsum("ij,ij->i", thetas, thetas) / (2.0 * model.prior_sigma0**2)
+    with np.errstate(invalid="ignore"):
+        return prior + np.logaddexp(0.0, -margins).sum(axis=1)
+
+
 def logistic_ray_values(model, base, vs, rs):
     """phi(base + r v) on the ray nodes of a logistic model, margins by broadcasting.
 
@@ -105,14 +120,14 @@ def logistic_ray_values(model, base, vs, rs):
     broadcast multiply, then one subtraction. Each row of u goes through
     ``_log1p_exp`` and is summed, and the prior term ||base + r v||^2 /
     (2 sigma0^2) is added in the expanded form ``ray_batch`` uses. The
-    projections s = signed_x v are taken chunk by chunk, with the chunk rows
-    of ``ray_batch``: a product's rounding can depend on its row count (one
-    row goes through a matrix-vector call), and the margins, not the
+    projections s = signed_x v are taken chunk by chunk, with the even chunk
+    rows of ``ray_batch``: a product's rounding can depend on its row count
+    (one row goes through a matrix-vector call), and the margins, not the
     projections, are what this oracle pins down.
     """
     t0 = model.signed_covariates @ base
     values = np.empty((vs.shape[0], rs.shape[0]))
-    rows = max(1, models.RAY_BLOCK_ELEMENTS // max(1, rs.shape[0] * model.n_obs))
+    rows = max(2, models.BLOCK_ELEMENTS // max(1, rs.shape[0] * model.n_obs) // 2 * 2)
     for lo in range(0, vs.shape[0], rows):
         s = vs[lo : lo + rows] @ model._signed_xt
         u = -rs[:, None] * s[:, None, :]

@@ -108,6 +108,19 @@ class TestGenDataAuditPipeline:
         assert cells["spotcheck.radius_multiplier"] == "NA"
         assert "None" not in text
 
+    def test_csv_quotes_a_warning_with_commas(self, capsys):
+        # the chain's warning text holds a comma; the list as a whole too
+        warning = (
+            "acceptance rate 0.012 outside [0.05, 0.7]; the samples may not represent the target"
+        )
+        payload = {"kl": 0.5, "config": {"warnings": [warning], "seed": 1}, "se": None}
+        cli._emit(payload, None, "csv", False)
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert all(len(row) == 2 for row in rows)
+        cells = dict(rows[1:])
+        assert json.loads(cells["config.warnings"]) == [warning]
+        assert cells["kl"] == "0.5" and cells["config.seed"] == "1" and cells["se"] == "NA"
+
 
 class TestStrictJson:
     def test_audit_with_undefined_standard_errors(self, capsys):

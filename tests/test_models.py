@@ -28,6 +28,7 @@ from oracles import (
     SoftplusTilt1D,
     central_directional,
     fourth_derivative_5pt,
+    logistic_phi,
     logistic_ray_values,
     third_derivative_7pt,
 )
@@ -245,8 +246,8 @@ class TestVectorizedHooks:
         v = rng.standard_normal(5)
         rs = np.linspace(0.0, 4.0, 17)
         vec = model.ray_values(fit.theta_star, v, rs)
-        scalar = [model.neg_log_density(fit.theta_star + r * v) for r in rs]
-        np.testing.assert_allclose(vec, scalar, rtol=1e-13)
+        oracle = logistic_phi(model, fit.theta_star + rs[:, None] * v)
+        np.testing.assert_allclose(vec, oracle, rtol=1e-13)
 
     def test_profile_matches_scalar_all_orders(self, logistic_small):
         model, fit = logistic_small
@@ -265,32 +266,38 @@ class TestVectorizedHooks:
         model, _ = logistic_small
         rng = np.random.default_rng(31)
         thetas = rng.standard_normal((6, 5))
-        np.testing.assert_allclose(
-            model.neg_log_density_many(thetas),
-            [model.neg_log_density(t) for t in thetas],
-            rtol=1e-13,
-        )
+        many = model.neg_log_density_many(thetas)
+        np.testing.assert_allclose(many, [model.neg_log_density(t) for t in thetas], rtol=1e-13)
+        np.testing.assert_allclose(many, logistic_phi(model, thetas), rtol=1e-13)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "logistic"])
+    def test_scalar_phi_is_the_one_row_block(self, kind, logistic_small, gaussian_5d):
+        model, fit = gaussian_5d if kind == "gaussian" else logistic_small
+        rng = np.random.default_rng(32)
+        thetas = fit.theta_star + rng.standard_normal((6, 5))
+        for theta in np.vstack([thetas, fit.theta_star]):
+            scalar = model.neg_log_density(theta)
+            assert type(scalar) is float
+            assert scalar == model.neg_log_density_many(theta[None, :])[0]
 
     def test_many_point_hooks_split_into_row_blocks(self, logistic_small, monkeypatch):
         model, _ = logistic_small
         thetas = np.random.default_rng(43).standard_normal((10, 5))
         whole = model.neg_log_density_many(thetas)
         # blocks of 4 rows: two full blocks and a short one
-        monkeypatch.setattr(models_module, "ROW_BLOCK", 4)
+        monkeypatch.setattr(models_module, "BLOCK_ELEMENTS", 4 * model.n_obs)
         np.testing.assert_allclose(model.neg_log_density_many(thetas), whole, rtol=1e-14)
         assert model.neg_log_density_many(np.zeros((0, 5))).shape == (0,)
 
 
 class TestLogisticManyPointBranches:
-    """``neg_log_density_many`` against the scalar ``neg_log_density`` on every branch."""
+    """``neg_log_density_many`` against the ``np.logaddexp`` oracle on every branch."""
 
     @staticmethod
-    def _assert_matches_scalar(model, thetas):
+    def _assert_matches_oracle(model, thetas):
         many = model.neg_log_density_many(thetas)
         assert many.shape == (thetas.shape[0],)
-        scalar = [model.neg_log_density(t) for t in thetas]
-        np.testing.assert_allclose(many, scalar, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(many, logistic_phi(model, thetas), rtol=1e-13, atol=0)
 
     def test_block_with_margins_below_minus_700_takes_the_abs_form(self, monkeypatch):
         model = _random_logistic(12, d=5, n=80)
@@ -303,8 +310,8 @@ class TestLogisticManyPointBranches:
         margins = model.signed_covariates @ thetas[2]
         assert margins.min() < -700.0 and margins.max() > 700.0
         assert np.abs(model.signed_covariates @ thetas[4:].T).max() < 700.0
-        monkeypatch.setattr(models_module, "ROW_BLOCK", 4)
-        self._assert_matches_scalar(model, thetas)
+        monkeypatch.setattr(models_module, "BLOCK_ELEMENTS", 4 * model.n_obs)
+        self._assert_matches_oracle(model, thetas)
 
     def test_rows_with_nan_or_infinity(self):
         model = _random_logistic(14, d=3, n=40)
@@ -320,13 +327,15 @@ class TestLogisticManyPointBranches:
         many = model.neg_log_density_many(thetas)
         np.testing.assert_array_equal(np.isnan(many), [False, True, False, False, True])
         assert many[2] == np.inf and many[3] == np.inf
-        self._assert_matches_scalar(model, thetas)
+        self._assert_matches_oracle(model, thetas)
+        # the scalar phi is the one-row block: NaN, silently
+        assert np.isnan(model.neg_log_density(thetas[1]))
 
     def test_model_without_observations(self):
         model = LogisticRegressionModel(np.zeros(0), np.zeros((0, 3)), prior_sigma0=2.0)
         assert model.n_obs == 0
         thetas = np.random.default_rng(16).standard_normal((5, 3))
-        self._assert_matches_scalar(model, thetas)
+        self._assert_matches_oracle(model, thetas)
         np.testing.assert_allclose(
             model.neg_log_density_many(thetas), np.sum(thetas * thetas, axis=1) / 8.0, rtol=1e-15
         )
@@ -403,7 +412,14 @@ def test_gaussian_many_matches_three_operand_einsum():
 class TestRayBatch:
     @staticmethod
     def _scalar_hooks(model, base, vs, rs):
-        values = [[model.neg_log_density(base + r * v) for r in rs] for v in vs]
+        # node values from independent phi forms, not from the model's own
+        inner = model._model if isinstance(model, ScalarOnly) else model
+        points = base + rs[None, :, None] * vs[:, None, :]
+        if isinstance(inner, LogisticRegressionModel):
+            values = [logistic_phi(inner, p) for p in points]
+        else:
+            deltas = points - inner.mean
+            values = 0.5 * np.einsum("ijk,kl,ijl->ij", deltas, inner.precision, deltas)
         delta3 = [model.ray_derivatives(base, v, 0.0, 3)[2] for v in vs]
         if isinstance(model, LogisticRegressionModel):
             # |d^4/dt^4 log(1 + e^-t)| <= 1/8, times sum((y_i x_i . v)^4)
@@ -440,7 +456,7 @@ class TestRayBatch:
         rs = np.linspace(0.0, 3.0, 7)
         whole = model.ray_batch(fit.theta_star, vs, rs)
         # room for 2 directions per chunk: 13 rows take 7 chunks, the last one short
-        monkeypatch.setattr(models_module, "RAY_BLOCK_ELEMENTS", 2 * rs.size * model.n_obs)
+        monkeypatch.setattr(models_module, "BLOCK_ELEMENTS", 2 * rs.size * model.n_obs)
         chunked = model.ray_batch(fit.theta_star, vs, rs)
         # not bit for bit: the projections s of a one-row chunk come from a
         # matrix-vector product, which rounds differently from the
@@ -472,14 +488,25 @@ class TestRayBatch:
         rs = np.array([2.5, 0.0, -1.25, 4.0, 0.5, -3.0])
         self._assert_broadcast_values(model, fit.theta_star, vs, rs)
 
-    @pytest.mark.parametrize("per_chunk", [3, 5])
+    @pytest.mark.parametrize("per_chunk", [4, 10])
     def test_short_last_chunk_rounds_like_broadcast(self, per_chunk, logistic_small, monkeypatch):
         model, fit = logistic_small
         vs = np.random.default_rng(45).standard_normal((13, 5)) @ fit.sqrt_covariance
         rs = np.linspace(0.0, 4.0, 7)
-        # 13 rows: chunks of 3 end with one row, chunks of 5 with three
-        monkeypatch.setattr(models_module, "RAY_BLOCK_ELEMENTS", per_chunk * rs.size * model.n_obs)
+        # 13 rows: chunks of 4 end with one row, chunks of 10 with three
+        monkeypatch.setattr(models_module, "BLOCK_ELEMENTS", per_chunk * rs.size * model.n_obs)
         self._assert_broadcast_values(model, fit.theta_star, vs, rs)
+
+    def test_antithetic_pairs_cancel_exactly(self, logistic_small, monkeypatch):
+        model, fit = logistic_small
+        # a budget for an odd 81 rows: a chunk of 81 would split the last
+        # pair, and its -v would take a matrix-vector product of its own
+        monkeypatch.setattr(models_module, "BLOCK_ELEMENTS", 81 * model.n_obs)
+        for seed in range(20):
+            v = np.random.default_rng(seed).standard_normal((41, 5)) @ fit.sqrt_covariance
+            batch = model.ray_batch(fit.theta_star, np.stack([v, -v], axis=1).reshape(82, 5))
+            assert np.all(batch.delta3[0::2] + batch.delta3[1::2] == 0.0), seed
+            np.testing.assert_array_equal(batch.delta4[0::2], batch.delta4[1::2])
 
     def test_margins_above_700_round_like_broadcast(self, logistic_small):
         model, fit = logistic_small
