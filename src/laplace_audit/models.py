@@ -263,15 +263,15 @@ class GaussianModel(TargetModel):
         return out
 
     def ray_batch(self, base, directions, rs=None) -> RayBatch:
-        delta = self._check_theta(base) - self.mean
+        base = self._check_theta(base)
         vs = _check_directions(directions, self.dim)
         values = None
         if rs is not None:
             rs = np.asarray(rs, dtype=float)
             pvs = vs @ self.precision
             a = 0.5 * np.einsum("ij,ij->i", vs, pvs)
-            b = pvs @ delta
-            c = 0.5 * float(delta @ self.precision @ delta)
+            b = pvs @ (base - self.mean)
+            c = self.neg_log_density_many(base[None])[0]
             values = c + b[:, None] * rs + a[:, None] * rs * rs
         return RayBatch(values, np.zeros(vs.shape[0]), np.zeros(vs.shape[0]))
 

@@ -6,12 +6,17 @@ with d degrees of freedom. Remapping the radius as z = sqrt(r) compresses the
 tail enough that the negative log-density of z is strongly convex, which is
 what the conditional KL machinery exploits. This module provides the sphere
 sampler, chi moments, the chi quadrature rule that averages over the radius
-(``QUADRATURE_NODES`` Gauss-Legendre nodes by default) and the curvature
-floor of the z-law. The quadrature span ends where a tail bound, built from
-elementary functions only, leaves out at most 1e-14 of chi mass per side:
-the chi density f is log-concave, so beyond any r on the far side of its
-mode the mass is at most f(r) / |(log f)'(r)| (the tangent-line bound on a
-concave log-density; Bagnoli & Bergstrom, Economic Theory 26 (2005) 445).
+and the curvature floor of the z-law. The rule is the Gauss rule of the chi
+weight itself (``QUADRATURE_NODES`` = 16 nodes by default), built by the
+Golub-Welsch method (Math. Comp. 23 (1969) 221) from the Jacobi matrix that
+a discretized Lanczos procedure gives (Gautschi, Orthogonal Polynomials:
+Computation and Approximation, OUP 2004, section 2.2). The discretization
+is a Gauss-Legendre rule against the chi density on a span that ends where
+a tail bound, built from elementary functions only, leaves out at most 1e-14
+of chi mass per side: the chi density f is log-concave, so beyond any r on
+the far side of its mode the mass is at most f(r) / |(log f)'(r)| (the
+tangent-line bound on a concave log-density; Bagnoli & Bergstrom, Economic
+Theory 26 (2005) 445).
 """
 
 from __future__ import annotations
@@ -108,12 +113,19 @@ def radial_min_curvature(d: int) -> float:
     return 2.0 * np.sqrt(6.0) * np.sqrt(2.0 * d - 1.0)
 
 
-# default node count of ``chi_quadrature``: on the span below, 32
-# Gauss-Legendre nodes give the chi moments of order 0..7 to within 3e-13
-# relative of a 512-node rule for every d = 1..200
-QUADRATURE_NODES = 32
+# default node count of ``chi_quadrature``: a Gauss rule for the chi weight
+# is exact for polynomials of degree 2n - 1, so 16 nodes give the chi moments
+# of order 0..7 and log1p(r) sin(r) to within 2.5e-13 (relative to the value,
+# or absolute below 1) of a 512-point Gauss-Legendre rule on the same span for
+# every d = 1..200, where 32 Gauss-Legendre nodes on that span reach 1.5e-11
+QUADRATURE_NODES = 16
 # bound on the chi probability left out below and above the quadrature span
 _CHI_TAIL = 1e-14
+
+
+def _chi_log_norm(d: int) -> float:
+    """log of the chi density's normalizer 2^(d/2 - 1) Gamma(d/2)."""
+    return (0.5 * d - 1.0) * LOG_2 + math.lgamma(0.5 * d)
 
 
 def _tail_end(d: int, log_norm: float, lo: float, hi: float, upper: bool) -> float:
@@ -140,18 +152,55 @@ def _tail_end(d: int, log_norm: float, lo: float, hi: float, upper: bool) -> flo
             hi = mid
 
 
-@lru_cache(maxsize=64)
-def _chi_quadrature_cached(d: int, nodes: int):
-    x, w = leggauss(nodes)
-    log_norm = (0.5 * d - 1.0) * LOG_2 + math.lgamma(0.5 * d)
+def _chi_span(d: int) -> tuple[float, float]:
+    """The ends (r_lo, r_hi) where the tail bound leaves out ``_CHI_TAIL`` per side.
+
+    r_lo = 0 at d = 1, where the mode is 0.
+    """
+    log_norm = _chi_log_norm(d)
     mode = math.sqrt(d - 1.0)
     r_lo = 0.0 if d == 1 else _tail_end(d, log_norm, 0.0, mode, upper=False)
-    r_hi = _tail_end(d, log_norm, mode, mode + 10.0, upper=True)
+    return r_lo, _tail_end(d, log_norm, mode, mode + 10.0, upper=True)
+
+
+@lru_cache(maxsize=64)
+def _chi_quadrature_cached(d: int, nodes: int):
+    # the chi density as a discrete measure: Gauss-Legendre points on the span
+    r_lo, r_hi = _chi_span(d)
+    x, w = leggauss(4 * nodes)
     half = 0.5 * (r_hi - r_lo)
-    rs = r_lo + half * (x + 1.0)
-    gl_w = half * w
-    log_pdf = (d - 1.0) * np.log(rs) - 0.5 * rs * rs - log_norm
-    weights = gl_w * np.exp(log_pdf)
+    points = r_lo + half * (x + 1.0)
+    masses = half * w * np.exp((d - 1.0) * np.log(points) - 0.5 * points * points
+                               - _chi_log_norm(d))
+    mass = float(masses.sum())
+    # Lanczos on diag(points) from sqrt(masses / mass) gives the Jacobi matrix
+    # of the measure's orthogonal polynomials; two passes of full
+    # reorthogonalization keep the basis orthonormal to rounding
+    basis = np.zeros((nodes, points.size))
+    basis[0] = np.sqrt(masses / mass)
+    alpha, beta = np.zeros(nodes), np.zeros(nodes - 1)
+    for j in range(nodes):
+        u = points * basis[j]
+        alpha[j] = basis[j] @ u
+        if j == nodes - 1:
+            break
+        for _ in range(2):
+            u -= basis[: j + 1].T @ (basis[: j + 1] @ u)
+        beta[j] = np.linalg.norm(u)
+        basis[j + 1] = u / beta[j]
+    # Golub-Welsch: the nodes are the Jacobi eigenvalues, and the weights the
+    # mass times the squared first components of the unit eigenvectors, that
+    # is mass / sum_k p_k(r)^2 over the orthonormal polynomials p_k. Summed
+    # from the three-term recurrence, a tail weight keeps its relative
+    # accuracy; read off the eigenvector it would keep only an absolute one
+    # (1.4e-9 relative at the top node of the 32-node rule at d = 2)
+    rs = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+    below = np.concatenate(([0.0], beta))
+    p_prev, p, total = np.zeros(nodes), np.ones(nodes), np.ones(nodes)
+    for k in range(nodes - 1):
+        p_prev, p = p, ((rs - alpha[k]) * p - below[k] * p_prev) / beta[k]
+        total += p * p
+    weights = mass / total
     rs.setflags(write=False)
     weights.setflags(write=False)
     return rs, weights
@@ -160,13 +209,17 @@ def _chi_quadrature_cached(d: int, nodes: int):
 def chi_quadrature(d: int, nodes: int):
     """Fixed nodes/weights so that sum(w * h(r)) approximates E_chi_d[h(r)].
 
-    Gauss-Legendre points against the chi density on [r_lo, r_hi], the
-    points where the log-concave tail bound leaves out ``_CHI_TAIL`` of chi
-    mass below and above (r_lo = 0 at d = 1, where the mode is 0); the mass
-    left out is at most that, and at least half of it. Fitting the span to
-    where the chi mass lies, rather than starting it at 0, lets half the
-    nodes of a [0, r_hi] rule reach the same accuracy at large d; smooth
-    integrands converge spectrally in the node count.
+    The n-node Gauss rule for the chi density on [r_lo, r_hi], the points
+    where the log-concave tail bound leaves out ``_CHI_TAIL`` of chi mass
+    below and above (r_lo = 0 at d = 1, where the mode is 0); the mass left
+    out is at most that, and at least half of it. The rule is exact for
+    polynomials of degree 2n - 1 against its discretization, 4n
+    Gauss-Legendre points against the chi density on the span: 4n points
+    give the 16- and 32-node rules to within 3.5e-14 relative of a
+    512-point discretization for d = 1..200, where 2n points leave 1.5e-11,
+    and build in about 2 ms (Golub & Welsch 1969; Gautschi 2004, section
+    2.2). Nodes ascend inside the span; weights are positive. Both arrays
+    are cached and read-only.
     """
     if d < 1 or d != int(d):
         raise ValueError("d must be an integer >= 1")

@@ -449,6 +449,18 @@ class TestRayBatch:
         assert no_values.values is None
         np.testing.assert_array_equal(no_values.delta3, batch.delta3)
 
+    def test_gaussian_phi_at_the_base_is_the_many_point_phi(self):
+        # off the mode, a second quadratic form for phi at the base rounded
+        # differently from neg_log_density_many's in 123 of these 200 models
+        rng = np.random.default_rng(48)
+        for _ in range(200):
+            d = int(rng.integers(2, 60))
+            a = rng.standard_normal((d, d))
+            model = GaussianModel(rng.standard_normal(d), a @ a.T + d * np.eye(d))
+            base = model.mean + rng.standard_normal(d)
+            values = model.ray_batch(base, rng.standard_normal((4, d)), np.array([0.0])).values
+            assert np.all(values[:, 0] == model.neg_log_density_many(base[None])[0])
+
     def test_chunks_cover_every_direction(self, logistic_small, monkeypatch):
         model, fit = logistic_small
         rng = np.random.default_rng(41)

@@ -16,7 +16,7 @@ from laplace_audit import (
     sample_direction,
     sample_direction_pairs,
 )
-from laplace_audit.radial import QUADRATURE_NODES
+from laplace_audit.radial import QUADRATURE_NODES, _chi_span
 
 from oracles import RadialLaw
 
@@ -238,6 +238,14 @@ def _zero_based_rule(d, nodes):
     return rs, 0.5 * r_hi * w * chi.pdf(rs, d)
 
 
+def _span_legendre_rule(d, x, w):
+    """Gauss-Legendre points x, weights w mapped onto ``_chi_span(d)`` against the chi density."""
+    r_lo, r_hi = _chi_span(d)
+    half = 0.5 * (r_hi - r_lo)
+    rs = r_lo + half * (x + 1.0)
+    return rs, half * w * chi.pdf(rs, d)
+
+
 class TestChiQuadrature:
     @pytest.mark.parametrize("d", [1, 2, 5, 50, 1000, 10_000])
     def test_matches_moment_formula(self, d):
@@ -254,13 +262,15 @@ class TestChiQuadrature:
     def test_default_rule_no_worse_than_the_zero_based_64_node_rule(self):
         # both rules leave out 2e-14 of chi mass, which moves the moments by
         # up to 4.9e-10 relative (d = 1, k = 7); quadrature error under
-        # 1e-10 relative is below that, wherever the old rule did better
-        assert QUADRATURE_NODES == 32
+        # 1e-10 relative is below that, wherever the old rule did better.
+        # The reference is 512 Gauss-Legendre points on the default rule's span
+        assert QUADRATURE_NODES == 16
         integrands = [lambda r, k=k: r**k for k in range(8)]
         integrands.append(lambda r: np.log1p(r) * np.sin(r))
+        x512, w512 = leggauss(512)
         for d in range(1, 201):
             rs, ws = chi_quadrature(d, QUADRATURE_NODES)
-            rs_ref, ws_ref = chi_quadrature(d, 512)
+            rs_ref, ws_ref = _span_legendre_rule(d, x512, w512)
             rs_old, ws_old = _zero_based_rule(d, 64)
             for h in integrands:
                 ref = float(ws_ref @ h(rs_ref))
@@ -271,22 +281,33 @@ class TestChiQuadrature:
                 assert float(ws @ rs**k) == pytest.approx(chi_moment(d, k), rel=5e-10)
 
     def test_span_leaves_at_most_1e_14_of_chi_mass_per_side(self):
-        # the ends come back from the two outermost nodes of the affine map
-        # r = r_lo + (r_hi - r_lo) (x + 1) / 2 of the Gauss-Legendre points x;
         # the log-concave tail bound leaves out at least half the mass it
         # bounds (d = 2, where it is r^2 against the exact 1 - exp(-r^2 / 2))
-        x, _ = leggauss(16)
         for d in [*range(1, 1001), 10_000, 100_000]:
-            rs, _ = chi_quadrature(d, 16)
-            half = (rs[-1] - rs[0]) / (x[-1] - x[0])
-            r_lo = rs[0] - half * (x[0] + 1.0)
-            r_hi = r_lo + 2.0 * half
+            r_lo, r_hi = _chi_span(d)
             below, above = chi.cdf(r_lo, d), chi.sf(r_hi, d)
             assert above <= 1e-14 and below <= 1e-14, d
             if d >= 2:
                 assert above >= 0.4e-14 and below >= 0.4e-14, d
             else:
                 assert r_lo == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("nodes", [16, 32])
+    @pytest.mark.parametrize("d", [1, 2, 5, 50, 200])
+    def test_gauss_rule_of_its_discretization(self, d, nodes):
+        # an n-node Gauss rule integrates every polynomial of degree up to
+        # 2n - 1 exactly against the measure it was built from, here 4n
+        # Gauss-Legendre points against the chi density on the span
+        rs, ws = chi_quadrature(d, nodes)
+        x, w = leggauss(4 * nodes)
+        points, masses = _span_legendre_rule(d, x, w)
+        for k in range(2 * nodes):
+            want = float(masses @ points**k)
+            assert float(ws @ rs**k) == pytest.approx(want, rel=1e-13, abs=0), k
+        r_lo, r_hi = _chi_span(d)
+        assert r_lo < rs[0] and np.all(np.diff(rs) > 0) and rs[-1] < r_hi
+        assert np.all(ws > 0)
+        assert not rs.flags.writeable and not ws.flags.writeable
 
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
