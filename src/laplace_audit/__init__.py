@@ -13,13 +13,9 @@ from .bound import (
     approximate_bound,
     approximate_bound_coefficient,
     audit,
-    conditional_curvature_profile,
     conditional_kl_bound,
-    delta3,
-    delta4,
     direction_kl_bound,
     min_conditional_curvature,
-    xi_elbo,
 )
 from .errors import (
     AssumptionViolationError,

@@ -29,9 +29,9 @@ direction matrix; the curvature floor, the conditional-KL bound and the ELBO
 proxy are array expressions over it (``min_conditional_curvature`` and
 ``conditional_kl_bound`` take one value or an array);
 ``direction_kl_bound``'s jackknife scans per-block sums. No step loops over
-directions. The curvature floor is minimized exactly, at the real roots of
-its derivative. The one-direction helpers ``delta3``, ``delta4`` and
-``xi_elbo`` run the same code on one direction.
+directions. The curvature floor's minimum is found per row by a shape
+argument on its derivative and one vectorized, monotone Newton loop, with
+no eigenvalue solve.
 
 The model must be a ``TargetModel`` subclass: the direction pass reaches it
 only through ``ray_batch``, which the base class builds from the scalar hooks
@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolationError, NonFiniteObjectiveError
+from .errors import AssumptionViolationError
 from .laplace import LaplaceFit, fit_laplace, logconcavity_spotcheck
 from .models import TargetModel
 from .radial import (
@@ -81,36 +81,6 @@ def _logsumexp(values) -> float:
     return float(top + np.log(np.sum(np.exp(values - top))))
 
 
-def _whiten(fit: LaplaceFit, es) -> np.ndarray:
-    """Rows S e of the ray directions for unit directions e (one per row)."""
-    return np.atleast_2d(np.asarray(es, dtype=float)) @ fit.sqrt_covariance
-
-
-def delta3(fit: LaplaceFit, model: TargetModel, e) -> float:
-    """Third ray derivative at the mode along the whitened direction ``S e``.
-
-    Equals the full third-derivative tensor contracted three times with
-    ``S e``, but is computed directly along the ray so the d^3 tensor is
-    never materialized. Odd in ``e``.
-    """
-    return float(model.ray_batch(fit.theta_star, _whiten(fit, e)).delta3[0])
-
-
-def delta4(fit: LaplaceFit, model: TargetModel, e):
-    """The model's proven bound on |fourth ray derivative| along ``S e``.
-
-    Read from ``model.ray_batch(...).delta4``. A model that gives no bound
-    raises AssumptionViolationError: a sampled maximum would be a heuristic,
-    not a bound.
-    """
-    bound = model.ray_batch(fit.theta_star, _whiten(fit, e)).delta4
-    if bound is None:
-        raise AssumptionViolationError("the model gives no fourth-derivative bound")
-    if bound[0] < 0:
-        raise ValueError("analytic fourth-derivative bound must be nonnegative")
-    return float(bound[0])
-
-
 def _curvature_floor_poly(r, d, d3, d4):
     # lower bound for the conditional curvature, written in r = z^2; Horner
     # form keeps intermediates finite for the extreme r the degenerate
@@ -127,16 +97,28 @@ def min_conditional_curvature(d: int, delta3, delta4):
     r0 + delta3 r0^2 - delta4 r0^3/3 beyond r0, derived from monotonicity.
 
     Takes one (delta3, delta4) pair or arrays of them, and returns a float
-    or an array to match. The floor's stationary points on r = z^2 > 0 are
-    the positive real roots of -7 d4 r^4 + 10 d3 r^3 + 6 r^2 - (2d-1). In
-    u = 1/r that polynomial is, up to a factor, the monic
-    u^4 - (6/a) u^2 - (10 d3/a) u + 7 d4/a with a = 2d - 1, whatever the
-    values of d3 and d4, so the roots of all rows come from one batched
-    eigenvalue solve of its companion matrices. The minimum over (0, r0] is
-    then taken over those roots and r0 itself. Evaluating the floor at a
-    point of (0, r0] never undercuts that minimum, so every root's real part
-    is tried, clipped to r0. Rows with a non-finite input get NaN, and rows
-    with delta3 = delta4 = 0 ``radial_min_curvature(d)`` without a solve.
+    or an array to match. In r = z^2 the polynomial floor is
+    F(r) = a/r + 6 r + 5 d3 r^2 - (7/3) d4 r^3, with a = 2d - 1. Its
+    derivative times r^2, q(r) = -a + 6 r^2 + 10 d3 r^3 - 7 d4 r^4, has
+    derivative r (12 + 30 d3 r - 28 d4 r^2), which for d4 >= 0 is positive
+    below the one positive root rho of that quadratic (rho = inf when
+    d4 = 0 <= d3) and negative above it. So q, starting at q(0) = -a < 0,
+    crosses zero at most once below rho, at r1: F falls on (0, r1), rises up
+    to q's next root beyond rho and falls after it, and its minimum over
+    (0, r0] lies at r1 or at r0. At r0 the flat floor is F(r0) - a/r0 - r0,
+    so r0 needs no polynomial value, and a row with F'(min(rho, r0)) <= 0,
+    where F falls on all of (0, r0], takes the flat floor alone.
+
+    The other rows find r1 by Newton's method on F', which is concave (its
+    second derivative is -14 d4 - 6a/r^4) and rising below r1. The start
+    x0 = min(sqrt(a/12), cbrt(a / (20 max(d3, 0)))) lies at or below r1:
+    q(r) <= -a + 6 r^2 + 10 max(d3, 0) r^3, a bound that rises with r and
+    is at most -a + a/2 + a/2 = 0 at x0. A concave function lies below its
+    tangents, so each iterate stays at or below r1 while it climbs, and the
+    loop stops once no row's iterate rises. There is no eigenvalue solve,
+    or any other LAPACK call. Rows with a non-finite input get NaN, and
+    rows with delta3 = delta4 = 0 ``radial_min_curvature(d)`` without a
+    solve.
 
     A nonpositive value means the Taylor control is too weak for this
     direction; callers must flag the direction as outside the certificate's
@@ -160,18 +142,27 @@ def min_conditional_curvature(d: int, delta3, delta4):
             np.where(d3 > 0.0, np.inf, -1.0 / d3),
             2.0 / (np.sqrt(d3 * d3 + 2.0 * d4) - d3),
         )
-        companion = np.zeros(d3.shape + (4, 4))
-        companion[..., [1, 2, 3], [0, 1, 2]] = 1.0
-        companion[..., 0, 3] = np.where(finite, -7.0 * d4 / a, 0.0)
-        companion[..., 1, 3] = np.where(finite, 10.0 * d3 / a, 0.0)
-        companion[..., 2, 3] = 6.0 / a
-        u = np.linalg.eigvals(companion).real
-        r = np.minimum(np.concatenate([1.0 / u, r0[..., None]], axis=-1), r0[..., None])
-        usable = (r > 0.0) & np.isfinite(r)
-        vals = _curvature_floor_poly(
-            np.where(usable, r, 1.0), d, d3[..., None], d4[..., None]
-        )
-        floor = np.where(usable, vals, np.inf).min(axis=-1)
+        # rho solves 12 + 30 delta3 r - 28 delta4 r^2 = 0: no two terms of
+        # like size and opposite sign meet, whatever the sign of delta3
+        root = np.sqrt(225.0 * d3 * d3 + 336.0 * d4)
+        rho = np.where(d3 > 0.0, (15.0 * d3 + root) / (28.0 * d4), 12.0 / (root - 15.0 * d3))
+
+        def slope(r):
+            return 6.0 + r * (10.0 * d3 - 7.0 * d4 * r) - a / (r * r)
+
+        # rho = r0 = inf only when delta4 = 0 < delta3, where F' rises for ever
+        edge = np.minimum(rho, r0)
+        interior = finite & (np.isinf(edge) | (slope(edge) > 0.0))
+        start = np.minimum(np.sqrt(a / 12.0), np.where(d3 > 0.0, np.cbrt(a / (20.0 * d3)), np.inf))
+        r1 = np.where(interior, start, 1.0)
+        while True:
+            bend = 10.0 * d3 - 14.0 * d4 * r1 + 2.0 * a / (r1 * r1 * r1)
+            step = r1 - slope(r1) / bend
+            rising = interior & (step > r1)
+            if not rising.any():
+                break
+            r1 = np.where(rising, step, r1)
+        floor = np.where(interior, _curvature_floor_poly(r1, d, d3, d4), np.inf)
 
         # flat floor beyond r0, from monotonicity
         flat = np.where(
@@ -213,41 +204,6 @@ def _xi_values(fit: LaplaceFit, values, quadrature_nodes: int) -> np.ndarray:
     rs, ws = chi_quadrature(fit.dim, quadrature_nodes)
     integrand = 0.5 * rs * rs - (values - fit.neg_log_density_at_mode)
     return integrand @ ws
-
-
-def xi_elbo(
-    fit: LaplaceFit, model: TargetModel, e, quadrature_nodes: int = QUADRATURE_NODES
-) -> float:
-    """ELBO proxy for the log marginal of the direction variable.
-
-    Computes E over the chi radius law of r^2/2 - (phi_e(r) - phi_e(0)) by
-    fixed-node quadrature; the phi_e(0) shift removes the direction-free
-    constant, which cancels in every centered quantity downstream.
-    """
-    if quadrature_nodes < 16:
-        raise ValueError("quadrature_nodes must be at least 16")
-    rs, _ = chi_quadrature(fit.dim, quadrature_nodes)
-    values = model.ray_batch(fit.theta_star, _whiten(fit, e), rs).values
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteObjectiveError("negative log-density non-finite along ray")
-    return float(_xi_values(fit, values, quadrature_nodes)[0])
-
-
-def conditional_curvature_profile(fit: LaplaceFit, model: TargetModel, e, zs) -> np.ndarray:
-    """Exact curvature of the conditional z-law at each z (diagnostic helper).
-
-    (2d-1)/z^2 + 2 phi_e'(z^2) + 4 z^2 phi_e''(z^2), with the ray derivatives
-    taken along the whitened direction. ``min_conditional_curvature`` must
-    lower-bound the minimum of this profile.
-    """
-    zs = np.asarray(zs, dtype=float)
-    if np.any(zs <= 0):
-        raise ValueError("zs must be positive")
-    e = np.asarray(e, dtype=float)
-    v = fit.sqrt_covariance @ e
-    rs = zs * zs
-    phi = model.ray_derivatives(fit.theta_star, v, rs, 2)
-    return (2.0 * fit.dim - 1.0) / (zs * zs) + 2.0 * phi[..., 0] + 4.0 * zs * zs * phi[..., 1]
 
 
 @dataclass(frozen=True)
@@ -500,7 +456,7 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_DIR_STREAM,)))
     directions = sample_direction_pairs(d, config.n_directions // 2, rng)
 
-    vs = _whiten(fit, directions)
+    vs = directions @ fit.sqrt_covariance
     rs = chi_quadrature(d, config.quadrature_nodes)[0]
     batch = model.ray_batch(fit.theta_star, vs, rs)
     d3 = batch.delta3

@@ -31,8 +31,7 @@ class AssumptionViolationError(RuntimeError):
     """The target violates an assumption the certificate relies on.
 
     Raised when the Hessian at the mode is not (numerically) positive
-    definite, when no sampled direction admits a positive curvature lower
-    bound, or when ``delta4`` is asked of a model with no fourth-derivative
+    definite, or when no sampled direction admits a positive curvature lower
     bound. Carries a ``details`` dict for structured reporting.
     """
 

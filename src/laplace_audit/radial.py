@@ -16,7 +16,9 @@ a tail bound, built from elementary functions only, leaves out at most 1e-14
 of chi mass per side: the chi density f is log-concave, so beyond any r on
 the far side of its mode the mass is at most f(r) / |(log f)'(r)| (the
 tangent-line bound on a concave log-density; Bagnoli & Bergstrom, Economic
-Theory 26 (2005) 445).
+Theory 26 (2005) 445). From d = 40 on the chi log-density is written around
+its mode (``_chi_log_density``), so that no terms of size d log d cancel in
+it.
 """
 
 from __future__ import annotations
@@ -123,29 +125,43 @@ QUADRATURE_NODES = 16
 _CHI_TAIL = 1e-14
 
 
-def _chi_log_norm(d: int) -> float:
-    """log of the chi density's normalizer 2^(d/2 - 1) Gamma(d/2)."""
-    return (0.5 * d - 1.0) * LOG_2 + math.lgamma(0.5 * d)
+def _chi_log_density(d: int, r):
+    """log chi_d(r) at a float or an array r > 0, without cancellation at large d.
+
+    The direct form (d - 1) log r - r^2/2 - log(2^(d/2 - 1) Gamma(d/2)) adds
+    terms of size d log d that cancel to O(1) near the mode, so it loses
+    about d ulp. Where a = d/2 >= ``_STIRLING_MIN_A`` the log-density is
+    written around the mode m = sqrt(d - 1) instead, as its value there,
+    1/2 - log(pi)/2 + (a - 1/2) log1p(-1/(2a)) - R(a) with R the remainder
+    of Stirling's series (``chi_moment``'s), plus
+    (d - 1) log1p((r - m)/m) - (r - m)(r + m)/2, all of them O(1) near the
+    mode. Smaller d keeps the direct form. A float goes through ``math``
+    and an array through numpy, whose vectorized log can round an argument
+    differently (at d = 17 that moves the span's lower end by one ulp).
+    """
+    log, log1p = (np.log, np.log1p) if isinstance(r, np.ndarray) else (math.log, math.log1p)
+    a = 0.5 * d
+    if a < _STIRLING_MIN_A:
+        return (d - 1.0) * log(r) - 0.5 * r * r - ((a - 1.0) * LOG_2 + math.lgamma(a))
+    m = math.sqrt(d - 1.0)
+    at_mode = 0.5 - 0.5 * math.log(math.pi) + (a - 0.5) * math.log1p(-0.5 / a) - _stirling_remainder(a)
+    return at_mode + (d - 1.0) * log1p((r - m) / m) - 0.5 * (r - m) * (r + m)
 
 
-def _tail_end(d: int, log_norm: float, lo: float, hi: float, upper: bool) -> float:
+def _tail_end(d: int, lo: float, hi: float, upper: bool) -> float:
     """The r in [lo, hi] where the chi tail bound f(r) / |(log f)'(r)| is ``_CHI_TAIL``.
 
     [lo, hi] lies on one side of the mode sqrt(d - 1), where the log of the
-    bound, (d - 1) log r - r^2/2 - log_norm - log|(d - 1)/r - r|, is monotone:
-    falling above the mode, rising below it. Bisection runs until the
-    midpoint rounds to an end, and returns the end that leaves out at most
-    ``_CHI_TAIL``.
+    bound, log f(r) - log|(d - 1)/r - r|, is monotone: falling above the
+    mode, rising below it. Bisection runs until the midpoint rounds to an
+    end, and returns the end that leaves out at most ``_CHI_TAIL``.
     """
     log_tail = math.log(_CHI_TAIL)
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return hi if upper else lo
-        log_bound = (
-            (d - 1.0) * math.log(mid) - 0.5 * mid * mid - log_norm
-            - math.log(abs((d - 1.0) / mid - mid))
-        )
+        log_bound = _chi_log_density(d, mid) - math.log(abs((d - 1.0) / mid - mid))
         if (log_bound > log_tail) == upper:
             lo = mid
         else:
@@ -157,10 +173,9 @@ def _chi_span(d: int) -> tuple[float, float]:
 
     r_lo = 0 at d = 1, where the mode is 0.
     """
-    log_norm = _chi_log_norm(d)
     mode = math.sqrt(d - 1.0)
-    r_lo = 0.0 if d == 1 else _tail_end(d, log_norm, 0.0, mode, upper=False)
-    return r_lo, _tail_end(d, log_norm, mode, mode + 10.0, upper=True)
+    r_lo = 0.0 if d == 1 else _tail_end(d, 0.0, mode, upper=False)
+    return r_lo, _tail_end(d, mode, mode + 10.0, upper=True)
 
 
 @lru_cache(maxsize=64)
@@ -170,8 +185,7 @@ def _chi_quadrature_cached(d: int, nodes: int):
     x, w = leggauss(4 * nodes)
     half = 0.5 * (r_hi - r_lo)
     points = r_lo + half * (x + 1.0)
-    masses = half * w * np.exp((d - 1.0) * np.log(points) - 0.5 * points * points
-                               - _chi_log_norm(d))
+    masses = half * w * np.exp(_chi_log_density(d, points))
     mass = float(masses.sum())
     # Lanczos on diag(points) from sqrt(masses / mass) gives the Jacobi matrix
     # of the measure's orthogonal polynomials; two passes of full

@@ -13,10 +13,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import expit, gammaln
 
-from laplace_audit import models
+from laplace_audit import AssumptionViolationError, NonFiniteObjectiveError, models
 from laplace_audit.laplace import laplace_log_density
 from laplace_audit.models import GaussianModel, TargetModel
-from laplace_audit.radial import LOG_2
+from laplace_audit.radial import LOG_2, QUADRATURE_NODES, chi_quadrature
 
 
 def central_directional(f, theta, v, h=1e-5):
@@ -351,3 +351,109 @@ class InfTailGaussian(GaussianModel):
         phi = super().neg_log_density_many(thetas)
         return np.where(thetas[:, 0] > self.mean[0] + self.cut, np.inf, phi)
 
+
+def companion_curvature_floor(d: int, delta3, delta4):
+    """``bound.min_conditional_curvature`` by an eigenvalue solve per row.
+
+    The floor F(r) = a/r + 6 r + 5 d3 r^2 - (7/3) d4 r^3 in r = z^2, with
+    a = 2d - 1, is stationary at the positive real roots of
+    -7 d4 r^4 + 10 d3 r^3 + 6 r^2 - a. In u = 1/r that polynomial is, up to
+    a factor, the monic u^4 - (6/a) u^2 - (10 d3/a) u + 7 d4/a, so the roots
+    of all rows come from one batched eigenvalue solve of its companion
+    matrices. The minimum over (0, r0] is taken over every root's real
+    part, clipped to r0, and r0 itself, and then against the flat floor
+    r0 + d3 r0^2 - d4 r0^3/3 beyond r0. Rows with a non-finite input give
+    NaN, and exactly quadratic rows 2 sqrt(6) sqrt(a).
+    """
+    d3, d4 = np.broadcast_arrays(np.asarray(delta3, dtype=float), np.asarray(delta4, dtype=float))
+    a = 2.0 * d - 1.0
+    out = np.full(d3.shape, 2.0 * np.sqrt(6.0) * np.sqrt(a))
+    rows = (d3 != 0.0) | (d4 != 0.0)
+    d3, d4 = d3[rows], d4[rows]
+    finite = np.isfinite(d3) & np.isfinite(d4)
+
+    def poly(r, d3, d4):
+        return a / r + r * (6.0 + r * (5.0 * d3 - (7.0 / 3.0) * (d4 * r)))
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r0 = np.where(
+            d4 == 0.0,
+            np.where(d3 > 0.0, np.inf, -1.0 / d3),
+            2.0 / (np.sqrt(d3 * d3 + 2.0 * d4) - d3),
+        )
+        companion = np.zeros(d3.shape + (4, 4))
+        companion[..., [1, 2, 3], [0, 1, 2]] = 1.0
+        companion[..., 0, 3] = np.where(finite, -7.0 * d4 / a, 0.0)
+        companion[..., 1, 3] = np.where(finite, 10.0 * d3 / a, 0.0)
+        companion[..., 2, 3] = 6.0 / a
+        u = np.linalg.eigvals(companion).real
+        r = np.minimum(np.concatenate([1.0 / u, r0[..., None]], axis=-1), r0[..., None])
+        usable = (r > 0.0) & np.isfinite(r)
+        vals = poly(np.where(usable, r, 1.0), d3[..., None], d4[..., None])
+        floor = np.where(usable, vals, np.inf).min(axis=-1)
+        flat = np.where(d4 == 0.0, 0.0, r0 * (1.0 + r0 * (d3 - (d4 * r0) / 3.0)))
+    floor = np.where(np.isfinite(r0), np.minimum(floor, flat), floor)
+    out[rows] = np.where(finite, floor, np.nan)
+    return out
+
+
+def _ray_batch(fit, model: TargetModel, e, rs=None):
+    """``model.ray_batch`` on the one whitened direction S e."""
+    v = np.atleast_2d(np.asarray(e, dtype=float)) @ fit.sqrt_covariance
+    return model.ray_batch(fit.theta_star, v, rs)
+
+
+def delta3(fit, model: TargetModel, e) -> float:
+    """Third ray derivative at the mode along the whitened direction ``S e``.
+
+    ``audit``'s per-direction delta3, from a one-row ``ray_batch`` call. Odd
+    in ``e``.
+    """
+    return float(_ray_batch(fit, model, e).delta3[0])
+
+
+def delta4(fit, model: TargetModel, e) -> float:
+    """The model's proven bound on |fourth ray derivative| along ``S e``.
+
+    Read from a one-row ``ray_batch`` call. A model that gives no bound
+    raises AssumptionViolationError, and a negative bound ValueError.
+    """
+    bound = _ray_batch(fit, model, e).delta4
+    if bound is None:
+        raise AssumptionViolationError("the model gives no fourth-derivative bound")
+    if bound[0] < 0:
+        raise ValueError("analytic fourth-derivative bound must be nonnegative")
+    return float(bound[0])
+
+
+def xi_elbo(fit, model: TargetModel, e, quadrature_nodes: int = QUADRATURE_NODES) -> float:
+    """ELBO proxy for the log marginal of the direction variable along ``S e``.
+
+    E over the chi radius law of r^2/2 - (phi_e(r) - phi_e(0)), by the
+    ``chi_quadrature`` rule that ``audit`` uses; phi_e(0) is the fit's phi at
+    the mode.
+    """
+    if quadrature_nodes < 16:
+        raise ValueError("quadrature_nodes must be at least 16")
+    rs, ws = chi_quadrature(fit.dim, quadrature_nodes)
+    values = _ray_batch(fit, model, e, rs).values[0]
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteObjectiveError("negative log-density non-finite along ray")
+    return float((0.5 * rs * rs - (values - fit.neg_log_density_at_mode)) @ ws)
+
+
+def conditional_curvature_profile(fit, model: TargetModel, e, zs) -> np.ndarray:
+    """Exact curvature of the conditional z-law at each z.
+
+    (2d-1)/z^2 + 2 phi_e'(z^2) + 4 z^2 phi_e''(z^2), with the ray derivatives
+    taken along the whitened direction by ``model.ray_derivatives``.
+    ``min_conditional_curvature`` must lower-bound the minimum of this
+    profile.
+    """
+    zs = np.asarray(zs, dtype=float)
+    if np.any(zs <= 0):
+        raise ValueError("zs must be positive")
+    v = fit.sqrt_covariance @ np.asarray(e, dtype=float)
+    rs = zs * zs
+    phi = model.ray_derivatives(fit.theta_star, v, rs, 2)
+    return (2.0 * fit.dim - 1.0) / (zs * zs) + 2.0 * phi[..., 0] + 4.0 * zs * zs * phi[..., 1]

@@ -23,9 +23,6 @@ from laplace_audit import (
     approximate_bound_coefficient,
     audit,
     chi_moment,
-    conditional_curvature_profile,
-    delta3,
-    delta4,
     desk_preset,
     estimate_true_kl,
     fit_laplace,
@@ -41,6 +38,9 @@ from laplace_audit.experiments import ExperimentRow, ExperimentSpec, run_experim
 from oracles import (
     SoftplusTilt1D,
     central_directional,
+    conditional_curvature_profile,
+    delta3,
+    delta4,
     quadrature_kl_1d,
     third_derivative_7pt,
 )

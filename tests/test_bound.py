@@ -21,22 +21,28 @@ from laplace_audit import (
     audit,
     build_fit,
     chi_moment,
-    conditional_curvature_profile,
     conditional_kl_bound,
-    delta3,
-    delta4,
     direction_kl_bound,
     fit_laplace,
     generate_dataset,
     min_conditional_curvature,
     radial_min_curvature,
     sample_direction,
-    xi_elbo,
 )
 from laplace_audit import bound as bound_module
 from laplace_audit.bound import _curvature_floor_poly
 
-from oracles import CubicRay1D, RadialLaw, SoftplusTilt1D, third_derivative_7pt
+from oracles import (
+    CubicRay1D,
+    RadialLaw,
+    SoftplusTilt1D,
+    companion_curvature_floor,
+    conditional_curvature_profile,
+    delta3,
+    delta4,
+    third_derivative_7pt,
+    xi_elbo,
+)
 
 
 class NoBoundTilt(SoftplusTilt1D):
@@ -170,6 +176,46 @@ class TestMinConditionalCurvature:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             min_conditional_curvature(3, 0.0, -1.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 50, 200])
+    def test_matches_companion_matrix_oracle(self, d):
+        # log-uniform scales from 1e-9 to 50, either sign of delta3, and a
+        # tenth of the rows with delta4 = 0
+        rng = np.random.default_rng(100 + d)
+        n = 10_000
+        d3 = rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-9.0, np.log10(50.0), n)
+        d4 = 10 ** rng.uniform(-9.0, np.log10(50.0), n)
+        d4[rng.random(n) < 0.1] = 0.0
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            floors = min_conditional_curvature(d, d3, d4)
+        np.testing.assert_allclose(floors, companion_curvature_floor(d, d3, d4), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 50, 200])
+    def test_matches_companion_matrix_oracle_on_corners(self, d):
+        rng = np.random.default_rng(200 + d)
+        n = 2_000
+        sign = rng.choice([-1.0, 1.0], n)
+        tiny = 1.2037232618638635e-155 * rng.uniform(0.5, 2.0, n)
+        d3 = np.concatenate([
+            sign * 10 ** rng.uniform(-9.0, 2.0, n),  # delta4 = 0
+            sign * tiny,  # |delta3| near 1e-155, half of them with delta4 = 0
+            rng.normal(0.0, 1.0, n),  # delta4 from 1e-12 to 1e3
+            rng.normal(0.0, 1e-6, n),
+            [np.nan, 0.3, np.inf, -np.inf, 0.0, 0.0, -0.0, 1.0, np.nan, 0.0],
+        ])
+        d4 = np.concatenate([
+            np.zeros(n),
+            np.where(rng.random(n) < 0.5, 0.0, 10 ** rng.uniform(-12.0, 3.0, n)),
+            np.geomspace(1e-12, 1e3, n),
+            np.geomspace(1e-12, 1e3, n),
+            [0.1, np.nan, 0.2, 0.0, np.inf, 0.0, 0.0, np.inf, np.nan, 0.0],
+        ])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            floors = min_conditional_curvature(d, d3, d4)
+        oracle = companion_curvature_floor(d, d3, d4)
+        np.testing.assert_allclose(floors, oracle, rtol=1e-14, atol=0)
+        assert np.all(np.isnan(floors[[-10, -9, -8, -7, -6, -3, -2]]))
+        assert np.all(floors[[-5, -4, -1]] == radial_min_curvature(d))
 
 
 class TestConditionalKlBound:
@@ -422,6 +468,17 @@ class TestConditionalCurvatureProfile:
             floor = min_conditional_curvature(5, d3, d4)
             profile = conditional_curvature_profile(fit, model, e, zs)
             assert floor <= profile.min() + 1e-12
+
+    def test_floor_lower_bounds_true_profile_at_d50(self, logistic_d50):
+        # criterion 07's check and z-grid at (50, 1000), where the floor's
+        # minimum sits at r0 rather than at an interior stationary point
+        model, fit = logistic_d50
+        rng = np.random.default_rng(73)
+        zs = np.geomspace(1e-3, float(np.sqrt(chi.ppf(1.0 - 1e-6, 50))), 4000)
+        for _ in range(20):
+            e = sample_direction(50, rng)
+            floor = min_conditional_curvature(50, delta3(fit, model, e), delta4(fit, model, e))
+            assert floor <= float(conditional_curvature_profile(fit, model, e, zs).min())
 
 
 class TestAudit:

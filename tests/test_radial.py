@@ -292,6 +292,13 @@ class TestChiQuadrature:
             else:
                 assert r_lo == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("d", [1, 2, 50, 200, 1000, 10_000, 100_000])
+    def test_default_rule_mass_is_one(self, d):
+        # the span leaves out at most 2e-14 of chi mass; a chi density whose
+        # terms of size d log d cancel would add about d ulp to that
+        _, ws = chi_quadrature(d, QUADRATURE_NODES)
+        assert abs(float(ws.sum()) - 1.0) <= 4e-14
+
     @pytest.mark.parametrize("nodes", [16, 32])
     @pytest.mark.parametrize("d", [1, 2, 5, 50, 200])
     def test_gauss_rule_of_its_discretization(self, d, nodes):
