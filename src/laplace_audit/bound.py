@@ -88,6 +88,17 @@ def _curvature_floor_poly(r, d, d3, d4):
     return (2.0 * d - 1.0) / r + r * (6.0 + r * (5.0 * d3 - (7.0 / 3.0) * (d4 * r)))
 
 
+def _positive_root(c, beta, a):
+    """The positive root of c + 2 beta r - a r^2 (c > 0, a >= 0), inf if a = 0 < beta.
+
+    Each row takes the form in which no two terms of like size and opposite
+    sign meet: (beta + s) / a when beta > 0, c / (s - beta) otherwise, with
+    s = sqrt(beta^2 + a c). Callers ignore the division warnings.
+    """
+    s = np.sqrt(beta * beta + a * c)
+    return np.where(beta > 0.0, (beta + s) / a, c / (s - beta))
+
+
 def min_conditional_curvature(d: int, delta3, delta4):
     """Lower bound on the minimum curvature of the conditional z-law.
 
@@ -116,9 +127,11 @@ def min_conditional_curvature(d: int, delta3, delta4):
     is at most -a + a/2 + a/2 = 0 at x0. A concave function lies below its
     tangents, so each iterate stays at or below r1 while it climbs, and the
     loop stops once no row's iterate rises. There is no eigenvalue solve,
-    or any other LAPACK call. Rows with a non-finite input get NaN, and
-    rows with delta3 = delta4 = 0 ``radial_min_curvature(d)`` without a
-    solve.
+    or any other LAPACK call. r0 and rho come from one root rule,
+    ``_positive_root``, which takes each row's quadratic formula in its
+    cancellation-free form. Rows with a non-finite input get NaN, and rows
+    with delta3 = delta4 = 0 get ``radial_min_curvature(d)`` without a
+    solve; a call with no other row returns before any array work.
 
     A nonpositive value means the Taylor control is too weak for this
     direction; callers must flag the direction as outside the certificate's
@@ -131,21 +144,16 @@ def min_conditional_curvature(d: int, delta3, delta4):
     d3, d4 = np.broadcast_arrays(np.asarray(delta3, dtype=float), np.asarray(delta4, dtype=float))
     out = np.full(d3.shape, radial_min_curvature(d))
     rows = (d3 != 0.0) | (d4 != 0.0)
+    if not rows.any():
+        return float(out) if out.ndim == 0 else out
     d3, d4 = d3[rows], d4[rows]
     a = 2.0 * d - 1.0
     finite = np.isfinite(d3) & np.isfinite(d4)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # r0 solves 1 + delta3 r - delta4 r^2/2 = 0; rationalized form is
-        # stable for either sign of delta3
-        r0 = np.where(
-            d4 == 0.0,
-            np.where(d3 > 0.0, np.inf, -1.0 / d3),
-            2.0 / (np.sqrt(d3 * d3 + 2.0 * d4) - d3),
-        )
-        # rho solves 12 + 30 delta3 r - 28 delta4 r^2 = 0: no two terms of
-        # like size and opposite sign meet, whatever the sign of delta3
-        root = np.sqrt(225.0 * d3 * d3 + 336.0 * d4)
-        rho = np.where(d3 > 0.0, (15.0 * d3 + root) / (28.0 * d4), 12.0 / (root - 15.0 * d3))
+        # r0 solves 1 + delta3 r - delta4 r^2/2 = 0, rho 12 + 30 delta3 r
+        # - 28 delta4 r^2 = 0; both are inf when delta4 = 0 < delta3
+        r0 = _positive_root(1.0, 0.5 * d3, 0.5 * d4)
+        rho = _positive_root(12.0, 15.0 * d3, 28.0 * d4)
 
         def slope(r):
             return 6.0 + r * (10.0 * d3 - 7.0 * d4 * r) - a / (r * r)
@@ -199,33 +207,31 @@ def conditional_kl_bound(d: int, delta3, delta4, min_curvature):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _xi_values(fit: LaplaceFit, values, quadrature_nodes: int) -> np.ndarray:
-    """ELBO proxy per row of ray values on the chi quadrature nodes."""
-    rs, ws = chi_quadrature(fit.dim, quadrature_nodes)
+def _xi_values(fit: LaplaceFit, values, rs, ws) -> np.ndarray:
+    """ELBO proxy per row of ray values on the chi quadrature nodes ``rs``, weights ``ws``."""
     integrand = 0.5 * rs * rs - (values - fit.neg_log_density_at_mode)
     return integrand @ ws
 
 
 @dataclass(frozen=True)
 class DirectionKlTerms:
-    """Monte-Carlo estimates of the direction-variable KL terms.
+    """Monte-Carlo estimates of the direction-variable KL terms, named as in ``BoundReport``.
 
-    ``log_moment_term`` is the empirical half-log-moment of the centered
-    ELBO values; ``eps1_correction`` is E[(eps1 bound)^2] + E[eps1 bound],
-    split into ``eps1_sq_term`` and ``cond_term``. Standard errors are
-    jackknife estimates over direction blocks.
+    ``e_term`` is the empirical half-log-moment of the centered ELBO values,
+    ``eps1_term`` E[(eps1 bound)^2] and ``cond_term`` E[eps1 bound].
+    ``e_term_se`` and ``eps1_correction_se`` (of ``eps1_term + cond_term``)
+    are jackknife standard errors over direction blocks.
     """
 
-    log_moment_term: float
-    log_moment_term_se: float
-    eps1_correction: float
-    eps1_correction_se: float
-    eps1_sq_term: float
+    e_term: float
+    e_term_se: float
+    eps1_term: float
     cond_term: float
+    eps1_correction_se: float
 
 
 # the terms of a model with no fourth-derivative bound: no detailed certificate
-_NO_DETAILED_TERMS = DirectionKlTerms(*[math.nan] * 6)
+_NO_DETAILED_TERMS = DirectionKlTerms(*[math.nan] * 5)
 
 
 def _log_moment(xis: np.ndarray) -> float:
@@ -264,12 +270,12 @@ def direction_kl_bound(xis, eps1, pair_size: int = 1) -> DirectionKlTerms:
     if pair_size < 1 or m % pair_size != 0:
         raise ValueError("pair_size must evenly divide the number of directions")
 
-    log_moment = _log_moment(xis)
-    eps1_sq_term = float(np.mean(eps1**2))
+    e_term = _log_moment(xis)
+    eps1_term = float(np.mean(eps1**2))
     cond_term = float(np.mean(eps1))
 
     n_blocks = m // pair_size
-    log_moment_se = eps1_se = float("nan")
+    e_term_se = eps1_se = float("nan")
     if n_blocks >= 2:
         kept = m - pair_size
         shifted = xis - xis.max()
@@ -289,17 +295,10 @@ def direction_kl_bound(xis, eps1, pair_size: int = 1) -> DirectionKlTerms:
         b = int(np.argmax(xis)) // pair_size
         rest = np.delete(shifted, np.s_[b * pair_size:(b + 1) * pair_size])
         loo_log_moment[b] = 0.5 * (_logsumexp(2.0 * rest) - np.log(kept * means[0])) - loo[b, 1]
-        log_moment_se = _jackknife_se(loo_log_moment)
+        e_term_se = _jackknife_se(loo_log_moment)
         eps1_se = _jackknife_se(loo[:, 2] + loo[:, 3])
 
-    return DirectionKlTerms(
-        log_moment_term=log_moment,
-        log_moment_term_se=log_moment_se,
-        eps1_correction=eps1_sq_term + cond_term,
-        eps1_correction_se=eps1_se,
-        eps1_sq_term=eps1_sq_term,
-        cond_term=cond_term,
-    )
+    return DirectionKlTerms(e_term, e_term_se, eps1_term, cond_term, eps1_se)
 
 
 def approximate_bound_coefficient(d: int) -> float:
@@ -457,7 +456,7 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
     directions = sample_direction_pairs(d, config.n_directions // 2, rng)
 
     vs = directions @ fit.sqrt_covariance
-    rs = chi_quadrature(d, config.quadrature_nodes)[0]
+    rs, ws = chi_quadrature(d, config.quadrature_nodes)
     batch = model.ray_batch(fit.theta_star, vs, rs)
     d3 = batch.delta3
     delta3_sq = d3 * d3
@@ -479,7 +478,7 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
         ckl[valid] = conditional_kl_bound(d, d3[valid], d4[valid], mc[valid])
         finite = np.all(np.isfinite(batch.values), axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xi = _xi_values(fit, batch.values, config.quadrature_nodes)
+            xi = _xi_values(fit, batch.values, rs, ws)
         xi = np.where(exact, 0.0, np.where(finite, xi, np.nan))
         valid &= exact | finite
 
@@ -502,12 +501,8 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
         mean_delta3_sq=mean_delta3_sq,
         se_delta3_sq=se_delta3_sq,
         approx_bound=approximate_bound(mean_delta3_sq, d),
-        detailed_bound=terms.log_moment_term + terms.eps1_sq_term + terms.cond_term,
-        e_term=terms.log_moment_term,
-        e_term_se=terms.log_moment_term_se,
-        cond_term=terms.cond_term,
-        eps1_term=terms.eps1_sq_term,
-        eps1_correction_se=terms.eps1_correction_se,
+        detailed_bound=terms.e_term + terms.eps1_term + terms.cond_term,
+        **asdict(terms),
         invalid_directions=invalid,
         spotcheck=spotcheck,
         fit_summary={

@@ -239,6 +239,15 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
     )
 
 
+def _log_g_plus_phi(fit: LaplaceFit, thetas, phi, where: str) -> np.ndarray:
+    """log g + phi per row of ``thetas``; NonFiniteObjectiveError at the first non-finite one."""
+    vals = laplace_log_density(fit, thetas) + phi
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise NonFiniteObjectiveError(f"non-finite {where} {int(bad[0])}", theta=thetas[bad[0]])
+    return vals
+
+
 def estimate_log_inv_z(fit: LaplaceFit, posterior_samples, phi):
     """log of the importance estimate of 1/Z = E_f[g(theta)/f~(theta)].
 
@@ -260,12 +269,7 @@ def estimate_log_inv_z(fit: LaplaceFit, posterior_samples, phi):
         raise ValueError("no posterior samples supplied")
     if np.shape(phi) != (k,):
         raise DimensionMismatchError("phi needs one value per posterior sample")
-    log_ratio = laplace_log_density(fit, samples) + phi
-    bad = np.flatnonzero(~np.isfinite(log_ratio))
-    if bad.size:
-        raise NonFiniteObjectiveError(
-            f"non-finite importance ratio at sample index {int(bad[0])}", theta=samples[bad[0]]
-        )
+    log_ratio = _log_g_plus_phi(fit, samples, phi, "importance ratio at sample index")
     log_inv_z = _logsumexp(log_ratio) - float(np.log(k))
     n_batches = min(N_BATCHES, k)
     bounds = np.linspace(0, k, n_batches + 1, dtype=int)
@@ -305,12 +309,8 @@ def estimate_kl(
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_KL_STREAM,)))
     eta = rng.standard_normal((k2, fit.dim))
     thetas = fit.theta_star + eta @ fit.sqrt_covariance
-    vals = laplace_log_density(fit, thetas) + model.neg_log_density_many(thetas)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise NonFiniteObjectiveError(
-            f"non-finite log g + phi at fit draw {int(bad[0])}", theta=thetas[bad[0]]
-        )
+    phi = model.neg_log_density_many(thetas)
+    vals = _log_g_plus_phi(fit, thetas, phi, "log g + phi at fit draw")
     kl = float(vals.mean() - log_inv_z)
     se = float(np.sqrt(vals.var(ddof=1) / k2 + inv_z_rel_se**2))
     return kl, se

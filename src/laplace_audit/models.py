@@ -172,7 +172,7 @@ class TargetModel(abc.ABC):
         nothing else of the model.
         """
         base = np.asarray(base, dtype=float)
-        directions = np.atleast_2d(np.asarray(directions, dtype=float))
+        directions = _check_directions(directions, self.dim)
         delta3 = np.array(
             [self.ray_derivatives(base, v, 0.0, max_order=3)[2] for v in directions], dtype=float
         )

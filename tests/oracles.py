@@ -1,8 +1,22 @@
-"""Independent reference computations and auxiliary 1-D targets for tests.
+"""Reference computations and auxiliary targets for tests.
 
-Everything here deliberately avoids the code paths under test: derivatives
-come from finite-difference stencils on raw density values, expectations from
-adaptive quadrature, and distributions from direct sampling.
+The independent oracles avoid the code paths they check: derivatives come
+from finite-difference stencils on raw density values
+(``central_directional``, ``third_derivative_7pt``,
+``fourth_derivative_5pt``), the 1-D KL from adaptive quadrature
+(``quadrature_kl_1d``), the chain from a plain-loop replay of one scalar phi
+at a time (``replay_chain``), the curvature floor from an eigenvalue solve
+(``companion_curvature_floor``), the radius law from its closed form
+(``RadialLaw``), and the logistic phi from the model's data with
+``np.logaddexp`` (``logistic_phi``). ``logistic_ray_values`` builds the
+node margins elementwise but sums them with the model's ``_log1p_exp``.
+
+The one-direction helpers are not independent: ``delta3``, ``delta4`` and
+``xi_elbo`` wrap ``model.ray_batch`` on one whitened direction (through
+``_ray_batch``), so tests can compare ``audit``'s batched pass with them row
+by row, and ``conditional_curvature_profile`` takes the model's own
+``ray_derivatives``. ``SoftplusTilt1D``, ``CubicRay1D``,
+``GaussianMixture1D`` and ``InfTailGaussian`` are test targets.
 """
 
 from __future__ import annotations

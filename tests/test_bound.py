@@ -30,7 +30,7 @@ from laplace_audit import (
     sample_direction,
 )
 from laplace_audit import bound as bound_module
-from laplace_audit.bound import _curvature_floor_poly
+from laplace_audit.bound import _curvature_floor_poly, _positive_root
 
 from oracles import (
     CubicRay1D,
@@ -176,6 +176,45 @@ class TestMinConditionalCurvature:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             min_conditional_curvature(3, 0.0, -1.0)
+
+    def test_root_rule_is_the_rationalized_form_for_nonpositive_delta3(self):
+        # r0 = 2 / (sqrt(d3^2 + 2 d4) - d3) has no cancellation when d3 <= 0,
+        # and the root rule's form differs from it by powers of two only
+        rng = np.random.default_rng(23)
+        n = 100_000
+        d3 = -(10 ** rng.uniform(-6.0, 2.0, n))
+        d3[rng.random(n) < 0.05] = 0.0
+        d4 = 10 ** rng.uniform(-9.0, 2.0, n)
+        np.testing.assert_array_equal(
+            _positive_root(1.0, 0.5 * d3, 0.5 * d4), 2.0 / (np.sqrt(d3 * d3 + 2.0 * d4) - d3)
+        )
+
+    def test_root_rule_without_delta4(self):
+        d3 = np.array([-30.0, -1.0, -0.1, -1e-6, 1e-6, 0.1, 1.0, 30.0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r0 = _positive_root(1.0, 0.5 * d3, 0.0)
+        np.testing.assert_array_equal(r0[:4], -1.0 / d3[:4])
+        assert np.all(r0[4:] == np.inf)
+
+    def test_root_rule_does_not_cancel_for_positive_delta3(self):
+        # 1 + r - d4 r^2 / 2 = 0 at r = (1 + sqrt(1 + 2 d4)) / d4
+        # np.where computes both forms, and c / (s - beta) divides by 0 at d4 = 1e-20
+        with np.errstate(divide="ignore"):
+            r0 = _positive_root(1.0, 0.5, np.array([0.5e-10, 0.5e-20]))
+        np.testing.assert_allclose(r0, [2e10 + 1.0, 2e20], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("d", [1, 50])
+    def test_all_quadratic_rows_skip_the_solve(self, d, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("an all-quadratic block needs no root")
+
+        monkeypatch.setattr(bound_module, "_positive_root", no_solve)
+        zeros = np.zeros(256)
+        zeros[::3] = -0.0
+        np.testing.assert_array_equal(
+            min_conditional_curvature(d, zeros, zeros), np.full(256, radial_min_curvature(d))
+        )
+        assert min_conditional_curvature(d, 0.0, 0.0) == radial_min_curvature(d)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 50, 200])
     def test_matches_companion_matrix_oracle(self, d):
@@ -348,27 +387,27 @@ class TestDirectionKlBound:
         # inexact; 26: the mean of 26 0.37s is inexact too
         for m in (8, 14, 26):
             terms = direction_kl_bound(np.full(m, 0.37), np.full(m, 0.1), pair_size=2)
-            assert terms.log_moment_term == 0.0
-            assert terms.log_moment_term_se == 0.0
+            assert terms.e_term == 0.0
+            assert terms.e_term_se == 0.0
             assert terms.eps1_correction_se == 0.0
 
     def test_two_point_closed_form(self):
         a = 0.4
         terms = direction_kl_bound(np.array([a, -a]), np.zeros(2))
-        assert terms.log_moment_term == pytest.approx(0.5 * np.log(np.cosh(2 * a)), rel=1e-13)
-        assert terms.eps1_correction == 0.0
+        assert terms.e_term == pytest.approx(0.5 * np.log(np.cosh(2 * a)), rel=1e-13)
+        assert terms.eps1_term + terms.cond_term == 0.0
 
     def test_nonnegative_by_jensen(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             xis = rng.normal(0, 0.5, size=16)
-            assert direction_kl_bound(xis, np.zeros(16)).log_moment_term >= 0.0
+            assert direction_kl_bound(xis, np.zeros(16)).e_term >= 0.0
 
     def test_eps1_correction_split(self):
         terms = direction_kl_bound(np.zeros(2), np.array([0.1, 0.3]))
         assert terms.cond_term == pytest.approx(0.2, rel=1e-15)
-        assert terms.eps1_sq_term == pytest.approx((0.01 + 0.09) / 2, rel=1e-15)
-        assert terms.eps1_correction == pytest.approx(terms.cond_term + terms.eps1_sq_term)
+        assert terms.eps1_term == pytest.approx((0.01 + 0.09) / 2, rel=1e-15)
+        assert terms.eps1_term + terms.cond_term == pytest.approx(0.05 + 0.2, rel=1e-15)
 
     @pytest.mark.parametrize(
         "m, pair_size",
@@ -384,11 +423,13 @@ class TestDirectionKlBound:
         eps1 = rng.uniform(0.0, 0.2, size=m)
         terms = direction_kl_bound(xis, eps1, pair_size)
         oracles = [_loop_jackknife_by_subtraction] + ([_loop_jackknife] if m <= 4096 else [])
-        assert terms.log_moment_term == pytest.approx(_loop_log_moment(xis), rel=1e-12)
-        assert terms.eps1_correction == pytest.approx(np.mean(eps1**2) + np.mean(eps1), rel=1e-12)
+        assert terms.e_term == pytest.approx(_loop_log_moment(xis), rel=1e-12)
+        assert terms.eps1_term + terms.cond_term == pytest.approx(
+            np.mean(eps1**2) + np.mean(eps1), rel=1e-12
+        )
         for oracle in oracles:
             log_moment_se, eps1_se = oracle(xis, eps1, pair_size)
-            assert terms.log_moment_term_se == pytest.approx(log_moment_se, rel=1e-12)
+            assert terms.e_term_se == pytest.approx(log_moment_se, rel=1e-12)
             assert terms.eps1_correction_se == pytest.approx(eps1_se, rel=1e-12)
 
     def test_jackknife_finite_when_one_block_dominates(self):
@@ -398,12 +439,12 @@ class TestDirectionKlBound:
         terms = direction_kl_bound(xis, eps1, pair_size=2)
         log_moment_se, eps1_se = _loop_jackknife(xis, eps1, 2)
         assert np.isfinite(log_moment_se)
-        assert terms.log_moment_term_se == pytest.approx(log_moment_se, rel=1e-12)
+        assert terms.e_term_se == pytest.approx(log_moment_se, rel=1e-12)
         assert terms.eps1_correction_se == pytest.approx(eps1_se, rel=1e-12)
 
     def test_single_block_has_no_standard_error(self):
         terms = direction_kl_bound(np.array([0.1, -0.1]), np.zeros(2), pair_size=2)
-        assert np.isnan(terms.log_moment_term_se) and np.isnan(terms.eps1_correction_se)
+        assert np.isnan(terms.e_term_se) and np.isnan(terms.eps1_correction_se)
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="at least two"):
@@ -589,8 +630,8 @@ class TestAudit:
         np.testing.assert_array_equal(kept_xis, xis[keep])
         np.testing.assert_array_equal(kept_eps1, eps1[keep])
         terms = original(xis[keep], eps1[keep], pair_size=1)
-        assert report.detailed_bound == terms.log_moment_term + terms.eps1_sq_term + terms.cond_term
-        assert (report.e_term, report.cond_term) == (terms.log_moment_term, terms.cond_term)
+        assert report.detailed_bound == terms.e_term + terms.eps1_term + terms.cond_term
+        assert (report.e_term, report.cond_term) == (terms.e_term, terms.cond_term)
 
         monkeypatch.setattr(bound_module, "min_conditional_curvature", forcing(slice(None), -1.0))
         with pytest.raises(AssumptionViolationError) as exc_info:

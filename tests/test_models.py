@@ -545,6 +545,15 @@ class TestRayBatch:
         with pytest.raises(DimensionMismatchError):
             model.ray_batch(fit.theta_star, np.ones((2, 4)))
 
+    @pytest.mark.parametrize("kind", ["scalar_only", "tilt"])
+    def test_generic_path_checks_direction_shape(self, kind, logistic_small):
+        # the base class's ray_batch takes the built-ins' (k, dim) check
+        model = ScalarOnly(logistic_small[0]) if kind == "scalar_only" else SoftplusTilt1D(1.0)
+        base = np.zeros(model.dim)
+        for bad in (np.ones(model.dim), np.ones((2, model.dim + 1))):
+            with pytest.raises(DimensionMismatchError):
+                model.ray_batch(base, bad)
+
 
 class TestNegLogExpit:
     """-log expit(t) = log(1 + exp(-t)), taken as ``_log1p_exp(-t)``."""
