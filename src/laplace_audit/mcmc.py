@@ -1,11 +1,14 @@
 """Ground-truth machinery: posterior sampling and direct KL estimation.
 
-Random-walk Metropolis-Hastings chains shaped by the Laplace covariance,
-``N_CHAINS`` of them run in lock-step, draw samples from the target; an
-importance ratio against the normalized Gaussian fit estimates log 1/Z, the
-log of the reciprocal normalizing constant (kept in log space throughout,
-since 1/Z itself overflows at moderate dimensions); and a plain Monte-Carlo
-average over fresh Gaussian draws turns that into an estimate of KL(g, f).
+Delayed-acceptance random-walk Metropolis chains in the fit's whitened
+coordinates, ``N_CHAINS`` of them run in lock-step, draw samples from the
+target: each proposal is screened against the Laplace fit g first, at O(d)
+cost, and only the proposals that pass are scored on the target, in a
+second stage that keeps every chain exact for f. An importance ratio
+against the normalized Gaussian fit estimates log 1/Z, the log of the
+reciprocal normalizing constant (kept in log space throughout, since 1/Z
+itself overflows at moderate dimensions); and a plain Monte-Carlo average
+over fresh Gaussian draws turns that into an estimate of KL(g, f).
 Everything is driven by explicit integer seeds, and a seed gives the same
 numbers on every run.
 """
@@ -22,10 +25,10 @@ from .laplace import LaplaceFit, laplace_log_density
 from .models import TargetModel
 
 # independent chains advanced together; ChainConfig.n_steps is their total
-N_CHAINS = 20
+N_CHAINS = 40
 # steps of every chain per proposal block; fixed so the random stream does not
 # depend on runtime tuning
-BLOCK_STEPS = 256
+BLOCK_STEPS = 128
 N_BATCHES = 50
 
 # share of each chain's own steps discarded before any state is kept
@@ -40,14 +43,18 @@ _KL_STREAM = 3
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Random-walk chain settings.
+    """Settings of the delayed-acceptance chain of ``run_chain``.
 
     ``n_steps`` is the total over the ``N_CHAINS`` chains and must be a
     multiple of it. Each chain discards the first ``BURN_IN_FRACTION`` of
     its own steps and keeps every ``thin``-th state after that.
     ``n_steps / thin`` must be at least 100; that rule counts steps over all
-    chains, not kept states, but it puts each chain's first kept step below
-    0.3 of its steps, so every valid config keeps a state of every chain.
+    chains, not kept states, but with ``N_CHAINS`` = 40 it bounds ``thin``
+    by 0.4 of each chain's steps and so puts each chain's first kept step
+    below half of them: every valid config keeps a state of every chain.
+    ``seed`` fixes the whole stream that ``run_chain`` documents (starts,
+    jumps and the two uniforms of each step), so a seed gives the same
+    chain on every run.
     """
 
     n_steps: int
@@ -105,7 +112,9 @@ class ChainResult:
     """Kept states, chain by chain, with the chains' diagnostics.
 
     ``phi`` holds the negative log-density at each row of ``samples``, as
-    the chain computed it. ``rhat`` is the split-R-hat of phi at the kept
+    the chain computed it: at theta* + z S formed when the state was
+    proposed, which the row, formed from the same z at the end, matches up
+    to the rounding of that product. ``rhat`` is the split-R-hat of phi at the kept
     states over the chains (see ``split_rhat``); it is NaN when undefined.
     """
 
@@ -172,23 +181,37 @@ def split_rhat(draws) -> float:
 
 
 def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> ChainResult:
-    """Random-walk Metropolis-Hastings with fit-shaped Gaussian proposals.
+    """Delayed-acceptance random-walk Metropolis with the fit as its screen.
 
     ``N_CHAINS`` independent chains run in lock-step, ``n_steps / N_CHAINS``
-    steps each. Every chain starts at the mode, proposes N(0, (scale * S)^2)
-    jumps with S the fit square root and scale the standard 2.38/sqrt(d)
-    random-walk scaling (Roberts, Gelman & Gilks 1997), discards the first
-    ``BURN_IN_FRACTION`` of its steps and keeps every ``thin``-th state after
-    them; the samples are returned chain by chain. The draws come in blocks
-    of ``BLOCK_STEPS`` steps: first (steps * chains) x d standard normals,
-    row ``step * N_CHAINS + chain``, then steps x chains uniforms.
+    steps each, in the fit's whitened coordinates z, theta = theta* + z S
+    with S the fit square root, where log g = const - |z|^2 / 2. Each chain
+    starts at a draw from g, or at the mode where phi at that draw is not
+    finite, and proposes z' = z + scale * eta with eta standard normal and
+    scale the standard 2.38/sqrt(d) random-walk scaling (Roberts, Gelman &
+    Gilks 1997). Two stages decide each step (Christen & Fox, JCGS 14
+    (2005) 795):
 
-    The accept/reject recursion is sequential along each chain but
-    independent across chains, so each step scores the proposals of all
-    chains with one ``neg_log_density_many`` call and accepts row-wise; the
-    per-call overhead of numpy is paid once per step for all chains. A
-    proposal whose phi is NaN or +inf is rejected. An acceptance rate
-    outside [0.05, 0.7] attaches a warning to the result rather than failing.
+    1. the proposal passes with probability min(1, g(z') / g(z)), which
+       needs no phi: z.delta < -log u1 - |delta|^2 / 2 with delta the jump;
+    2. a proposal that passed moves the chain with probability
+       min(1, exp(w - w')), w = phi - |z|^2 / 2, which corrects stage 1 to
+       the target f exactly. A proposal whose phi is NaN or infinite is
+       rejected.
+
+    So phi is evaluated only on the proposals g lets through, with one
+    ``neg_log_density_many`` call per step on those rows of all chains; the
+    closer g is to f, the fewer of them stage 2 turns away. Each chain
+    discards the first ``BURN_IN_FRACTION`` of its steps and keeps every
+    ``thin``-th state after them; the samples, theta* + z S formed once at
+    the end, are returned chain by chain.
+
+    The stream is: the (chains x d) standard normals of the starts, then per
+    block of ``BLOCK_STEPS`` steps (steps * chains) x d standard normals, row
+    ``step * N_CHAINS + chain``, and 2 x steps x chains uniforms, the first
+    half u1 and the second u2. ``acceptance_rate`` counts the proposals that
+    passed both stages; a rate outside [0.05, 0.7] attaches a warning to the
+    result rather than failing.
     """
     config.validate()
     d = model.dim
@@ -200,30 +223,44 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
     keep = config._kept_steps()
     out = np.empty((N_CHAINS, keep.shape[0], d))
     out_phi = np.empty((N_CHAINS, keep.shape[0]))
+    sqrt_cov, mode = fit.sqrt_covariance, fit.theta_star
 
-    theta = np.tile(fit.theta_star, (N_CHAINS, 1))
-    proposal = np.empty_like(theta)
-    phi = model.neg_log_density_many(theta)
-    accepted = np.zeros(N_CHAINS, dtype=np.int64)
+    z = rng.standard_normal((N_CHAINS, d))
+    phi = model.neg_log_density_many(z @ sqrt_cov + mode)
+    off = ~np.isfinite(phi)
+    if off.any():
+        z[off] = 0.0
+        phi[off] = model.neg_log_density_many(mode[None, :])[0]
+    accepted = 0
     kept = 0
     for done in range(0, steps, BLOCK_STEPS):
         block = min(BLOCK_STEPS, steps - done)
-        eta = rng.standard_normal((block * N_CHAINS, d))
-        jumps = (scale * (eta @ fit.sqrt_covariance)).reshape(block, N_CHAINS, d)
-        log_u = np.log(rng.random((block, N_CHAINS)))
+        jumps = scale * rng.standard_normal((block * N_CHAINS, d)).reshape(block, N_CHAINS, d)
+        log_u = np.log(rng.random((2, block, N_CHAINS)))
+        half_sq = 0.5 * np.einsum("bcj,bcj->bc", jumps, jumps)
+        # stage 1 passes z.delta below pass_at; stage 2 takes phi' below
+        # phi + z.delta + move_at, which is log u2 < w - w'
+        pass_at = -log_u[0] - half_sq
+        move_at = half_sq - log_u[1]
         for b in range(block):
-            np.add(theta, jumps[b], out=proposal)
-            phi_prop = model.neg_log_density_many(proposal)
-            move = log_u[b] < phi - phi_prop
-            np.copyto(theta, proposal, where=move[:, None])
-            np.copyto(phi, phi_prop, where=move)
-            accepted += move
+            step = jumps[b]
+            lift = np.einsum("cj,cj->c", z, step)
+            rows = np.flatnonzero(lift < pass_at[b])
+            if rows.size:
+                z_prop = z[rows] + step[rows]
+                phi_prop = model.neg_log_density_many(z_prop @ sqrt_cov + mode)
+                ceiling = (phi + lift + move_at[b])[rows]
+                move = (phi_prop < ceiling) & np.isfinite(phi_prop)
+                rows = rows[move]
+                z[rows] = z_prop[move]
+                phi[rows] = phi_prop[move]
+                accepted += rows.size
             if kept < keep.shape[0] and keep[kept] == done + b:
-                out[:, kept] = theta
+                out[:, kept] = z
                 out_phi[:, kept] = phi
                 kept += 1
 
-    rate = int(accepted.sum()) / config.n_steps
+    rate = accepted / config.n_steps
     warnings = ()
     if not ACCEPT_RATE_LOW <= rate <= ACCEPT_RATE_HIGH:
         warnings = (
@@ -231,7 +268,7 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
             "the samples may not represent the target",
         )
     return ChainResult(
-        samples=out.reshape(-1, d),
+        samples=out.reshape(-1, d) @ sqrt_cov + mode,
         phi=out_phi.reshape(-1),
         acceptance_rate=float(rate),
         rhat=split_rhat(out_phi),

@@ -6,7 +6,8 @@ from finite-difference stencils on raw density values
 ``fourth_derivative_5pt``), the 1-D KL from adaptive quadrature
 (``quadrature_kl_1d``), the chain from a plain-loop replay of one scalar phi
 at a time (``replay_chain``), the curvature floor from an eigenvalue solve
-(``companion_curvature_floor``), the radius law from its closed form
+(``companion_curvature_floor``, with its own root rule
+``curvature_floor_r0``), the radius law from its closed form
 (``RadialLaw``), and the logistic phi from the model's data with
 ``np.logaddexp`` (``logistic_phi``). ``logistic_ray_values`` builds the
 node margins elementwise but sums them with the model's ``_log1p_exp``.
@@ -70,13 +71,16 @@ def fourth_derivative_5pt(g, r, h):
 def replay_chain(model: TargetModel, fit, config):
     """Plain-loop replay of ``run_chain``, one chain and one scalar phi at a time.
 
-    Redraws the stream ``run_chain`` documents: per block of
-    ``mcmc.BLOCK_STEPS`` steps, (steps * chains) x d standard normals, row
-    ``step * N_CHAINS + chain``, then steps x chains uniforms. Each chain then
-    starts at the mode, proposes jumps of 2.38/sqrt(d) times the fit square
-    root, scores every proposal with ``neg_log_density`` and applies the
-    Metropolis-Hastings rule; states are kept per chain after its burn-in of
-    ``mcmc.BURN_IN_FRACTION`` of its steps, every ``thin``-th step.
+    Redraws the stream ``run_chain`` documents: the (chains x d) standard
+    normals of the starts, then per block of ``mcmc.BLOCK_STEPS`` steps
+    (steps * chains) x d standard normals, row ``step * N_CHAINS + chain``,
+    then 2 x steps x chains uniforms. Each chain starts at theta* + z S for
+    its start draw z (at the mode if phi is not finite there), proposes
+    z + 2.38/sqrt(d) eta, passes the proposal when
+    log u1 < -(|z'|^2 - |z|^2) / 2, and moves when phi' is finite and
+    log u2 < (phi - |z|^2 / 2) - (phi' - |z'|^2 / 2), scoring each passed
+    proposal with ``neg_log_density``; states are kept per chain after its
+    burn-in of ``mcmc.BURN_IN_FRACTION`` of its steps, every ``thin``-th step.
 
     Returns (samples chain by chain, accepted count per chain).
     """
@@ -88,26 +92,36 @@ def replay_chain(model: TargetModel, fit, config):
     rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(mcmc._CHAIN_STREAM,))
     )
+    starts = rng.standard_normal((chains, d))
     normals, uniforms = [], []
     for done in range(0, steps, mcmc.BLOCK_STEPS):
         block = min(mcmc.BLOCK_STEPS, steps - done)
         normals.append(rng.standard_normal((block * chains, d)).reshape(block, chains, d))
-        uniforms.append(rng.random((block, chains)))
-    eta, u = np.concatenate(normals), np.concatenate(uniforms)
+        uniforms.append(rng.random((2, block, chains)))
+    eta, u = np.concatenate(normals), np.concatenate(uniforms, axis=1)
     burn = int(round(mcmc.BURN_IN_FRACTION * steps))
+
+    def theta(z):
+        return fit.theta_star + z @ fit.sqrt_covariance
+
     samples, accepted = [], []
     for c in range(chains):
-        theta = fit.theta_star.copy()
-        phi = model.neg_log_density(theta)
+        z = starts[c]
+        phi = model.neg_log_density(theta(z))
+        if not np.isfinite(phi):
+            z = np.zeros(d)
+            phi = model.neg_log_density(theta(z))
         count = 0
         for step in range(steps):
-            candidate = theta + scale * (eta[step, c] @ fit.sqrt_covariance)
-            phi_prop = model.neg_log_density(candidate)
-            if np.log(u[step, c]) < phi - phi_prop:
-                theta, phi = candidate, phi_prop
-                count += 1
+            candidate = z + scale * eta[step, c]
+            if np.log(u[0, step, c]) < -0.5 * (candidate @ candidate - z @ z):
+                phi_prop = model.neg_log_density(theta(candidate))
+                w, w_prop = phi - 0.5 * (z @ z), phi_prop - 0.5 * (candidate @ candidate)
+                if np.isfinite(phi_prop) and np.log(u[1, step, c]) < w - w_prop:
+                    z, phi = candidate, phi_prop
+                    count += 1
             if step >= burn and (step - burn + 1) % config.thin == 0:
-                samples.append(theta)
+                samples.append(theta(z))
         accepted.append(count)
     return np.array(samples), np.array(accepted)
 
@@ -366,6 +380,24 @@ class InfTailGaussian(GaussianModel):
         return np.where(thetas[:, 0] > self.mean[0] + self.cut, np.inf, phi)
 
 
+def curvature_floor_r0(delta3, delta4):
+    """r0 = 2 / (sqrt(d3^2 + 2 d4) - d3), where the floor's Taylor control ends.
+
+    The positive root of 1 + d3 r - d4 r^2 / 2, inf where there is none
+    (d4 = 0 <= d3). For d3 > 0 the form above subtracts terms of like size,
+    so that sign takes the other root formula, (d3 + sqrt(d3^2 + 2 d4)) / d4;
+    d4 = 0 takes -1/d3 directly.
+    """
+    d3, d4 = np.asarray(delta3, dtype=float), np.asarray(delta4, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sqrt(d3 * d3 + 2.0 * d4)
+        return np.where(
+            d4 == 0.0,
+            np.where(d3 >= 0.0, np.inf, -1.0 / d3),
+            np.where(d3 > 0.0, (d3 + s) / d4, 2.0 / (s - d3)),
+        )
+
+
 def companion_curvature_floor(d: int, delta3, delta4):
     """``bound.min_conditional_curvature`` by an eigenvalue solve per row.
 
@@ -389,12 +421,8 @@ def companion_curvature_floor(d: int, delta3, delta4):
     def poly(r, d3, d4):
         return a / r + r * (6.0 + r * (5.0 * d3 - (7.0 / 3.0) * (d4 * r)))
 
+    r0 = curvature_floor_r0(d3, d4)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r0 = np.where(
-            d4 == 0.0,
-            np.where(d3 > 0.0, np.inf, -1.0 / d3),
-            2.0 / (np.sqrt(d3 * d3 + 2.0 * d4) - d3),
-        )
         companion = np.zeros(d3.shape + (4, 4))
         companion[..., [1, 2, 3], [0, 1, 2]] = 1.0
         companion[..., 0, 3] = np.where(finite, -7.0 * d4 / a, 0.0)

@@ -38,6 +38,7 @@ from oracles import (
     SoftplusTilt1D,
     companion_curvature_floor,
     conditional_curvature_profile,
+    curvature_floor_r0,
     delta3,
     delta4,
     third_derivative_7pt,
@@ -152,7 +153,7 @@ class TestMinConditionalCurvature:
             d3 = float(rng.normal(0, 0.5))
             d4 = float(rng.uniform(0.01, 1.0))
             value = min_conditional_curvature(d, d3, d4)
-            r0 = 2.0 / (np.sqrt(d3 * d3 + 2 * d4) - d3)
+            r0 = float(curvature_floor_r0(d3, d4))
             rs = np.geomspace(r0 * 1e-7, r0, 2_000_000)
             scan = _curvature_floor_poly(rs, d, d3, d4).min()
             flat = r0 + d3 * r0**2 - d4 * r0**3 / 3.0
@@ -202,6 +203,10 @@ class TestMinConditionalCurvature:
         with np.errstate(divide="ignore"):
             r0 = _positive_root(1.0, 0.5, np.array([0.5e-10, 0.5e-20]))
         np.testing.assert_allclose(r0, [2e10 + 1.0, 2e20], rtol=1e-15, atol=0)
+        # the oracle's own root rule, at the rows (delta3, delta4) = (1, 1e-10), (1, 1e-20)
+        np.testing.assert_allclose(
+            curvature_floor_r0(1.0, [1e-10, 1e-20]), [2e10 + 1.0, 2e20], rtol=1e-15, atol=0
+        )
 
     @pytest.mark.parametrize("d", [1, 50])
     def test_all_quadratic_rows_skip_the_solve(self, d, monkeypatch):
@@ -240,14 +245,14 @@ class TestMinConditionalCurvature:
             sign * tiny,  # |delta3| near 1e-155, half of them with delta4 = 0
             rng.normal(0.0, 1.0, n),  # delta4 from 1e-12 to 1e3
             rng.normal(0.0, 1e-6, n),
-            [np.nan, 0.3, np.inf, -np.inf, 0.0, 0.0, -0.0, 1.0, np.nan, 0.0],
+            [1.0, 1.0, np.nan, 0.3, np.inf, -np.inf, 0.0, 0.0, -0.0, 1.0, np.nan, 0.0],
         ])
         d4 = np.concatenate([
             np.zeros(n),
             np.where(rng.random(n) < 0.5, 0.0, 10 ** rng.uniform(-12.0, 3.0, n)),
             np.geomspace(1e-12, 1e3, n),
             np.geomspace(1e-12, 1e3, n),
-            [0.1, np.nan, 0.2, 0.0, np.inf, 0.0, 0.0, np.inf, np.nan, 0.0],
+            [1e-10, 1e-20, 0.1, np.nan, 0.2, 0.0, np.inf, 0.0, 0.0, np.inf, np.nan, 0.0],
         ])
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             floors = min_conditional_curvature(d, d3, d4)
@@ -750,7 +755,7 @@ class TestAudit:
 def test_curvature_floor_scan_consistency(d3, d4, d):
     # module value never exceeds an independent dense scan of the same floor
     value = min_conditional_curvature(d, d3, d4)
-    r0 = 2.0 / (np.sqrt(d3 * d3 + 2 * d4) - d3)
+    r0 = float(curvature_floor_r0(d3, d4))
     rs = np.geomspace(r0 * 1e-7, r0, 400_001)
     scan = float(_curvature_floor_poly(rs, d, d3, d4).min())
     flat = r0 * (1.0 + r0 * (d3 - d4 * r0 / 3.0))

@@ -100,6 +100,23 @@ class TestRunChain:
         frob = np.linalg.norm(cov - model.covariance) / np.linalg.norm(model.covariance)
         assert frob < 0.10
 
+    def test_wrong_fit_still_samples_the_target(self, gaussian_5d):
+        # a screen one standard deviation off the mode and 1.5 times too wide:
+        # stage 1 alone would sample that fit, stage 2 corrects it to the target
+        model, fit = gaussian_5d
+        wrong = dataclasses.replace(
+            fit,
+            theta_star=fit.theta_star + np.sqrt(np.diag(model.covariance)),
+            sqrt_covariance=1.5 * fit.sqrt_covariance,
+        )
+        chain = run_chain(model, wrong, ChainConfig(n_steps=1_000_000, thin=100, seed=4))
+        assert chain.k >= 9000
+        se = _batch_se(chain.samples)
+        assert np.all(np.abs(chain.samples.mean(axis=0) - model.mean) < 3 * se)
+        cov = np.cov(chain.samples.T)
+        frob = np.linalg.norm(cov - model.covariance) / np.linalg.norm(model.covariance)
+        assert frob < 0.10
+
     def test_default_scale_acceptance_window(self, logistic_small):
         model, fit = logistic_small
         chain = run_chain(model, fit, ChainConfig(n_steps=100_000, thin=100, seed=1))
@@ -149,14 +166,14 @@ class TestRunChain:
         model, fit = logistic_tiny
         # 1,000 steps per chain: 100 burn-in leave 900, fewer than thin = 1,000;
         # the 100-step rule turns it away
-        config = ChainConfig(n_steps=20_000, thin=1_000)
+        config = ChainConfig(n_steps=N_CHAINS * 1_000, thin=1_000)
         assert config._kept_steps().size == 0
         with pytest.raises(ValueError, match="at least 100"):
             config.validate()
         with pytest.raises(ValueError, match="at least 100"):
             run_chain(model, fit, config)
         # 500 steps per chain: 50 burn-in, then four kept states in each chain
-        short = ChainConfig(n_steps=10_000, thin=100, seed=1)
+        short = ChainConfig(n_steps=N_CHAINS * 500, thin=100, seed=1)
         short.validate()
         assert run_chain(model, fit, short).k == N_CHAINS * 4
 
@@ -184,7 +201,7 @@ class TestRunChain:
     def test_burn_in_and_thinning_apply_per_chain(self, logistic_tiny):
         model, fit = logistic_tiny
         # 1,000 steps per chain: 100 burn-in, then every 30th -> 30 kept each
-        chain = run_chain(model, fit, ChainConfig(n_steps=20_000, thin=30, seed=3))
+        chain = run_chain(model, fit, ChainConfig(n_steps=N_CHAINS * 1_000, thin=30, seed=3))
         assert chain.k == N_CHAINS * 30
 
 
@@ -319,7 +336,7 @@ class TestEstimateKl:
     def test_json_schema(self, gaussian_5d):
         model, fit = gaussian_5d
         preset = TruthPreset(
-            name="test", chain=ChainConfig(n_steps=10_000, thin=100, seed=0), k2=100
+            name="test", chain=ChainConfig(n_steps=N_CHAINS * 500, thin=100, seed=0), k2=100
         )
         payload = estimate_true_kl(model, fit, preset).to_json_dict()
         # the linear 1/Z overflows past moderate d, so inv_z and inv_z_se are
