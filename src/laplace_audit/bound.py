@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import AssumptionViolationError
 from .laplace import LaplaceFit, fit_laplace, logconcavity_spotcheck
-from .models import TargetModel
+from .models import RayBatch, TargetModel
 from .radial import (
     QUADRATURE_NODES,
     chi_moment,
@@ -207,10 +207,21 @@ def conditional_kl_bound(d: int, delta3, delta4, min_curvature):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _xi_values(fit: LaplaceFit, values, rs, ws) -> np.ndarray:
-    """ELBO proxy per row of ray values on the chi quadrature nodes ``rs``, weights ``ws``."""
-    integrand = 0.5 * rs * rs - (values - fit.neg_log_density_at_mode)
-    return integrand @ ws
+def _xi_values(fit: LaplaceFit, batch: RayBatch, rs, ws) -> np.ndarray:
+    """ELBO proxy per direction of a ray pass on the chi quadrature nodes ``rs``, weights ``ws``.
+
+    A row with a non-finite ray value gets NaN. A row with delta3 = delta4
+    = 0 is exactly quadratic, its ray phi* + r^2 / 2, and gets the exact
+    limit 0 without its values; a ``batch`` with no delta4 bound has no such
+    row.
+    """
+    finite = np.all(np.isfinite(batch.values), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = (0.5 * rs * rs - (batch.values - fit.neg_log_density_at_mode)) @ ws
+    xi = np.where(finite, xi, np.nan)
+    if batch.delta4 is not None:
+        xi = np.where((batch.delta3 == 0.0) & (batch.delta4 == 0.0), 0.0, xi)
+    return xi
 
 
 @dataclass(frozen=True)
@@ -470,17 +481,12 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
     d4 = batch.delta4
     terms, invalid = _NO_DETAILED_TERMS, 0
     if d4 is not None:
-        # on an exactly quadratic ray every diagnostic has its exact limit
-        exact = (d3 == 0.0) & (d4 == 0.0)
         mc = min_conditional_curvature(d, d3, d4)  # rejects a negative bound
         valid = mc > 0.0
         ckl = np.full(d3.shape, np.nan)
         ckl[valid] = conditional_kl_bound(d, d3[valid], d4[valid], mc[valid])
-        finite = np.all(np.isfinite(batch.values), axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = _xi_values(fit, batch.values, rs, ws)
-        xi = np.where(exact, 0.0, np.where(finite, xi, np.nan))
-        valid &= exact | finite
+        xi = _xi_values(fit, batch, rs, ws)
+        valid &= ~np.isnan(xi)
 
         invalid = int(np.count_nonzero(~valid))
         if np.count_nonzero(valid) < 2:

@@ -7,8 +7,10 @@ cost, and only the proposals that pass are scored on the target, in a
 second stage that keeps every chain exact for f. An importance ratio
 against the normalized Gaussian fit estimates log 1/Z, the log of the
 reciprocal normalizing constant (kept in log space throughout, since 1/Z
-itself overflows at moderate dimensions); and a plain Monte-Carlo average
-over fresh Gaussian draws turns that into an estimate of KL(g, f).
+itself overflows at moderate dimensions). KL(g, f) is E_g[log g + phi]
+less log 1/Z, and the expectation under g is taken in polar form: an
+average over antithetic direction pairs of the certificate's ELBO proxy,
+whose radius the Gauss-chi rule integrates out on one ``ray_batch`` pass.
 Everything is driven by explicit integer seeds, and a seed gives the same
 numbers on every run.
 """
@@ -19,10 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bound import _logsumexp, json_ready
+from .bound import _logsumexp, _xi_values, json_ready
 from .errors import DimensionMismatchError, NonFiniteObjectiveError
-from .laplace import LaplaceFit, laplace_log_density
+from .laplace import LOG_2PI, LaplaceFit, laplace_log_density
 from .models import TargetModel
+from .radial import QUADRATURE_NODES, chi_quadrature, sample_direction_pairs
 
 # independent chains advanced together; ChainConfig.n_steps is their total
 N_CHAINS = 40
@@ -81,14 +84,18 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class TruthPreset:
-    """Bundled chain + Gaussian-sample sizes for the KL ground-truth pipeline."""
+    """Bundled chain settings and phi-evaluation budget for the KL ground truth.
+
+    ``k2`` counts the phi evaluations of ``estimate_kl``: ``QUADRATURE_NODES``
+    per direction, over k2 // (2 ``QUADRATURE_NODES``) antithetic pairs.
+    """
 
     name: str
     chain: ChainConfig
     k2: int
 
 
-# the named truth presets: (chain steps, thinning, Gaussian draws k2)
+# the named truth presets: (chain steps, thinning, phi evaluations k2 of estimate_kl)
 PRESETS = {
     "desk": (1_000_000, 100, 10_000),
     "paper": (10_000_000, 1000, 100_000),
@@ -220,9 +227,10 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
     scale = 2.38 / np.sqrt(d)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_CHAIN_STREAM,)))
     steps = config.n_steps // N_CHAINS
-    keep = config._kept_steps()
-    out = np.empty((N_CHAINS, keep.shape[0], d))
-    out_phi = np.empty((N_CHAINS, keep.shape[0]))
+    keep = config._kept_steps().tolist()
+    out = np.empty((N_CHAINS, len(keep), d))
+    out_phi = np.empty((N_CHAINS, len(keep)))
+    keep.append(steps)  # a sentinel that no step reaches
     sqrt_cov, mode = fit.sqrt_covariance, fit.theta_star
 
     z = rng.standard_normal((N_CHAINS, d))
@@ -235,7 +243,8 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
     kept = 0
     for done in range(0, steps, BLOCK_STEPS):
         block = min(BLOCK_STEPS, steps - done)
-        jumps = scale * rng.standard_normal((block * N_CHAINS, d)).reshape(block, N_CHAINS, d)
+        jumps = rng.standard_normal((block * N_CHAINS, d)).reshape(block, N_CHAINS, d)
+        jumps *= scale
         log_u = np.log(rng.random((2, block, N_CHAINS)))
         half_sq = 0.5 * np.einsum("bcj,bcj->bc", jumps, jumps)
         # stage 1 passes z.delta below pass_at; stage 2 takes phi' below
@@ -245,17 +254,20 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
         for b in range(block):
             step = jumps[b]
             lift = np.einsum("cj,cj->c", z, step)
-            rows = np.flatnonzero(lift < pass_at[b])
+            rows = (lift < pass_at[b]).nonzero()[0]
             if rows.size:
-                z_prop = z[rows] + step[rows]
-                phi_prop = model.neg_log_density_many(z_prop @ sqrt_cov + mode)
+                z_prop = z[rows]
+                z_prop += step[rows]
+                theta = z_prop @ sqrt_cov
+                theta += mode
+                phi_prop = model.neg_log_density_many(theta)
                 ceiling = (phi + lift + move_at[b])[rows]
                 move = (phi_prop < ceiling) & np.isfinite(phi_prop)
                 rows = rows[move]
                 z[rows] = z_prop[move]
                 phi[rows] = phi_prop[move]
                 accepted += rows.size
-            if kept < keep.shape[0] and keep[kept] == done + b:
+            if keep[kept] == done + b:
                 out[:, kept] = z
                 out_phi[:, kept] = phi
                 kept += 1
@@ -274,15 +286,6 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
         rhat=split_rhat(out_phi),
         warnings=warnings,
     )
-
-
-def _log_g_plus_phi(fit: LaplaceFit, thetas, phi, where: str) -> np.ndarray:
-    """log g + phi per row of ``thetas``; NonFiniteObjectiveError at the first non-finite one."""
-    vals = laplace_log_density(fit, thetas) + phi
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise NonFiniteObjectiveError(f"non-finite {where} {int(bad[0])}", theta=thetas[bad[0]])
-    return vals
 
 
 def estimate_log_inv_z(fit: LaplaceFit, posterior_samples, phi):
@@ -306,7 +309,12 @@ def estimate_log_inv_z(fit: LaplaceFit, posterior_samples, phi):
         raise ValueError("no posterior samples supplied")
     if np.shape(phi) != (k,):
         raise DimensionMismatchError("phi needs one value per posterior sample")
-    log_ratio = _log_g_plus_phi(fit, samples, phi, "importance ratio at sample index")
+    log_ratio = laplace_log_density(fit, samples) + phi
+    bad = np.flatnonzero(~np.isfinite(log_ratio))
+    if bad.size:
+        raise NonFiniteObjectiveError(
+            f"non-finite importance ratio at sample index {int(bad[0])}", theta=samples[bad[0]]
+        )
     log_inv_z = _logsumexp(log_ratio) - float(np.log(k))
     n_batches = min(N_BATCHES, k)
     bounds = np.linspace(0, k, n_batches + 1, dtype=int)
@@ -327,29 +335,53 @@ def estimate_kl(
     log_inv_z: float,
     inv_z_rel_se: float = 0.0,
 ) -> tuple[float, float]:
-    """Monte-Carlo estimate ``(kl, se)`` of KL(g, f) given the log 1/Z estimate.
+    """Estimate ``(kl, se)`` of KL(g, f) given the log 1/Z estimate.
 
-    Averages log g(theta) + phi(theta) over ``k2`` fresh draws from the fit
-    and subtracts ``log_inv_z``, the log 1/Z estimate of
+    KL(g, f) = E_g[log g + phi] - ``log_inv_z``, the log 1/Z estimate of
     ``estimate_log_inv_z``, whose relative standard error is
-    ``inv_z_rel_se``. The standard error combines the i.i.d. sample
-    variance with the 1/Z uncertainty propagated as an additive log-term.
-    A non-finite log g + phi at any draw raises NonFiniteObjectiveError
-    rather than averaging into a NaN or infinite KL.
+    ``inv_z_rel_se``. With theta = theta* + r S e, e uniform on the sphere
+    and r chi-distributed, E_g[log g] = -(d log 2 pi + log det Sigma + d) / 2
+    and the mean of phi over r along e is phi* + d/2 - xi(e), xi the ELBO
+    proxy of the certificate, so the first term is
+    -(d log 2 pi + log det Sigma) / 2 + phi* - E_e[xi(e)]. The radius is
+    integrated out by the ``QUADRATURE_NODES``-node Gauss-chi rule, and only
+    the direction is sampled: k2 // (2 ``QUADRATURE_NODES``) antithetic
+    pairs, whitened by S, all on one ``model.ray_batch`` call, so ``k2``
+    counts phi evaluations. xi comes from ``bound._xi_values``, which gives
+    an exactly quadratic ray (delta3 = delta4 = 0) xi = 0 exactly. The
+    standard error combines the variance of the pair means of xi with the
+    1/Z uncertainty, propagated as an additive log-term.
+
+    A ``k2`` below 4 ``QUADRATURE_NODES``, fewer than two pairs, raises
+    ValueError. A non-finite phi on a ray node raises
+    NonFiniteObjectiveError, with ``theta`` the first such node point
+    theta* + r v, rather than averaging into a NaN or infinite KL.
     """
     if not np.isfinite(log_inv_z):
         raise ValueError("log_inv_z must be finite")
     if not (np.isfinite(inv_z_rel_se) and inv_z_rel_se >= 0):
         raise ValueError("inv_z_rel_se must be finite and nonnegative")
-    if k2 < 2:
-        raise ValueError("k2 must be at least 2")
+    n_pairs = k2 // (2 * QUADRATURE_NODES)
+    if n_pairs < 2:
+        raise ValueError(f"k2 must be at least {4 * QUADRATURE_NODES} (two direction pairs)")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_KL_STREAM,)))
-    eta = rng.standard_normal((k2, fit.dim))
-    thetas = fit.theta_star + eta @ fit.sqrt_covariance
-    phi = model.neg_log_density_many(thetas)
-    vals = _log_g_plus_phi(fit, thetas, phi, "log g + phi at fit draw")
-    kl = float(vals.mean() - log_inv_z)
-    se = float(np.sqrt(vals.var(ddof=1) / k2 + inv_z_rel_se**2))
+    vs = sample_direction_pairs(fit.dim, n_pairs, rng) @ fit.sqrt_covariance
+    rs, ws = chi_quadrature(fit.dim, QUADRATURE_NODES)
+    batch = model.ray_batch(fit.theta_star, vs, rs)
+    bad = np.flatnonzero(~np.isfinite(batch.values))
+    if bad.size:
+        row, node = divmod(int(bad[0]), QUADRATURE_NODES)
+        raise NonFiniteObjectiveError(
+            f"non-finite phi at ray node {node} of direction {row}",
+            theta=fit.theta_star + rs[node] * vs[row],
+        )
+    xi = _xi_values(fit, batch, rs, ws)
+    pair_means = xi.reshape(n_pairs, 2).mean(axis=1)
+    half = -0.5 * (fit.dim * LOG_2PI + fit.log_det_covariance) + fit.neg_log_density_at_mode
+    kl = float(half - xi.mean() - log_inv_z)
+    # centred on one pair, so that equal pair means give a variance of exactly 0
+    spread = (pair_means - pair_means[0]).var(ddof=1)
+    se = float(np.sqrt(spread / n_pairs + inv_z_rel_se**2))
     return kl, se
 
 

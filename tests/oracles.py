@@ -3,14 +3,16 @@
 The independent oracles avoid the code paths they check: derivatives come
 from finite-difference stencils on raw density values
 (``central_directional``, ``third_derivative_7pt``,
-``fourth_derivative_5pt``), the 1-D KL from adaptive quadrature
-(``quadrature_kl_1d``), the chain from a plain-loop replay of one scalar phi
-at a time (``replay_chain``), the curvature floor from an eigenvalue solve
-(``companion_curvature_floor``, with its own root rule
-``curvature_floor_r0``), the radius law from its closed form
-(``RadialLaw``), and the logistic phi from the model's data with
-``np.logaddexp`` (``logistic_phi``). ``logistic_ray_values`` builds the
-node margins elementwise but sums them with the model's ``_log1p_exp``.
+``fourth_derivative_5pt``), the 1-D KL and its Gaussian half
+E_g[log g + phi] from adaptive quadrature (``quadrature_kl_1d``,
+``quadrature_gaussian_half_1d``), KL(g, f) given log 1/Z from fresh draws
+of the fit with no ray pass (``fresh_draw_kl``), the chain from a
+plain-loop replay of one scalar phi at a time (``replay_chain``), the
+curvature floor from an eigenvalue solve (``companion_curvature_floor``,
+with its own root rule ``curvature_floor_r0``), the radius law from its
+closed form (``RadialLaw``), and the logistic phi from the model's data
+with ``np.logaddexp`` (``logistic_phi``). ``logistic_ray_values`` builds
+the node margins elementwise but sums them with the model's ``_log1p_exp``.
 
 The one-direction helpers are not independent: ``delta3``, ``delta4`` and
 ``xi_elbo`` wrap ``model.ray_batch`` on one whitened direction (through
@@ -166,6 +168,39 @@ def logistic_ray_values(model, base, vs, rs):
     )
     values += 0.5 * (1.0 / (model.prior_sigma0 * model.prior_sigma0)) * quad_form
     return values
+
+
+def fresh_draw_kl(model: TargetModel, fit, k2: int, seed: int = 0, *, log_inv_z: float,
+                  inv_z_rel_se: float = 0.0):
+    """``(kl, se)`` of KL(g, f) from ``k2`` fresh draws of the fit, given log 1/Z.
+
+    The plain Monte-Carlo average of log g(theta) + phi(theta) over
+    theta = theta* + eta S, eta standard normal from ``estimate_kl``'s seed
+    stream, less ``log_inv_z``; the standard error combines the i.i.d.
+    sample variance with ``inv_z_rel_se``. phi comes from
+    ``neg_log_density_many``, so no ray pass is involved. A non-finite
+    log g + phi raises NonFiniteObjectiveError.
+    """
+    from laplace_audit import mcmc
+
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(mcmc._KL_STREAM,)))
+    eta = rng.standard_normal((k2, fit.dim))
+    thetas = fit.theta_star + eta @ fit.sqrt_covariance
+    vals = laplace_log_density(fit, thetas) + model.neg_log_density_many(thetas)
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteObjectiveError("non-finite log g + phi at a fit draw")
+    kl = float(vals.mean() - log_inv_z)
+    return kl, float(np.sqrt(vals.var(ddof=1) / k2 + inv_z_rel_se**2))
+
+
+def quadrature_gaussian_half_1d(model: TargetModel, fit, lo=-40.0, hi=40.0):
+    """E_g[log g + phi] for a 1-D target by adaptive quadrature at tolerance 1e-13."""
+
+    def integrand(t):
+        log_g = laplace_log_density(fit, np.array([t]))
+        return np.exp(log_g) * (log_g + model.neg_log_density(np.array([t])))
+
+    return float(quad(integrand, lo, hi, limit=400, epsabs=1e-13, epsrel=1e-13)[0])
 
 
 def quadrature_kl_1d(model: TargetModel, fit, lo=-40.0, hi=40.0):
@@ -365,10 +400,15 @@ class GaussianMixture1D(TargetModel):
 class InfTailGaussian(GaussianModel):
     """A Gaussian whose batched phi is +inf beyond ``theta[0] > mean[0] + cut``.
 
-    The chain never accepts a state out there, but fresh draws from the fit
-    land there, so the truth pipeline meets a non-finite phi only in the KL
-    average, and ``estimate_log_inv_z`` only when handed such a sample.
+    The chain never accepts a state out there, but the KL average's ray
+    nodes reach there, so the truth pipeline meets a non-finite phi only in
+    that average, and ``estimate_log_inv_z`` only when handed such a sample.
+    ``ray_batch`` is the generic one, built on ``neg_log_density_many``, so
+    that the ray values are +inf wherever phi is; the Gaussian's closed form
+    would give finite values there. It has no delta4 bound.
     """
+
+    ray_batch = TargetModel.ray_batch
 
     def __init__(self, mean, covariance, cut: float = 1.0):
         super().__init__(mean, covariance)

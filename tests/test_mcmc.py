@@ -22,9 +22,18 @@ from laplace_audit import (
     run_chain,
 )
 
+from laplace_audit.laplace import LOG_2PI
 from laplace_audit.mcmc import BLOCK_STEPS, N_CHAINS, PRESETS, split_rhat
+from laplace_audit.radial import QUADRATURE_NODES
 
-from oracles import InfTailGaussian, SoftplusTilt1D, quadrature_kl_1d, replay_chain
+from oracles import (
+    InfTailGaussian,
+    SoftplusTilt1D,
+    fresh_draw_kl,
+    quadrature_gaussian_half_1d,
+    quadrature_kl_1d,
+    replay_chain,
+)
 
 
 def _batch_se(samples):
@@ -50,6 +59,16 @@ class _ShiftedPhi:
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
+
+
+class _CountingTilt(SoftplusTilt1D):
+    """``SoftplusTilt1D`` that counts the points its many-point phi is asked for."""
+
+    points = 0
+
+    def neg_log_density_many(self, thetas):
+        self.points += len(thetas)
+        return super().neg_log_density_many(thetas)
 
 
 class _HalfPlane:
@@ -354,9 +373,46 @@ class TestEstimateKl:
         # before, the infinite phi averaged into an infinite kl, silently
         model = InfTailGaussian(np.zeros(2), np.eye(2))
         fit = fit_laplace(model)
-        with pytest.raises(NonFiniteObjectiveError, match="fit draw") as exc_info:
+        with pytest.raises(NonFiniteObjectiveError, match="ray node") as exc_info:
             estimate_kl(model, fit, 1000, seed=0, log_inv_z=0.0)
         assert exc_info.value.theta[0] > 1.0
+
+    @pytest.mark.parametrize("target", ["logistic_small", "logistic_d50", "gaussian_5d"])
+    def test_radial_half_agrees_with_fresh_draws(self, target, request):
+        # E_g[log g + phi] by the ray pass against the plain average over
+        # fresh draws of the fit, which evaluates phi point by point; on the
+        # Gaussian both are constant but for rounding, hence the 1e-12 floor
+        model, fit = request.getfixturevalue(target)
+        half, se = estimate_kl(model, fit, 10_000, seed=5, log_inv_z=0.0)
+        ref, ref_se = fresh_draw_kl(model, fit, 20_000, seed=6, log_inv_z=0.0)
+        assert abs(half - ref) <= 4 * np.hypot(se, ref_se) + 1e-12
+
+    def test_gaussian_half_is_exact(self, gaussian_5d):
+        # every ray of a Gaussian is exactly quadratic, so every xi is 0
+        model, fit = gaussian_5d
+        half, se = estimate_kl(model, fit, 10_000, seed=2, log_inv_z=0.0)
+        assert half == -0.5 * (5 * LOG_2PI + fit.log_det_covariance) + fit.neg_log_density_at_mode
+        assert se == 0.0
+
+    @pytest.mark.parametrize("alpha", [1.0, 5.0])
+    def test_1d_half_matches_quadrature(self, alpha):
+        # at d = 1 the direction law is the two points +-1, both in every pair
+        model = SoftplusTilt1D(alpha)
+        fit = fit_laplace(model)
+        half, se = estimate_kl(model, fit, 1_000, seed=4, log_inv_z=0.0)
+        assert half == pytest.approx(quadrature_gaussian_half_1d(model, fit), rel=0, abs=1e-12)
+        assert se == 0.0
+
+    def test_k2_counts_phi_evaluations(self):
+        model = _CountingTilt(1.0)
+        fit = fit_laplace(model)
+        model.points = 0
+        estimate_kl(model, fit, 10_000, log_inv_z=0.0)
+        assert model.points == 2 * QUADRATURE_NODES * (10_000 // (2 * QUADRATURE_NODES))
+        # fewer than two antithetic pairs is no estimate
+        estimate_kl(model, fit, 4 * QUADRATURE_NODES, log_inv_z=0.0)
+        with pytest.raises(ValueError, match="k2"):
+            estimate_kl(model, fit, 4 * QUADRATURE_NODES - 1, log_inv_z=0.0)
 
     def test_invalid_inputs(self, gaussian_5d):
         model, fit = gaussian_5d
