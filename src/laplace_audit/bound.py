@@ -27,8 +27,8 @@ draw, in O(m) array passes: one ``TargetModel.ray_batch`` call gives delta3,
 the delta4 bound and the ray values on the quadrature nodes for the (m x d)
 direction matrix; the curvature floor, the conditional-KL bound and the ELBO
 proxy are array expressions over it (``min_conditional_curvature`` and
-``conditional_kl_bound`` take one value or an array);
-``direction_kl_bound``'s jackknife scans per-block sums. No step loops over
+``conditional_kl_bound`` take one value or an array); each standard error
+is ``_mean_se`` over equal-weight block values. No step loops over
 directions. The curvature floor's minimum is found per row by a shape
 argument on its derivative and one vectorized, monotone Newton loop, with
 no eigenvalue solve.
@@ -64,10 +64,13 @@ def json_ready(value):
 
     JSON has no NaN or infinity, so a report's ``to_json_dict`` passes its
     payload through here and an undefined number reaches the output as null.
-    Tuples become lists, as ``json.dumps`` writes them anyway.
+    Tuples become lists, as ``json.dumps`` writes them anyway, and a numpy
+    integer, such as a count given to a config, becomes an int.
     """
     if isinstance(value, float):
         return value if math.isfinite(value) else None
+    if isinstance(value, np.integer):
+        return int(value)
     if isinstance(value, dict):
         return {key: json_ready(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -79,6 +82,17 @@ def _logsumexp(values) -> float:
     """log(sum(exp(values))) of a finite 1-d array, taken around its maximum."""
     top = np.max(values)
     return float(top + np.log(np.sum(np.exp(values - top))))
+
+
+def _mean_se(values: np.ndarray) -> float:
+    """Standard error sqrt(var(ddof=1) / n) of the mean of n equal-weight values.
+
+    The one standard-error rule of the certificate and the truth. The
+    variance is taken around the first value, so equal values give exactly
+    0; fewer than two values give NaN.
+    """
+    n = values.shape[0]
+    return float(np.sqrt((values - values[0]).var(ddof=1) / n)) if n > 1 else math.nan
 
 
 def _curvature_floor_poly(r, d, d3, d4):
@@ -231,7 +245,7 @@ class DirectionKlTerms:
     ``e_term`` is the empirical half-log-moment of the centered ELBO values,
     ``eps1_term`` E[(eps1 bound)^2] and ``cond_term`` E[eps1 bound].
     ``e_term_se`` and ``eps1_correction_se`` (of ``eps1_term + cond_term``)
-    are jackknife standard errors over direction blocks.
+    are block-jackknife standard errors, by the rule of ``_mean_se``.
     """
 
     e_term: float
@@ -245,29 +259,21 @@ class DirectionKlTerms:
 _NO_DETAILED_TERMS = DirectionKlTerms(*[math.nan] * 5)
 
 
-def _log_moment(xis: np.ndarray) -> float:
-    # centered on the maximum, which is exact, so constant xis give exactly 0
-    shifted = xis - xis.max()
-    return 0.5 * (_logsumexp(2.0 * shifted) - math.log(xis.shape[0])) - float(shifted.mean())
-
-
-def _jackknife_se(loo: np.ndarray) -> float:
-    n_blocks = loo.shape[0]
-    return float(np.sqrt((n_blocks - 1) / n_blocks * np.sum((loo - loo.mean()) ** 2)))
-
-
 def direction_kl_bound(xis, eps1, pair_size: int = 1) -> DirectionKlTerms:
     """Assemble the direction-variable KL terms over the valid directions.
 
     ``xis`` holds the ELBO proxy and ``eps1`` the conditional-KL bound of
     each direction; invalid directions must be left out by the caller.
     Requires at least two directions and finite values. ``pair_size``
-    declares the antithetic block structure so the jackknife respects the
-    dependence inside each block.
+    declares the antithetic block structure so the standard errors respect
+    the dependence inside each block.
 
-    The jackknife is one O(m) pass of prefix plus suffix scans over per-block
-    sums, no sum subtracted from another; the estimate without the largest
-    xi, whose exponentials can all underflow, takes a log-sum-exp instead.
+    Both standard errors follow ``_mean_se``, so equal blocks give exactly 0.
+    ``eps1_correction_se`` is it over the block means of eps1^2 + eps1;
+    ``e_term_se``, the block jackknife of the log-moment, is (blocks - 1)
+    times it over the estimates without each block: the full column means
+    less the block's centred sums / kept, or, for a block holding over half
+    of exp(2 (xi - max xi)), a log-sum-exp of the rest.
     """
     xis = np.asarray(xis, dtype=float)
     eps1 = np.asarray(eps1, dtype=float)
@@ -281,33 +287,32 @@ def direction_kl_bound(xis, eps1, pair_size: int = 1) -> DirectionKlTerms:
     if pair_size < 1 or m % pair_size != 0:
         raise ValueError("pair_size must evenly divide the number of directions")
 
-    e_term = _log_moment(xis)
+    # centered on the maximum, which is exact, so constant xis give exactly 0
+    shifted = xis - xis.max()
+    exps = np.exp(2.0 * shifted)
+    mean_exp, mean_shifted = exps.mean(), shifted.mean()
+    e_term = float(0.5 * np.log(mean_exp) - mean_shifted)
     eps1_term = float(np.mean(eps1**2))
     cond_term = float(np.mean(eps1))
 
     n_blocks = m // pair_size
-    e_term_se = eps1_se = float("nan")
+    eps1_se = _mean_se((eps1 * eps1 + eps1).reshape(n_blocks, pair_size).mean(axis=1))
+    e_term_se = math.nan
     if n_blocks >= 2:
         kept = m - pair_size
-        shifted = xis - xis.max()
-        columns = np.stack([np.exp(2.0 * shifted), shifted, eps1 * eps1, eps1], axis=1)
-        means = columns.mean(axis=0)
-        blocks = (columns - means).reshape(n_blocks, pair_size, 4).sum(axis=1)
-        # row b: the means without block b less the full means, from prefix
-        # sums of the blocks before b plus suffix sums of those after it
-        loo = np.zeros_like(blocks)
-        loo[1:] = np.cumsum(blocks[:-1], axis=0)
-        loo[:-1] += np.cumsum(blocks[:0:-1], axis=0)[::-1]
-        loo /= kept
-        # the jackknife needs each estimate only up to a shared constant
+        # a block's centred sum over kept is the full mean less the mean without it
+        exps_out = (exps - mean_exp).reshape(n_blocks, pair_size).sum(axis=1) / kept
+        shifted_out = (shifted - mean_shifted).reshape(n_blocks, pair_size).sum(axis=1) / kept
+        # the jackknife needs each estimate only up to a shared constant; log1p
+        # cancels only for a block that holds over half of the sum, replaced next
         with np.errstate(divide="ignore", invalid="ignore"):
-            loo_log_moment = 0.5 * np.log1p(loo[:, 0] / means[0]) - loo[:, 1]
-        # leaving out the maximum's block can underflow every exponential left
+            loo = 0.5 * np.log1p(-exps_out / mean_exp) + shifted_out
         b = int(np.argmax(xis)) // pair_size
-        rest = np.delete(shifted, np.s_[b * pair_size:(b + 1) * pair_size])
-        loo_log_moment[b] = 0.5 * (_logsumexp(2.0 * rest) - np.log(kept * means[0])) - loo[b, 1]
-        e_term_se = _jackknife_se(loo_log_moment)
-        eps1_se = _jackknife_se(loo[:, 2] + loo[:, 3])
+        top = np.s_[b * pair_size:(b + 1) * pair_size]
+        if 2.0 * exps[top].sum() > exps.sum():
+            rest = np.delete(shifted, top)
+            loo[b] = 0.5 * (_logsumexp(2.0 * rest) - np.log(kept * mean_exp)) + shifted_out[b]
+        e_term_se = (n_blocks - 1) * _mean_se(loo)
 
     return DirectionKlTerms(e_term, e_term_se, eps1_term, cond_term, eps1_se)
 
@@ -335,17 +340,18 @@ def approximate_bound(mean_delta3_sq: float, d: int) -> float:
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Settings for the end-to-end certificate pipeline."""
+    """Settings for the end-to-end certificate pipeline; the counts are integers."""
 
     n_directions: int = 256
     quadrature_nodes: int = QUADRATURE_NODES
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n_directions < 2 or self.n_directions % 2 != 0:
+        n = self.n_directions
+        if not isinstance(n, (int, np.integer)) or n < 2 or n % 2:
             raise ValueError("n_directions must be an even integer >= 2")
-        if self.quadrature_nodes < 16:
-            raise ValueError("quadrature_nodes must be at least 16")
+        if not isinstance(self.quadrature_nodes, (int, np.integer)) or self.quadrature_nodes < 16:
+            raise ValueError("quadrature_nodes must be an integer >= 16")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -471,12 +477,9 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
     batch = model.ray_batch(fit.theta_star, vs, rs)
     d3 = batch.delta3
     delta3_sq = d3 * d3
-    pair_vals = delta3_sq[0::2]
     mean_delta3_sq = float(delta3_sq.mean())
-    n_pairs = pair_vals.shape[0]
-    se_delta3_sq = (
-        float(np.std(pair_vals, ddof=1) / np.sqrt(n_pairs)) if n_pairs > 1 else float("nan")
-    )
+    # over one member of each antithetic pair, whose two delta3^2 are equal
+    se_delta3_sq = _mean_se(delta3_sq[0::2])
 
     d4 = batch.delta4
     terms, invalid = _NO_DETAILED_TERMS, 0

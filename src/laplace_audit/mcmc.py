@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bound import _logsumexp, _xi_values, json_ready
+from .bound import _logsumexp, _mean_se, _xi_values, json_ready
 from .errors import DimensionMismatchError, NonFiniteObjectiveError
 from .laplace import LOG_2PI, LaplaceFit, laplace_log_density
 from .models import TargetModel
@@ -49,8 +49,8 @@ class ChainConfig:
     """Settings of the delayed-acceptance chain of ``run_chain``.
 
     ``n_steps`` is the total over the ``N_CHAINS`` chains and must be a
-    multiple of it. Each chain discards the first ``BURN_IN_FRACTION`` of
-    its own steps and keeps every ``thin``-th state after that.
+    multiple of it; both counts are integers. Each chain discards the first
+    ``BURN_IN_FRACTION`` of its steps and keeps every ``thin``-th state after.
     ``n_steps / thin`` must be at least 100; that rule counts steps over all
     chains, not kept states, but with ``N_CHAINS`` = 40 it bounds ``thin``
     by 0.4 of each chain's steps and so puts each chain's first kept step
@@ -65,12 +65,12 @@ class ChainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be positive")
+        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
+            raise ValueError("n_steps must be a positive integer")
         if self.n_steps % N_CHAINS:
             raise ValueError(f"n_steps must be a multiple of {N_CHAINS} (the chain count)")
-        if self.thin < 1:
-            raise ValueError("thin must be positive")
+        if not isinstance(self.thin, (int, np.integer)) or self.thin < 1:
+            raise ValueError("thin must be a positive integer")
         if self.n_steps // self.thin < 100:
             raise ValueError("n_steps/thin must be at least 100")
 
@@ -296,8 +296,9 @@ def estimate_log_inv_z(fit: LaplaceFit, posterior_samples, phi):
     per-sample log-ratios are reduced with a single log-sum-exp, so the
     estimate survives ratios spanning hundreds of orders of magnitude. The
     error is a *relative* standard error from means over 50 contiguous
-    batches, which absorbs chain autocorrelation. A non-finite log-ratio
-    (phi infinite or NaN at a sample) raises NonFiniteObjectiveError.
+    batches, which absorbs chain autocorrelation, by ``bound._mean_se`` (0.0
+    for one batch). A non-finite log-ratio (phi infinite or NaN at a sample)
+    raises NonFiniteObjectiveError.
 
     Returns
     -------
@@ -320,9 +321,7 @@ def estimate_log_inv_z(fit: LaplaceFit, posterior_samples, phi):
     bounds = np.linspace(0, k, n_batches + 1, dtype=int)
     # ratios over their mean are at most k, and their batch means stay O(1)
     rel_batch_means = np.add.reduceat(np.exp(log_ratio - log_inv_z), bounds[:-1]) / np.diff(bounds)
-    rel_se = (
-        float(np.std(rel_batch_means, ddof=1) / np.sqrt(n_batches)) if n_batches > 1 else 0.0
-    )
+    rel_se = _mean_se(rel_batch_means) if n_batches > 1 else 0.0
     return log_inv_z, rel_se
 
 
@@ -349,8 +348,8 @@ def estimate_kl(
     pairs, whitened by S, all on one ``model.ray_batch`` call, so ``k2``
     counts phi evaluations. xi comes from ``bound._xi_values``, which gives
     an exactly quadratic ray (delta3 = delta4 = 0) xi = 0 exactly. The
-    standard error combines the variance of the pair means of xi with the
-    1/Z uncertainty, propagated as an additive log-term.
+    standard error is the hypot of ``bound._mean_se`` over the pair means of
+    xi and the 1/Z uncertainty, propagated as an additive log-term.
 
     A ``k2`` below 4 ``QUADRATURE_NODES``, fewer than two pairs, raises
     ValueError. A non-finite phi on a ray node raises
@@ -376,12 +375,9 @@ def estimate_kl(
             theta=fit.theta_star + rs[node] * vs[row],
         )
     xi = _xi_values(fit, batch, rs, ws)
-    pair_means = xi.reshape(n_pairs, 2).mean(axis=1)
     half = -0.5 * (fit.dim * LOG_2PI + fit.log_det_covariance) + fit.neg_log_density_at_mode
     kl = float(half - xi.mean() - log_inv_z)
-    # centred on one pair, so that equal pair means give a variance of exactly 0
-    spread = (pair_means - pair_means[0]).var(ddof=1)
-    se = float(np.sqrt(spread / n_pairs + inv_z_rel_se**2))
+    se = float(np.hypot(_mean_se(xi.reshape(n_pairs, 2).mean(axis=1)), inv_z_rel_se))
     return kl, se
 
 

@@ -233,10 +233,10 @@ def chi_quadrature(d: int, nodes: int):
     512-point discretization for d = 1..200, where 2n points leave 1.5e-11,
     and build in about 2 ms (Golub & Welsch 1969; Gautschi 2004, section
     2.2). Nodes ascend inside the span; weights are positive. Both arrays
-    are cached and read-only.
+    are cached and read-only; ``d`` and ``nodes`` must be integers, not floats.
     """
-    if d < 1 or d != int(d):
+    if not isinstance(d, (int, np.integer)) or d < 1:
         raise ValueError("d must be an integer >= 1")
-    if nodes < 2:
-        raise ValueError("nodes must be >= 2")
+    if not isinstance(nodes, (int, np.integer)) or nodes < 2:
+        raise ValueError("nodes must be an integer >= 2")
     return _chi_quadrature_cached(int(d), int(nodes))

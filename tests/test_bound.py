@@ -2,6 +2,7 @@
 
 import json
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from laplace_audit import (
     audit,
     build_fit,
     chi_moment,
+    chi_quadrature,
     conditional_kl_bound,
     direction_kl_bound,
     fit_laplace,
@@ -28,6 +30,7 @@ from laplace_audit import (
     min_conditional_curvature,
     radial_min_curvature,
     sample_direction,
+    sample_direction_pairs,
 )
 from laplace_audit import bound as bound_module
 from laplace_audit.bound import _curvature_floor_poly, _positive_root
@@ -395,6 +398,13 @@ class TestDirectionKlBound:
             assert terms.e_term == 0.0
             assert terms.e_term_se == 0.0
             assert terms.eps1_correction_se == 0.0
+        # repeated antithetic blocks: the terms vary inside each block but
+        # every block is the same, so every leave-one-block-out estimate is too
+        for block in ([0.3, -0.2], [-0.2, 0.3], [1.5, 0.0]):
+            terms = direction_kl_bound(np.tile(block, 64), np.tile([0.1, 0.3], 64), pair_size=2)
+            assert terms.e_term > 0.0
+            assert terms.e_term_se == 0.0
+            assert terms.eps1_correction_se == 0.0
 
     def test_two_point_closed_form(self):
         a = 0.4
@@ -748,6 +758,50 @@ class TestAudit:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AuditConfig(n_directions=7).validate()
+
+    def test_config_rejects_non_integer_counts(self):
+        # a 16.5-node audit used to run on 16 nodes and echo 16.5 in its config
+        for bad in (16.5, 16.0):
+            with pytest.raises(ValueError, match="quadrature_nodes must be an integer"):
+                AuditConfig(quadrature_nodes=bad).validate()
+        # a whole float used to fail late, inside numpy, with a TypeError
+        with pytest.raises(ValueError, match="n_directions must be an even integer"):
+            AuditConfig(n_directions=16.0).validate()
+
+    def test_config_accepts_numpy_integer_counts(self, logistic_tiny):
+        model, fit = logistic_tiny
+        plain = audit(model, AuditConfig(n_directions=16, quadrature_nodes=16, seed=1), fit=fit)
+        config = AuditConfig(n_directions=np.int64(16), quadrature_nodes=np.int32(16), seed=1)
+        report = audit(model, config, fit=fit)
+        assert json.dumps(report.to_json_dict()) == json.dumps(plain.to_json_dict())
+
+    def test_d1_standard_errors_are_exactly_zero(self):
+        # the direction law at d = 1 is the two points +-1, so every
+        # antithetic pair holds the same two directions
+        model = generate_dataset(SyntheticDatasetConfig(d=1, n=20, seed=1)).model(10.0)
+        report = audit(model, AuditConfig(seed=1))
+        assert report.invalid_directions == 0
+        assert report.mean_delta3_sq > 0.0
+        assert report.se_delta3_sq == 0.0
+        assert report.e_term_se == 0.0
+        assert report.eps1_correction_se == 0.0
+
+    @pytest.mark.parametrize("target", ["logistic_small", "logistic_d50"])
+    def test_se_delta3_sq_is_the_pair_standard_error(self, target, request):
+        # the audit's direction stream and ray pass, replayed
+        model, fit = request.getfixturevalue(target)
+        config = AuditConfig(n_directions=64, seed=3)
+        report = audit(model, config, fit=fit)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(config.seed, spawn_key=(bound_module._DIR_STREAM,))
+        )
+        vs = sample_direction_pairs(model.dim, config.n_directions // 2, rng) @ fit.sqrt_covariance
+        rs, _ = chi_quadrature(model.dim, config.quadrature_nodes)
+        d3 = model.ray_batch(fit.theta_star, vs, rs).delta3
+        pair_vals = (d3 * d3)[0::2].tolist()
+        assert report.mean_delta3_sq == pytest.approx(statistics.fmean(pair_vals), rel=1e-12)
+        want = statistics.stdev(pair_vals) / math.sqrt(len(pair_vals))
+        assert report.se_delta3_sq == pytest.approx(want, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import statistics
 
 import numpy as np
 import pytest
@@ -22,9 +24,11 @@ from laplace_audit import (
     run_chain,
 )
 
+from laplace_audit import mcmc
+from laplace_audit.bound import _xi_values
 from laplace_audit.laplace import LOG_2PI
 from laplace_audit.mcmc import BLOCK_STEPS, N_CHAINS, PRESETS, split_rhat
-from laplace_audit.radial import QUADRATURE_NODES
+from laplace_audit.radial import QUADRATURE_NODES, chi_quadrature, sample_direction_pairs
 
 from oracles import (
     InfTailGaussian,
@@ -180,6 +184,14 @@ class TestRunChain:
             ChainConfig(n_steps=0, thin=100).validate()
         with pytest.raises(ValueError):
             ChainConfig(n_steps=1_000_000, thin=0).validate()
+
+    def test_config_rejects_non_integer_counts(self):
+        # whole floats used to pass validate and fail late inside numpy
+        with pytest.raises(ValueError, match="n_steps must be a positive integer"):
+            ChainConfig(n_steps=40_000.0, thin=100).validate()
+        with pytest.raises(ValueError, match="thin must be a positive integer"):
+            ChainConfig(n_steps=40_000, thin=100.0).validate()
+        ChainConfig(n_steps=np.int64(40_000), thin=np.int32(100)).validate()
 
     def test_config_that_keeps_no_state_rejected(self, logistic_tiny):
         model, fit = logistic_tiny
@@ -386,6 +398,21 @@ class TestEstimateKl:
         half, se = estimate_kl(model, fit, 10_000, seed=5, log_inv_z=0.0)
         ref, ref_se = fresh_draw_kl(model, fit, 20_000, seed=6, log_inv_z=0.0)
         assert abs(half - ref) <= 4 * np.hypot(se, ref_se) + 1e-12
+
+    @pytest.mark.parametrize("target", ["logistic_small", "logistic_d50"])
+    def test_se_is_the_pair_standard_error(self, target, request):
+        # estimate_kl's direction stream and ray pass, replayed
+        model, fit = request.getfixturevalue(target)
+        k2, seed = 4_000, 5
+        _, se = estimate_kl(model, fit, k2, seed=seed, log_inv_z=0.0, inv_z_rel_se=0.0)
+        n_pairs = k2 // (2 * QUADRATURE_NODES)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(mcmc._KL_STREAM,)))
+        vs = sample_direction_pairs(fit.dim, n_pairs, rng) @ fit.sqrt_covariance
+        rs, ws = chi_quadrature(fit.dim, QUADRATURE_NODES)
+        xi = _xi_values(fit, model.ray_batch(fit.theta_star, vs, rs), rs, ws)
+        pair_means = xi.reshape(n_pairs, 2).mean(axis=1).tolist()
+        assert se > 0.0
+        assert se == pytest.approx(statistics.stdev(pair_means) / math.sqrt(n_pairs), rel=1e-12)
 
     def test_gaussian_half_is_exact(self, gaussian_5d):
         # every ray of a Gaussian is exactly quadratic, so every xi is 0

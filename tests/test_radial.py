@@ -321,3 +321,13 @@ class TestChiQuadrature:
             chi_quadrature(0, 32)
         with pytest.raises(ValueError):
             chi_quadrature(2.5, 32)
+
+    def test_non_integer_node_count_rejected(self):
+        # 16.5 used to be truncated to a 16-node rule without a word
+        for bad in (16.5, 16.0):
+            with pytest.raises(ValueError, match="nodes must be an integer"):
+                chi_quadrature(5, bad)
+        with pytest.raises(ValueError, match="d must be an integer"):
+            chi_quadrature(5.0, 16)
+        rs, ws = chi_quadrature(np.int64(5), np.int32(16))
+        assert rs is chi_quadrature(5, 16)[0] and ws is chi_quadrature(5, 16)[1]
