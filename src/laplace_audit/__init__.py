@@ -28,7 +28,6 @@ from .experiments import ExperimentReport, ExperimentRow, ExperimentSpec, run_ex
 from .laplace import (
     LaplaceFit,
     SpotcheckResult,
-    build_fit,
     fit_laplace,
     laplace_log_density,
     logconcavity_spotcheck,

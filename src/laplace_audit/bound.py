@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolationError
+from .errors import AssumptionViolationError, _check_integer
 from .laplace import LaplaceFit, fit_laplace, logconcavity_spotcheck
 from .models import RayBatch, TargetModel
 from .radial import (
@@ -340,18 +340,19 @@ def approximate_bound(mean_delta3_sq: float, d: int) -> float:
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Settings for the end-to-end certificate pipeline; the counts are integers."""
+    """Settings for the end-to-end certificate pipeline; the counts and the seed are integers."""
 
     n_directions: int = 256
     quadrature_nodes: int = QUADRATURE_NODES
     seed: int = 0
 
     def validate(self) -> None:
-        n = self.n_directions
-        if not isinstance(n, (int, np.integer)) or n < 2 or n % 2:
-            raise ValueError("n_directions must be an even integer >= 2")
-        if not isinstance(self.quadrature_nodes, (int, np.integer)) or self.quadrature_nodes < 16:
-            raise ValueError("quadrature_nodes must be an integer >= 16")
+        message = "n_directions must be an even integer >= 2"
+        _check_integer(self.n_directions, 2, message)
+        if self.n_directions % 2:
+            raise ValueError(message)
+        _check_integer(self.quadrature_nodes, 16, "quadrature_nodes must be an integer >= 16")
+        _check_integer(self.seed, 0, "seed must be an integer >= 0")
 
     def to_json_dict(self) -> dict:
         return asdict(self)

@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule."""
+
+import numpy as np
+
+
+def _check_integer(value, minimum: int, message: str) -> None:
+    """Raise ValueError(message) unless ``value`` is a Python or numpy integer >= ``minimum``.
+
+    A whole float such as 16.0 is not an integer here: counts and seeds
+    reach ``range``, array shapes and ``SeedSequence``, which reject a float
+    late or round it silently.
+    """
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(message)
 
 
 class DimensionMismatchError(ValueError):

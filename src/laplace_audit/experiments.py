@@ -20,7 +20,12 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from .bound import AuditConfig, audit, json_ready
-from .errors import AssumptionViolationError, MapNotConvergedError, NonFiniteObjectiveError
+from .errors import (
+    AssumptionViolationError,
+    MapNotConvergedError,
+    NonFiniteObjectiveError,
+    _check_integer,
+)
 from .laplace import fit_laplace
 from .mcmc import estimate_true_kl, get_preset
 from .models import SyntheticDatasetConfig, generate_dataset, random_gaussian_model
@@ -47,12 +52,11 @@ class ExperimentRow:
     def validate(self) -> None:
         if self.model not in ("logistic", "gaussian"):
             raise ValueError(f"row model must be 'logistic' or 'gaussian', got {self.model!r}")
-        if self.d < 1:
-            raise ValueError("row d must be >= 1")
-        if self.n < 0:
-            raise ValueError("row n must be >= 0")
-        if not self.sigma0 > 0:
-            raise ValueError("row sigma0 must be positive")
+        _check_integer(self.d, 1, "row d must be an integer >= 1")
+        _check_integer(self.n, 0, "row n must be an integer >= 0")
+        # json.load reads the Infinity literal, which no prior can take
+        if not (math.isfinite(self.sigma0) and self.sigma0 > 0):
+            raise ValueError("row sigma0 must be a finite positive real")
 
 
 # the JSON values each field type takes, and how an error message names them
@@ -99,8 +103,8 @@ class ExperimentSpec:
         """Check every setting before any cell runs, truth or not."""
         if not self.rows:
             raise ValueError("spec needs at least one row")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        _check_integer(self.replicates, 1, "replicates must be an integer >= 1")
+        _check_integer(self.seed, 0, "seed must be an integer >= 0")
         for row in self.rows:
             row.validate()
         self.audit_config(0).validate()

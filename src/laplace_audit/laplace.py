@@ -2,9 +2,9 @@
 
 ``fit_laplace`` locates the minimizer theta* of the negative log-density with
 a line-search Newton method (gradient-descent fallback when the Newton step is
-not a descent direction), then ``build_fit`` factorizes the Hessian at the
-mode into the covariance's symmetric square root, which the
-direction/radius change of variable is written in terms of.
+not a descent direction), then factorizes the Hessian at the mode into the
+covariance's symmetric square root, which the direction/radius change of
+variable is written in terms of.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class LaplaceFit:
     log_det_covariance : log det Sigma.
     neg_log_density_at_mode : phi(theta*).
     grad_norm : sup-norm of the gradient at theta*.
-    iterations : optimizer iterations used to reach theta* (0 if supplied).
+    iterations : optimizer iterations used to reach theta* (0 if the start was the mode).
     """
 
     theta_star: np.ndarray
@@ -128,24 +128,34 @@ def _minimize(model: TargetModel, init, tol: float, max_iter: int):
     )
 
 
-def build_fit(model: TargetModel, theta_star, iterations: int = 0) -> LaplaceFit:
-    """Factorize the Hessian at a stationary point into a LaplaceFit.
+def fit_laplace(
+    model: TargetModel,
+    init=None,
+    tol: float = DEFAULT_GRAD_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> LaplaceFit:
+    """Find the mode theta* and build the Laplace fit there.
 
-    The covariance square root is the symmetric PSD root from the Hessian
-    eigendecomposition. Raises AssumptionViolationError when the smallest
-    eigenvalue is not positive relative to the largest (target not locally
+    The mode search stops at gradient sup-norm at most ``tol``, starting from
+    the zero vector unless ``init`` is given (0 iterations when the start
+    already meets ``tol``); the covariance square root is the symmetric PSD
+    root from the eigendecomposition of the Hessian at the mode. Raises
+    MapNotConvergedError (carrying the last iterate and gradient norm) when
+    the iteration cap is hit, NonFiniteObjectiveError if the objective stops
+    being finite, and AssumptionViolationError when the Hessian's smallest
+    eigenvalue is not positive relative to its largest (target not locally
     log-concave at the mode, or numerically singular there).
     """
-    theta_star = np.asarray(theta_star, dtype=float)
-    if theta_star.shape != (model.dim,):
-        raise DimensionMismatchError("theta_star has the wrong length")
-    grad = model.gradient(theta_star)
-    grad_norm = float(np.max(np.abs(grad))) if grad.size else 0.0
-    return _factorize(model, theta_star, model.neg_log_density(theta_star), grad_norm, iterations)
-
-
-def _factorize(model: TargetModel, theta_star, phi, grad_norm: float, iterations: int):
-    """``build_fit`` given phi and the gradient sup-norm at theta_star."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if init is None:
+        init = np.zeros(model.dim)
+    else:
+        init = np.asarray(init, dtype=float)
+        if init.shape != (model.dim,):
+            raise DimensionMismatchError("init has the wrong length")
+    # the search ends holding phi and the gradient at the mode
+    theta_star, phi, grad_norm, iterations = _minimize(model, init, tol, max_iter)
     h = model.hessian(theta_star)
     h = 0.5 * (h + h.T)
     w, v = np.linalg.eigh(h)
@@ -169,32 +179,6 @@ def _factorize(model: TargetModel, theta_star, phi, grad_norm: float, iterations
         grad_norm=grad_norm,
         iterations=iterations,
     )
-
-
-def fit_laplace(
-    model: TargetModel,
-    init=None,
-    tol: float = DEFAULT_GRAD_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> LaplaceFit:
-    """Find the mode theta* and build the Laplace fit there.
-
-    The mode search stops at gradient sup-norm at most ``tol``, starting from
-    the zero vector unless ``init`` is given; ``build_fit`` then factorizes
-    the Hessian. Raises MapNotConvergedError (carrying the last iterate and
-    gradient norm) when the iteration cap is hit, and NonFiniteObjectiveError
-    if the objective stops being finite.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if init is None:
-        init = np.zeros(model.dim)
-    else:
-        init = np.asarray(init, dtype=float)
-        if init.shape != (model.dim,):
-            raise DimensionMismatchError("init has the wrong length")
-    # the search ends holding phi and the gradient at the mode
-    return _factorize(model, *_minimize(model, init, tol, max_iter))
 
 
 def laplace_log_density(fit: LaplaceFit, theta):

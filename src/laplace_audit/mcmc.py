@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bound import _logsumexp, _mean_se, _xi_values, json_ready
-from .errors import DimensionMismatchError, NonFiniteObjectiveError
+from .errors import DimensionMismatchError, NonFiniteObjectiveError, _check_integer
 from .laplace import LOG_2PI, LaplaceFit, laplace_log_density
 from .models import TargetModel
 from .radial import QUADRATURE_NODES, chi_quadrature, sample_direction_pairs
@@ -49,8 +49,9 @@ class ChainConfig:
     """Settings of the delayed-acceptance chain of ``run_chain``.
 
     ``n_steps`` is the total over the ``N_CHAINS`` chains and must be a
-    multiple of it; both counts are integers. Each chain discards the first
-    ``BURN_IN_FRACTION`` of its steps and keeps every ``thin``-th state after.
+    multiple of it; both counts and the seed are integers. Each chain
+    discards the first ``BURN_IN_FRACTION`` of its steps and keeps every
+    ``thin``-th state after.
     ``n_steps / thin`` must be at least 100; that rule counts steps over all
     chains, not kept states, but with ``N_CHAINS`` = 40 it bounds ``thin``
     by 0.4 of each chain's steps and so puts each chain's first kept step
@@ -65,12 +66,11 @@ class ChainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
-            raise ValueError("n_steps must be a positive integer")
+        _check_integer(self.n_steps, 1, "n_steps must be a positive integer")
         if self.n_steps % N_CHAINS:
             raise ValueError(f"n_steps must be a multiple of {N_CHAINS} (the chain count)")
-        if not isinstance(self.thin, (int, np.integer)) or self.thin < 1:
-            raise ValueError("thin must be a positive integer")
+        _check_integer(self.thin, 1, "thin must be a positive integer")
+        _check_integer(self.seed, 0, "seed must be an integer >= 0")
         if self.n_steps // self.thin < 100:
             raise ValueError("n_steps/thin must be at least 100")
 
@@ -351,7 +351,8 @@ def estimate_kl(
     standard error is the hypot of ``bound._mean_se`` over the pair means of
     xi and the 1/Z uncertainty, propagated as an additive log-term.
 
-    A ``k2`` below 4 ``QUADRATURE_NODES``, fewer than two pairs, raises
+    A ``k2`` below 4 ``QUADRATURE_NODES``, fewer than two pairs, or a
+    ``k2`` or ``seed`` that is not an integer (``seed`` below 0 too) raises
     ValueError. A non-finite phi on a ray node raises
     NonFiniteObjectiveError, with ``theta`` the first such node point
     theta* + r v, rather than averaging into a NaN or infinite KL.
@@ -360,9 +361,10 @@ def estimate_kl(
         raise ValueError("log_inv_z must be finite")
     if not (np.isfinite(inv_z_rel_se) and inv_z_rel_se >= 0):
         raise ValueError("inv_z_rel_se must be finite and nonnegative")
+    least = 4 * QUADRATURE_NODES
+    _check_integer(k2, least, f"k2 must be an integer >= {least} (two direction pairs)")
+    _check_integer(seed, 0, "seed must be an integer >= 0")
     n_pairs = k2 // (2 * QUADRATURE_NODES)
-    if n_pairs < 2:
-        raise ValueError(f"k2 must be at least {4 * QUADRATURE_NODES} (two direction pairs)")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_KL_STREAM,)))
     vs = sample_direction_pairs(fit.dim, n_pairs, rng) @ fit.sqrt_covariance
     rs, ws = chi_quadrature(fit.dim, QUADRATURE_NODES)

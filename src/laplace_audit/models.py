@@ -71,13 +71,13 @@ def _log1p_exp(u, out=None):
 class RayBatch:
     """Ray quantities through one base point for a block of k directions.
 
-    ``values[i, j]`` is phi(base + rs[j] * v_i), or ``values`` is None when
-    no nodes were asked for. ``delta3[i]`` is the third ray derivative at the
-    base. ``delta4[i]`` bounds the absolute fourth ray derivative along the
-    whole ray, or is None when the model has none (no detailed certificate).
+    ``values[i, j]`` is phi(base + rs[j] * v_i). ``delta3[i]`` is the third
+    ray derivative at the base. ``delta4[i]`` bounds the absolute fourth ray
+    derivative along the whole ray, or is None when the model has none (no
+    detailed certificate).
     """
 
-    values: np.ndarray | None
+    values: np.ndarray
     delta3: np.ndarray
     delta4: np.ndarray | None
 
@@ -163,27 +163,26 @@ class TargetModel(abc.ABC):
 
     # -- vectorized hooks with generic fallbacks ---------------------------
 
-    def ray_batch(self, base, directions, rs=None) -> RayBatch:
+    def ray_batch(self, base, directions, rs) -> RayBatch:
         """Ray quantities along each row of ``directions`` (k x dim) through ``base``.
 
-        ``rs`` are the offsets at which to evaluate phi; None skips the
-        values. This generic version loops over ``ray_derivatives``,
-        ``ray_fourth_derivative_bound`` and ``neg_log_density_many`` and uses
-        nothing else of the model.
+        phi is evaluated at every offset in ``rs`` along every direction.
+        This generic version loops over ``ray_derivatives``,
+        ``ray_fourth_derivative_bound`` and ``neg_log_density_many``, one
+        call each per direction, so its memory stays one ray's nodes; it
+        uses nothing else of the model.
         """
         base = np.asarray(base, dtype=float)
         directions = _check_directions(directions, self.dim)
+        rs = np.asarray(rs, dtype=float)
         delta3 = np.array(
             [self.ray_derivatives(base, v, 0.0, max_order=3)[2] for v in directions], dtype=float
         )
         bounds = [self.ray_fourth_derivative_bound(base, v) for v in directions]
         delta4 = None if any(b is None for b in bounds) else np.array(bounds, dtype=float)
-        values = None
-        if rs is not None:
-            rs = np.asarray(rs, dtype=float)
-            values = np.empty((directions.shape[0], rs.shape[0]))
-            for i, v in enumerate(directions):
-                values[i] = self.neg_log_density_many(base + rs[:, None] * v)
+        values = np.empty((directions.shape[0], rs.shape[0]))
+        for i, v in enumerate(directions):
+            values[i] = self.neg_log_density_many(base + rs[:, None] * v)
         return RayBatch(values, delta3, delta4)
 
     def ray_values(self, base, direction, rs) -> np.ndarray:
@@ -262,17 +261,15 @@ class GaussianModel(TargetModel):
             out[..., 1] = float(v @ pv)
         return out
 
-    def ray_batch(self, base, directions, rs=None) -> RayBatch:
+    def ray_batch(self, base, directions, rs) -> RayBatch:
         base = self._check_theta(base)
         vs = _check_directions(directions, self.dim)
-        values = None
-        if rs is not None:
-            rs = np.asarray(rs, dtype=float)
-            pvs = vs @ self.precision
-            a = 0.5 * np.einsum("ij,ij->i", vs, pvs)
-            b = pvs @ (base - self.mean)
-            c = self.neg_log_density_many(base[None])[0]
-            values = c + b[:, None] * rs + a[:, None] * rs * rs
+        rs = np.asarray(rs, dtype=float)
+        pvs = vs @ self.precision
+        a = 0.5 * np.einsum("ij,ij->i", vs, pvs)
+        b = pvs @ (base - self.mean)
+        c = self.neg_log_density_many(base[None])[0]
+        values = c + b[:, None] * rs + a[:, None] * rs * rs
         return RayBatch(values, np.zeros(vs.shape[0]), np.zeros(vs.shape[0]))
 
     def hessian_eigenvalue_floor(self) -> float:
@@ -311,6 +308,9 @@ class LogisticRegressionModel(TargetModel):
         x = np.asarray(covariates, dtype=float)
         if x.ndim != 2:
             raise DimensionMismatchError("covariates must be an n x d matrix")
+        if x.shape[1] < 1:
+            # a 0-dimensional posterior has no Hessian to factorize
+            raise DimensionMismatchError("covariates must have at least one column (d >= 1)")
         if y.shape != (x.shape[0],):
             raise DimensionMismatchError(
                 f"labels length {y.shape} does not match covariate rows {x.shape[0]}"
@@ -376,7 +376,7 @@ class LogisticRegressionModel(TargetModel):
             out[..., 3] = (w * (1.0 - 6.0 * p + 6.0 * p * p)) @ (s_sq * s_sq)
         return out
 
-    def ray_batch(self, base, directions, rs=None) -> RayBatch:
+    def ray_batch(self, base, directions, rs) -> RayBatch:
         """Array form over the direction block, a chunk of rows at a time.
 
         The margins at the base, t0, and p0 = expit(t0) do not depend on the
@@ -399,20 +399,17 @@ class LogisticRegressionModel(TargetModel):
         t0 = self._signed_x @ base
         p0 = _expit(t0)
         w3 = p0 * _expit(-t0) * (1.0 - 2.0 * p0)
+        rs = np.asarray(rs, dtype=float)
+        nodes = rs.shape[0]
+        rows = max(2, BLOCK_ELEMENTS // max(1, nodes * self.n_obs) // 2 * 2)
         delta3 = np.empty(k)
         delta4 = np.empty(k)
-        values = None
-        if rs is not None:
-            rs = np.asarray(rs, dtype=float)
-        nodes = 1 if rs is None else rs.shape[0]
-        rows = max(2, BLOCK_ELEMENTS // max(1, nodes * self.n_obs) // 2 * 2)
-        if rs is not None:
-            values = np.empty((k, nodes))
-            # u = C P for each chunk, C = [-r | -1] and P = [s ; t0]
-            coeffs = np.stack([-rs, np.full(nodes, -1.0)], axis=1)
-            stack = np.empty((min(rows, k), 2, self.n_obs))
-            stack[:, 1] = t0
-            buffer = np.empty((min(rows, k), nodes, self.n_obs))
+        values = np.empty((k, nodes))
+        # u = C P for each chunk, C = [-r | -1] and P = [s ; t0]
+        coeffs = np.stack([-rs, np.full(nodes, -1.0)], axis=1)
+        stack = np.empty((min(rows, k), 2, self.n_obs))
+        stack[:, 1] = t0
+        buffer = np.empty((min(rows, k), nodes, self.n_obs))
         for lo in range(0, k, rows):
             hi = min(lo + rows, k)
             s = vs[lo:hi] @ self._signed_xt
@@ -421,16 +418,14 @@ class LogisticRegressionModel(TargetModel):
             # value for -v is exactly minus the value for v
             delta3[lo:hi] = np.einsum("ij,j->i", s_sq * s, w3)
             delta4[lo:hi] = SIGMOID_THIRD_DERIVATIVE_MAX * np.sum(s_sq * s_sq, axis=1)
-            if values is not None:
-                stack[: hi - lo, 0] = s
-                u = np.matmul(coeffs, stack[: hi - lo], out=buffer[: hi - lo])
-                values[lo:hi] = _log1p_exp(u, out=u).sum(axis=2)
-        if values is not None:
-            # ||base + r v||^2 expanded, so that no (k x nodes x d) array is formed
-            quad = float(base @ base) + rs * (2.0 * (vs @ base))[:, None] + (
-                rs * rs * np.einsum("ij,ij->i", vs, vs)[:, None]
-            )
-            values += 0.5 * self._inv_prior_var * quad
+            stack[: hi - lo, 0] = s
+            u = np.matmul(coeffs, stack[: hi - lo], out=buffer[: hi - lo])
+            values[lo:hi] = _log1p_exp(u, out=u).sum(axis=2)
+        # ||base + r v||^2 expanded, so that no (k x nodes x d) array is formed
+        quad = float(base @ base) + rs * (2.0 * (vs @ base))[:, None] + (
+            rs * rs * np.einsum("ij,ij->i", vs, vs)[:, None]
+        )
+        values += 0.5 * self._inv_prior_var * quad
         return RayBatch(values, delta3, delta4)
 
     def hessian_eigenvalue_floor(self) -> float:

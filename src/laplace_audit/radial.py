@@ -29,6 +29,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .errors import _check_integer
+
 LOG_2 = math.log(2.0)
 
 
@@ -235,8 +237,6 @@ def chi_quadrature(d: int, nodes: int):
     2.2). Nodes ascend inside the span; weights are positive. Both arrays
     are cached and read-only; ``d`` and ``nodes`` must be integers, not floats.
     """
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError("d must be an integer >= 1")
-    if not isinstance(nodes, (int, np.integer)) or nodes < 2:
-        raise ValueError("nodes must be an integer >= 2")
+    _check_integer(d, 1, "d must be an integer >= 1")
+    _check_integer(nodes, 2, "nodes must be an integer >= 2")
     return _chi_quadrature_cached(int(d), int(nodes))

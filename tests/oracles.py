@@ -5,8 +5,10 @@ from finite-difference stencils on raw density values
 (``central_directional``, ``third_derivative_7pt``,
 ``fourth_derivative_5pt``), the 1-D KL and its Gaussian half
 E_g[log g + phi] from adaptive quadrature (``quadrature_kl_1d``,
-``quadrature_gaussian_half_1d``), KL(g, f) given log 1/Z from fresh draws
-of the fit with no ray pass (``fresh_draw_kl``), the chain from a
+``quadrature_gaussian_half_1d``), the conditional KL of the radius along
+each direction, zeta - xi, from a wide Gauss-Legendre rule rather than
+``chi_quadrature`` (``radial_kl_split``), KL(g, f) given log 1/Z from fresh
+draws of the fit with no ray pass (``fresh_draw_kl``), the chain from a
 plain-loop replay of one scalar phi at a time (``replay_chain``), the
 curvature floor from an eigenvalue solve (``companion_curvature_floor``,
 with its own root rule ``curvature_floor_r0``), the radius law from its
@@ -16,8 +18,9 @@ the node margins elementwise but sums them with the model's ``_log1p_exp``.
 
 The one-direction helpers are not independent: ``delta3``, ``delta4`` and
 ``xi_elbo`` wrap ``model.ray_batch`` on one whitened direction (through
-``_ray_batch``), so tests can compare ``audit``'s batched pass with them row
-by row, and ``conditional_curvature_profile`` takes the model's own
+``_ray_batch``, which always passes nodes: one at r = 0 for delta3 and
+delta4), so tests can compare ``audit``'s batched pass with them row by
+row, and ``conditional_curvature_profile`` takes the model's own
 ``ray_derivatives``. ``SoftplusTilt1D``, ``CubicRay1D``,
 ``GaussianMixture1D`` and ``InfTailGaussian`` are test targets.
 """
@@ -220,6 +223,36 @@ def quadrature_kl_1d(model: TargetModel, fit, lo=-40.0, hi=40.0):
         limit=400,
     )[0]
     return float(val)
+
+
+def radial_kl_split(fit, model: TargetModel, es, nodes: int = 768):
+    """zeta(e), xi(e) and the span guard for each row ``e`` of ``es``.
+
+    Along the whitened ray theta* + r S e, psi(r) = (d - 1) log r -
+    (phi(theta* + r S e) - phi*) is the log radius integrand of f, and
+    zeta(e) = log int psi's exponential dr - log C_d, with C_d =
+    2^(d/2 - 1) Gamma(d/2) the chi normalizer; xi(e) = E_chi[r^2/2 -
+    (phi(theta* + r S e) - phi*)] is the ELBO proxy. zeta - xi is
+    KL(chi_d, f_{r|e}), the conditional KL of the radius along e. Both
+    integrals run on one ``nodes``-point Gauss-Legendre rule on [0, R],
+    R = 4 (sqrt(d) + 6), over one ``model.ray_batch`` pass, which also
+    evaluates phi at R itself; ``chi_quadrature`` is not used. The guard is
+    psi at R less psi's largest value: far below 0, the span holds the mass.
+    """
+    d = fit.dim
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    span = 4.0 * (np.sqrt(d) + 6.0)
+    rs = np.append(0.5 * span * (x + 1.0), span)
+    excess = model.ray_batch(fit.theta_star, es @ fit.sqrt_covariance, rs).values
+    excess -= fit.neg_log_density_at_mode
+    log_c = (0.5 * d - 1.0) * LOG_2 + float(gammaln(0.5 * d))
+    psi = (d - 1) * np.log(rs) - excess
+    top = psi.max(axis=1)
+    ws = 0.5 * span * w
+    zeta = top + np.log(np.exp(psi[:, :-1] - top[:, None]) @ ws) - log_c
+    chi = ws * np.exp((d - 1) * np.log(rs[:-1]) - 0.5 * rs[:-1] ** 2 - log_c)
+    xi = (0.5 * rs[:-1] ** 2 - excess[:, :-1]) @ chi
+    return zeta, xi, psi[:, -1] - top
 
 
 @dataclass(frozen=True)
@@ -479,8 +512,8 @@ def companion_curvature_floor(d: int, delta3, delta4):
     return out
 
 
-def _ray_batch(fit, model: TargetModel, e, rs=None):
-    """``model.ray_batch`` on the one whitened direction S e."""
+def _ray_batch(fit, model: TargetModel, e, rs):
+    """``model.ray_batch`` on the one whitened direction S e, with nodes at ``rs``."""
     v = np.atleast_2d(np.asarray(e, dtype=float)) @ fit.sqrt_covariance
     return model.ray_batch(fit.theta_star, v, rs)
 
@@ -491,7 +524,7 @@ def delta3(fit, model: TargetModel, e) -> float:
     ``audit``'s per-direction delta3, from a one-row ``ray_batch`` call. Odd
     in ``e``.
     """
-    return float(_ray_batch(fit, model, e).delta3[0])
+    return float(_ray_batch(fit, model, e, np.zeros(1)).delta3[0])
 
 
 def delta4(fit, model: TargetModel, e) -> float:
@@ -500,7 +533,7 @@ def delta4(fit, model: TargetModel, e) -> float:
     Read from a one-row ``ray_batch`` call. A model that gives no bound
     raises AssumptionViolationError, and a negative bound ValueError.
     """
-    bound = _ray_batch(fit, model, e).delta4
+    bound = _ray_batch(fit, model, e, np.zeros(1)).delta4
     if bound is None:
         raise AssumptionViolationError("the model gives no fourth-derivative bound")
     if bound[0] < 0:

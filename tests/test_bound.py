@@ -20,7 +20,6 @@ from laplace_audit import (
     approximate_bound,
     approximate_bound_coefficient,
     audit,
-    build_fit,
     chi_moment,
     chi_quadrature,
     conditional_kl_bound,
@@ -44,6 +43,7 @@ from oracles import (
     curvature_floor_r0,
     delta3,
     delta4,
+    radial_kl_split,
     third_derivative_7pt,
     xi_elbo,
 )
@@ -298,6 +298,29 @@ class TestConditionalKlBound:
         assert true_kl > 0
         assert bound_val >= true_kl
 
+    @pytest.mark.parametrize("cell", ["logistic_small", "logistic_d50"])
+    def test_dominates_radial_kl_on_every_audit_direction(self, cell, request):
+        # the paper's conditional lemma along each direction e: KL(chi_d,
+        # f_{r|e}) = zeta(e) - xi(e), nonnegative by Jensen, is at most
+        # conditional_kl_bound(e); on the audit's seed-0 directions
+        model, fit = request.getfixturevalue(cell)
+        config = AuditConfig()
+        rng = np.random.default_rng(
+            np.random.SeedSequence(config.seed, spawn_key=(bound_module._DIR_STREAM,))
+        )
+        es = sample_direction_pairs(model.dim, config.n_directions // 2, rng)
+        zeta, xi, guard = radial_kl_split(fit, model, es)
+        assert np.all(guard < -40.0)
+        gap = zeta - xi
+        assert np.all(gap >= -1e-12)
+        rs, ws = chi_quadrature(model.dim, config.quadrature_nodes)
+        batch = model.ray_batch(fit.theta_star, es @ fit.sqrt_covariance, rs)
+        floor = min_conditional_curvature(model.dim, batch.delta3, batch.delta4)
+        assert np.all(floor > 0.0)
+        assert np.all(conditional_kl_bound(model.dim, batch.delta3, batch.delta4, floor) >= gap)
+        xi_audit = bound_module._xi_values(fit, batch, rs, ws)
+        np.testing.assert_allclose(xi_audit, xi, rtol=0.0, atol=1e-11)
+
     def test_invalid_curvature_rejected(self):
         with pytest.raises(ValueError):
             conditional_kl_bound(5, 1.0, 0.0, 0.0)
@@ -332,7 +355,7 @@ class TestXiElbo:
         # xi = -(alpha/6) E[r^3] for phi_e(r) = r^2/2 + alpha r^3/6
         alpha = 0.15
         model = CubicRay1D(alpha)
-        fit = build_fit(model, np.zeros(1))
+        fit = fit_laplace(model)
         value = xi_elbo(fit, model, np.array([1.0]), 96)
         assert value == pytest.approx(-(alpha / 6.0) * chi_moment(1, 3), rel=1e-9)
 
@@ -767,6 +790,13 @@ class TestAudit:
         # a whole float used to fail late, inside numpy, with a TypeError
         with pytest.raises(ValueError, match="n_directions must be an even integer"):
             AuditConfig(n_directions=16.0).validate()
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, -1])
+    def test_config_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        # SeedSequence takes only a nonnegative integer
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            AuditConfig(n_directions=16, seed=seed).validate()
+        AuditConfig(n_directions=16, seed=np.uint64(2**63)).validate()
 
     def test_config_accepts_numpy_integer_counts(self, logistic_tiny):
         model, fit = logistic_tiny

@@ -300,6 +300,13 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "AssumptionViolationError"
 
+    def test_dataset_without_covariates_exits_one(self, tmp_path, capsys):
+        # no target to certify is a usage error, not an assumption violation
+        data = tmp_path / "labels_only.csv"
+        data.write_text("y\n1\n-1\n1\n")
+        assert main(["audit", "--data", str(data)]) == 1
+        assert "at least one column" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["audit", "--data", "/nonexistent.csv"]) == 1
 
@@ -433,6 +440,34 @@ class TestExperimentApi:
         assert all(r.status == "ok" for r in report.replicates)
         csv_text = report.to_csv()
         assert csv_text.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+    @pytest.mark.parametrize(
+        "row, spec, message",
+        [
+            ({"d": 2.0}, {}, "row d must be an integer"),
+            ({"n": 1.5}, {}, "row n must be an integer"),
+            ({}, {"replicates": 1.0}, "replicates must be an integer"),
+            ({}, {"seed": 1.5}, "seed must be an integer >= 0"),
+            ({}, {"seed": -1}, "seed must be an integer >= 0"),
+        ],
+        ids=["row_d", "row_n", "replicates", "seed_float", "seed_negative"],
+    )
+    def test_python_built_spec_counts_must_be_integers(self, row, spec, message):
+        # a spec built in Python skips the JSON type check, so validate
+        # itself must turn these away before any cell runs
+        rows = (experiments.ExperimentRow(**{"d": 2, "n": 10, "sigma0": 1.0, **row}),)
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(**{"rows": rows, "replicates": 1, "seed": 0, **spec}).validate()
+
+    def test_infinite_sigma0_rejected_before_any_cell(self):
+        # json.load reads the Infinity literal, so the spec check must turn
+        # it away before the first row's cells run
+        payload = json.loads(
+            '{"rows": [{"d": 2, "n": 10, "sigma0": 1.0}, {"d": 2, "n": 10, "sigma0": Infinity}],'
+            ' "replicates": 1, "seed": 0}'
+        )
+        with pytest.raises(ValueError, match="row sigma0 must be a finite positive real"):
+            ExperimentSpec.from_json_dict(payload)
 
     def test_spec_validation(self):
         # an integer sigma0 is a number, and the value checks accept it

@@ -11,7 +11,6 @@ from laplace_audit import (
     LogisticRegressionModel,
     MapNotConvergedError,
     SyntheticDatasetConfig,
-    build_fit,
     fit_laplace,
     generate_dataset,
     laplace_log_density,
@@ -124,7 +123,7 @@ class TestBuildFit:
         a = rng.standard_normal((6, 6))
         h = a @ a.T + 6 * np.eye(6)
         model = GaussianModel(np.zeros(6), np.linalg.inv(h))
-        fit = build_fit(model, np.zeros(6))
+        fit = fit_laplace(model)
         target = np.linalg.inv(model.precision)
         err = np.linalg.norm(fit.sqrt_covariance @ fit.sqrt_covariance - target)
         assert err <= 1e-10 * np.linalg.norm(target)
@@ -143,7 +142,7 @@ class TestBuildFit:
                 return np.diag([2.0, -2.0])
 
         with pytest.raises(AssumptionViolationError) as exc_info:
-            build_fit(Saddle(), np.zeros(2))
+            fit_laplace(Saddle())
         assert exc_info.value.details["min_eigenvalue"] < 0
 
     def test_numerically_singular_hessian_rejected(self):

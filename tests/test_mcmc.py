@@ -16,7 +16,6 @@ from laplace_audit import (
     GaussianModel,
     NonFiniteObjectiveError,
     TruthPreset,
-    build_fit,
     estimate_kl,
     estimate_log_inv_z,
     estimate_true_kl,
@@ -90,7 +89,7 @@ class _HalfPlane:
 
 def test_run_chain_rejects_non_finite_phi():
     model = _HalfPlane()
-    fit = build_fit(GaussianModel(np.zeros(2), np.eye(2)), np.zeros(2))
+    fit = fit_laplace(GaussianModel(np.zeros(2), np.eye(2)))
     chain = run_chain(model, fit, ChainConfig(n_steps=20_000, thin=20, seed=4))
     assert 0.0 < chain.acceptance_rate < 1.0
     # states beyond the half-plane were proposed but never entered
@@ -192,6 +191,11 @@ class TestRunChain:
         with pytest.raises(ValueError, match="thin must be a positive integer"):
             ChainConfig(n_steps=40_000, thin=100.0).validate()
         ChainConfig(n_steps=np.int64(40_000), thin=np.int32(100)).validate()
+
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_config_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            ChainConfig(n_steps=40_000, thin=100, seed=seed).validate()
 
     def test_config_that_keeps_no_state_rejected(self, logistic_tiny):
         model, fit = logistic_tiny
@@ -440,6 +444,19 @@ class TestEstimateKl:
         estimate_kl(model, fit, 4 * QUADRATURE_NODES, log_inv_z=0.0)
         with pytest.raises(ValueError, match="k2"):
             estimate_kl(model, fit, 4 * QUADRATURE_NODES - 1, log_inv_z=0.0)
+
+    def test_k2_must_be_an_integer(self, gaussian_5d):
+        # k2 sets a direction count, which numpy takes only as an integer
+        model, fit = gaussian_5d
+        with pytest.raises(ValueError, match="k2 must be an integer"):
+            estimate_kl(model, fit, 1000.0, log_inv_z=0.0)
+        estimate_kl(model, fit, np.int64(1000), log_inv_z=0.0)
+
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_seed_must_be_a_nonnegative_integer(self, seed, gaussian_5d):
+        model, fit = gaussian_5d
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            estimate_kl(model, fit, 1000, seed=seed, log_inv_z=0.0)
 
     def test_invalid_inputs(self, gaussian_5d):
         model, fit = gaussian_5d

@@ -214,7 +214,7 @@ class TestRayDerivatives:
         rng = np.random.default_rng(17)
         base = rng.standard_normal(4)
         v = rng.standard_normal(4)
-        bound = model.ray_batch(base, v[None]).delta4[0]
+        bound = model.ray_batch(base, v[None], np.zeros(1)).delta4[0]
         rs = np.linspace(-8.0, 8.0, 400)
         profile = model.ray_derivatives(base, v, rs, 4)[:, 3]
         assert np.all(np.abs(profile) <= bound + 1e-12)
@@ -445,9 +445,6 @@ class TestRayBatch:
             assert batch.delta4 is None
         else:
             np.testing.assert_allclose(batch.delta4, delta4, rtol=1e-13)
-        no_values = model.ray_batch(fit.theta_star, vs)
-        assert no_values.values is None
-        np.testing.assert_array_equal(no_values.delta3, batch.delta3)
 
     def test_gaussian_phi_at_the_base_is_the_many_point_phi(self):
         # off the mode, a second quadratic form for phi at the base rounded
@@ -516,7 +513,8 @@ class TestRayBatch:
         monkeypatch.setattr(models_module, "BLOCK_ELEMENTS", 81 * model.n_obs)
         for seed in range(20):
             v = np.random.default_rng(seed).standard_normal((41, 5)) @ fit.sqrt_covariance
-            batch = model.ray_batch(fit.theta_star, np.stack([v, -v], axis=1).reshape(82, 5))
+            pairs = np.stack([v, -v], axis=1).reshape(82, 5)
+            batch = model.ray_batch(fit.theta_star, pairs, np.zeros(1))
             assert np.all(batch.delta3[0::2] + batch.delta3[1::2] == 0.0), seed
             np.testing.assert_array_equal(batch.delta4[0::2], batch.delta4[1::2])
 
@@ -541,9 +539,9 @@ class TestRayBatch:
     def test_direction_shape_checked(self, logistic_small):
         model, fit = logistic_small
         with pytest.raises(DimensionMismatchError):
-            model.ray_batch(fit.theta_star, np.ones(5))
+            model.ray_batch(fit.theta_star, np.ones(5), np.zeros(1))
         with pytest.raises(DimensionMismatchError):
-            model.ray_batch(fit.theta_star, np.ones((2, 4)))
+            model.ray_batch(fit.theta_star, np.ones((2, 4)), np.zeros(1))
 
     @pytest.mark.parametrize("kind", ["scalar_only", "tilt"])
     def test_generic_path_checks_direction_shape(self, kind, logistic_small):
@@ -552,7 +550,7 @@ class TestRayBatch:
         base = np.zeros(model.dim)
         for bad in (np.ones(model.dim), np.ones((2, model.dim + 1))):
             with pytest.raises(DimensionMismatchError):
-                model.ray_batch(base, bad)
+                model.ray_batch(base, bad, np.zeros(1))
 
 
 class TestNegLogExpit:
@@ -655,6 +653,12 @@ class TestConstruction:
     def test_infinite_prior_sigma_rejected(self):
         with pytest.raises(ValueError):
             LogisticRegressionModel(np.array([1.0]), np.array([[1.0]]), float("inf"))
+
+    def test_no_covariate_columns_rejected(self):
+        # a 0-dimensional posterior is malformed input, not a target that
+        # breaks a certificate assumption at its fit
+        with pytest.raises(DimensionMismatchError, match="at least one column"):
+            LogisticRegressionModel(np.array([1.0, -1.0]), np.zeros((2, 0)), 1.0)
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
