@@ -23,15 +23,15 @@ needs the model's proven delta4 bound, and without one the report has no
 detailed certificate. Log-concavity is proven when the model gives
 ``hessian_eigenvalue_floor`` (both built-ins do), and otherwise sampled by
 ``logconcavity_spotcheck``. It treats all m sampled directions, one normal
-draw, in O(m) array passes: one ``TargetModel.ray_batch`` call gives delta3,
-the delta4 bound and the ray values on the quadrature nodes for the (m x d)
-direction matrix; the curvature floor, the conditional-KL bound and the ELBO
-proxy are array expressions over it (``min_conditional_curvature`` and
-``conditional_kl_bound`` take one value or an array); each standard error
-is ``_mean_se`` over equal-weight block values. No step loops over
-directions. The curvature floor's minimum is found per row by a shape
-argument on its derivative and one vectorized, monotone Newton loop, with
-no eigenvalue solve.
+draw, in O(m) array passes: ``_direction_pass``, which the truth's
+``estimate_kl`` shares, gives delta3, the delta4 bound and the ELBO proxy of
+the (m x d) direction matrix from one ``ray_batch`` call; the curvature floor
+and the conditional-KL bound are array expressions over it
+(``min_conditional_curvature`` and ``conditional_kl_bound`` take one value or
+an array); each standard error is ``_mean_se`` over equal-weight block
+values. No step loops over directions. The curvature floor's minimum is found
+per row by a shape argument on its derivative and one vectorized, monotone
+Newton loop, with no eigenvalue solve.
 
 The model must be a ``TargetModel`` subclass: the direction pass reaches it
 only through ``ray_batch``, which the base class builds from the scalar hooks
@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import AssumptionViolationError, _check_integer
 from .laplace import LaplaceFit, fit_laplace, logconcavity_spotcheck
-from .models import RayBatch, TargetModel
+from .models import TargetModel
 from .radial import (
     QUADRATURE_NODES,
     chi_moment,
@@ -221,21 +221,27 @@ def conditional_kl_bound(d: int, delta3, delta4, min_curvature):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _xi_values(fit: LaplaceFit, batch: RayBatch, rs, ws) -> np.ndarray:
-    """ELBO proxy per direction of a ray pass on the chi quadrature nodes ``rs``, weights ``ws``.
+def _direction_pass(model: TargetModel, fit: LaplaceFit, n_pairs, seed, stream, nodes):
+    """The direction pass of the certificate and the truth: ``(vs, rs, batch, xi)``.
 
-    A row with a non-finite ray value gets NaN. A row with delta3 = delta4
-    = 0 is exactly quadratic, its ray phi* + r^2 / 2, and gets the exact
-    limit 0 without its values; a ``batch`` with no delta4 bound has no such
-    row.
+    ``n_pairs`` antithetic pairs from ``SeedSequence(seed, spawn_key=(stream,))``,
+    whitened by S, are the rows of ``vs``; one ``model.ray_batch`` call
+    evaluates phi on the ``nodes``-node Gauss-chi rule ``rs``. ``xi`` is the
+    ELBO proxy per direction: NaN on a row with a non-finite ray value, and
+    the exact limit 0, without its values, on a row with delta3 = delta4 = 0,
+    whose ray is phi* + r^2 / 2; a ``batch`` with no delta4 bound has no such row.
     """
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
+    vs = sample_direction_pairs(fit.dim, n_pairs, rng) @ fit.sqrt_covariance
+    rs, ws = chi_quadrature(fit.dim, nodes)
+    batch = model.ray_batch(fit.theta_star, vs, rs)
     finite = np.all(np.isfinite(batch.values), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         xi = (0.5 * rs * rs - (batch.values - fit.neg_log_density_at_mode)) @ ws
     xi = np.where(finite, xi, np.nan)
     if batch.delta4 is not None:
         xi = np.where((batch.delta3 == 0.0) & (batch.delta4 == 0.0), 0.0, xi)
-    return xi
+    return vs, rs, batch, xi
 
 
 @dataclass(frozen=True)
@@ -447,7 +453,7 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
     Mode search, Hessian factorization, log-concavity check, antithetic
     direction sampling, per-direction diagnostics, and assembly of both
     certificates, the third-derivative ``approx_bound`` and the
-    ``detailed_bound``, from the one ``ray_batch`` pass. The report's
+    ``detailed_bound``, from the one ``_direction_pass``. The report's
     ``spotcheck`` says how log-concavity was checked: ``"method": "proven"``
     when the model's ``hessian_eigenvalue_floor`` is not None (no Hessian is
     sampled, and ``min_eigenvalue`` is that floor), ``"sampled"`` with
@@ -470,12 +476,9 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
         fit = fit_laplace(model)
     spotcheck = _logconcavity_check(model, fit, config.seed)
     d = model.dim
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_DIR_STREAM,)))
-    directions = sample_direction_pairs(d, config.n_directions // 2, rng)
-
-    vs = directions @ fit.sqrt_covariance
-    rs, ws = chi_quadrature(d, config.quadrature_nodes)
-    batch = model.ray_batch(fit.theta_star, vs, rs)
+    _, _, batch, xi = _direction_pass(
+        model, fit, config.n_directions // 2, config.seed, _DIR_STREAM, config.quadrature_nodes
+    )
     d3 = batch.delta3
     delta3_sq = d3 * d3
     mean_delta3_sq = float(delta3_sq.mean())
@@ -489,7 +492,6 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
         valid = mc > 0.0
         ckl = np.full(d3.shape, np.nan)
         ckl[valid] = conditional_kl_bound(d, d3[valid], d4[valid], mc[valid])
-        xi = _xi_values(fit, batch, rs, ws)
         valid &= ~np.isnan(xi)
 
         invalid = int(np.count_nonzero(~valid))

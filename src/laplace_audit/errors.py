@@ -8,9 +8,9 @@ def _check_integer(value, minimum: int, message: str) -> None:
 
     A whole float such as 16.0 is not an integer here: counts and seeds
     reach ``range``, array shapes and ``SeedSequence``, which reject a float
-    late or round it silently.
+    late or round it silently. Nor is a bool, as JSON's true is not.
     """
-    if not isinstance(value, (int, np.integer)) or value < minimum:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(message)
 
 

@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -54,23 +55,37 @@ class ExperimentRow:
             raise ValueError(f"row model must be 'logistic' or 'gaussian', got {self.model!r}")
         _check_integer(self.d, 1, "row d must be an integer >= 1")
         _check_integer(self.n, 0, "row n must be an integer >= 0")
+        _check_types(ExperimentRow, vars(self), "row")
         # json.load reads the Infinity literal, which no prior can take
         if not (math.isfinite(self.sigma0) and self.sigma0 > 0):
             raise ValueError("row sigma0 must be a finite positive real")
 
 
-# the JSON values each field type takes, and how an error message names them
+# the values each field type takes, numpy numbers too, and how an error message names them
 _JSON_TYPES = {
-    "int": (int, "an integer"), "float": ((int, float), "a number"), "str": (str, "a string"),
-    "bool": (bool, "true or false"), "tuple": ((list, tuple), "a list"),
+    "int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
+    "str": (str, "a string"), "bool": (bool, "true or false"), "tuple": ((list, tuple), "a list"),
 }
+
+
+def _check_types(kind, values: dict, what: str) -> None:
+    """ValueError naming the first field of ``kind`` whose value in ``values`` has the wrong type.
+
+    An absent field takes its default. A bool is not a number here,
+    although Python's bool is an int.
+    """
+    for f in fields(kind):
+        types, label = _JSON_TYPES[f.type]
+        value = values.get(f.name, f.default)
+        if not isinstance(value, types) or (isinstance(value, bool) and f.type != "bool"):
+            raise ValueError(f"{what} key {f.name!r} must be {label}, got {value!r}")
 
 
 def _check_keys(kind, payload, what: str) -> dict:
     """``payload`` if it is a dict with the keys and value types ``kind`` takes.
 
-    Otherwise a ValueError naming the first offending key. JSON true and
-    false are not numbers here, although Python's bool is an int.
+    Otherwise a ValueError naming the first offending key, by ``_check_types``
+    for the value types.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"{what} must be a JSON object")
@@ -81,11 +96,7 @@ def _check_keys(kind, payload, what: str) -> dict:
         raise ValueError(f"unknown {what} key {unknown[0]!r}")
     if missing:
         raise ValueError(f"{what} is missing the key {missing[0]!r}")
-    for f in fields(kind):
-        types, label = _JSON_TYPES[f.type]
-        value = payload.get(f.name, f.default)
-        if not isinstance(value, types) or (isinstance(value, bool) and f.type != "bool"):
-            raise ValueError(f"{what} key {f.name!r} must be {label}, got {value!r}")
+    _check_types(kind, payload, what)
     return payload
 
 
@@ -100,14 +111,21 @@ class ExperimentSpec:
     estimate_truth: bool = True
 
     def validate(self) -> None:
-        """Check every setting before any cell runs, truth or not."""
+        """Check every setting before any cell runs, truth or not.
+
+        A spec built in Python gets the value types a JSON spec gets, after
+        the integer checks, whose messages say more.
+        """
         if not self.rows:
             raise ValueError("spec needs at least one row")
         _check_integer(self.replicates, 1, "replicates must be an integer >= 1")
         _check_integer(self.seed, 0, "seed must be an integer >= 0")
-        for row in self.rows:
-            row.validate()
         self.audit_config(0).validate()
+        _check_types(ExperimentSpec, vars(self), "spec")
+        for row in self.rows:
+            if not isinstance(row, ExperimentRow):
+                raise ValueError(f"each row must be an ExperimentRow, got {row!r}")
+            row.validate()
         get_preset(self.mcmc_preset)
 
     def audit_config(self, seed: int) -> AuditConfig:

@@ -10,7 +10,8 @@ reciprocal normalizing constant (kept in log space throughout, since 1/Z
 itself overflows at moderate dimensions). KL(g, f) is E_g[log g + phi]
 less log 1/Z, and the expectation under g is taken in polar form: an
 average over antithetic direction pairs of the certificate's ELBO proxy,
-whose radius the Gauss-chi rule integrates out on one ``ray_batch`` pass.
+whose radius the Gauss-chi rule integrates out on the certificate's own
+direction pass, ``bound._direction_pass``.
 Everything is driven by explicit integer seeds, and a seed gives the same
 numbers on every run.
 """
@@ -21,11 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bound import _logsumexp, _mean_se, _xi_values, json_ready
+from .bound import _direction_pass, _logsumexp, _mean_se, json_ready
 from .errors import DimensionMismatchError, NonFiniteObjectiveError, _check_integer
 from .laplace import LOG_2PI, LaplaceFit, laplace_log_density
 from .models import TargetModel
-from .radial import QUADRATURE_NODES, chi_quadrature, sample_direction_pairs
+from .radial import QUADRATURE_NODES
 
 # independent chains advanced together; ChainConfig.n_steps is their total
 N_CHAINS = 40
@@ -345,9 +346,9 @@ def estimate_kl(
     -(d log 2 pi + log det Sigma) / 2 + phi* - E_e[xi(e)]. The radius is
     integrated out by the ``QUADRATURE_NODES``-node Gauss-chi rule, and only
     the direction is sampled: k2 // (2 ``QUADRATURE_NODES``) antithetic
-    pairs, whitened by S, all on one ``model.ray_batch`` call, so ``k2``
-    counts phi evaluations. xi comes from ``bound._xi_values``, which gives
-    an exactly quadratic ray (delta3 = delta4 = 0) xi = 0 exactly. The
+    pairs, so ``k2`` counts phi evaluations. ``bound._direction_pass``, the
+    audit's pass on its own stream, gives the pairs and xi, and an exactly
+    quadratic ray (delta3 = delta4 = 0) xi = 0 exactly. The
     standard error is the hypot of ``bound._mean_se`` over the pair means of
     xi and the 1/Z uncertainty, propagated as an additive log-term.
 
@@ -365,10 +366,7 @@ def estimate_kl(
     _check_integer(k2, least, f"k2 must be an integer >= {least} (two direction pairs)")
     _check_integer(seed, 0, "seed must be an integer >= 0")
     n_pairs = k2 // (2 * QUADRATURE_NODES)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_KL_STREAM,)))
-    vs = sample_direction_pairs(fit.dim, n_pairs, rng) @ fit.sqrt_covariance
-    rs, ws = chi_quadrature(fit.dim, QUADRATURE_NODES)
-    batch = model.ray_batch(fit.theta_star, vs, rs)
+    vs, rs, batch, xi = _direction_pass(model, fit, n_pairs, seed, _KL_STREAM, QUADRATURE_NODES)
     bad = np.flatnonzero(~np.isfinite(batch.values))
     if bad.size:
         row, node = divmod(int(bad[0]), QUADRATURE_NODES)
@@ -376,7 +374,6 @@ def estimate_kl(
             f"non-finite phi at ray node {node} of direction {row}",
             theta=fit.theta_star + rs[node] * vs[row],
         )
-    xi = _xi_values(fit, batch, rs, ws)
     half = -0.5 * (fit.dim * LOG_2PI + fit.log_det_covariance) + fit.neg_log_density_at_mode
     kl = float(half - xi.mean() - log_inv_z)
     se = float(np.hypot(_mean_se(xi.reshape(n_pairs, 2).mean(axis=1)), inv_z_rel_se))

@@ -223,10 +223,14 @@ class GaussianModel(TargetModel):
         if mean.ndim != 1:
             raise DimensionMismatchError("mean must be a vector")
         d = mean.shape[0]
+        if d < 1:
+            raise DimensionMismatchError("mean must have at least one entry (d >= 1)")
         if covariance.shape != (d, d):
             raise DimensionMismatchError(
                 f"covariance must be {d}x{d}, got {covariance.shape}"
             )
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(covariance))):
+            raise ValueError("mean and covariance must be finite")
         covariance = 0.5 * (covariance + covariance.T)
         w, v = np.linalg.eigh(covariance)
         if w.min() <= 0:
@@ -311,6 +315,8 @@ class LogisticRegressionModel(TargetModel):
         if x.shape[1] < 1:
             # a 0-dimensional posterior has no Hessian to factorize
             raise DimensionMismatchError("covariates must have at least one column (d >= 1)")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("covariates must be finite")
         if y.shape != (x.shape[0],):
             raise DimensionMismatchError(
                 f"labels length {y.shape} does not match covariate rows {x.shape[0]}"

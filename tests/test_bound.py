@@ -3,6 +3,7 @@
 import json
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from laplace_audit.bound import _curvature_floor_poly, _positive_root
 
 from oracles import (
     CubicRay1D,
+    InfTailGaussian,
     RadialLaw,
     SoftplusTilt1D,
     companion_curvature_floor,
@@ -305,20 +307,23 @@ class TestConditionalKlBound:
         # conditional_kl_bound(e); on the audit's seed-0 directions
         model, fit = request.getfixturevalue(cell)
         config = AuditConfig()
+        vs, _, batch, xi_audit = bound_module._direction_pass(
+            model, fit, config.n_directions // 2, config.seed, bound_module._DIR_STREAM,
+            config.quadrature_nodes,
+        )
+        # the audit's stream, replayed by hand
         rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(bound_module._DIR_STREAM,))
         )
         es = sample_direction_pairs(model.dim, config.n_directions // 2, rng)
+        np.testing.assert_array_equal(vs, es @ fit.sqrt_covariance)
         zeta, xi, guard = radial_kl_split(fit, model, es)
         assert np.all(guard < -40.0)
         gap = zeta - xi
         assert np.all(gap >= -1e-12)
-        rs, ws = chi_quadrature(model.dim, config.quadrature_nodes)
-        batch = model.ray_batch(fit.theta_star, es @ fit.sqrt_covariance, rs)
         floor = min_conditional_curvature(model.dim, batch.delta3, batch.delta4)
         assert np.all(floor > 0.0)
         assert np.all(conditional_kl_bound(model.dim, batch.delta3, batch.delta4, floor) >= gap)
-        xi_audit = bound_module._xi_values(fit, batch, rs, ws)
         np.testing.assert_allclose(xi_audit, xi, rtol=0.0, atol=1e-11)
 
     def test_invalid_curvature_rejected(self):
@@ -692,6 +697,17 @@ class TestAudit:
         assert payload["term_standard_errors"] == dict.fromkeys(("e_term_se", "eps1_correction_se"))
         json.dumps(payload, allow_nan=False)
 
+    def test_infinite_ray_values_without_delta4_bound(self):
+        # the pass forms xi on +inf ray values; with no delta4 bound the
+        # audit keeps approx_bound alone and counts no invalid direction
+        model = InfTailGaussian(np.zeros(3), np.eye(3), cut=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = audit(model, AuditConfig(n_directions=64, seed=1))
+        assert math.isfinite(report.approx_bound)
+        assert report.to_json_dict()["detailed_bound"] is None
+        assert report.invalid_directions == 0
+
     def test_detailed_bound_assembles_from_terms(self, logistic_tiny):
         model, fit = logistic_tiny
         report = audit(model, AuditConfig(n_directions=64, seed=2), fit=fit)
@@ -791,7 +807,7 @@ class TestAudit:
         with pytest.raises(ValueError, match="n_directions must be an even integer"):
             AuditConfig(n_directions=16.0).validate()
 
-    @pytest.mark.parametrize("seed", [1.5, 1.0, -1])
+    @pytest.mark.parametrize("seed", [1.5, 1.0, -1, True])
     def test_config_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
         # SeedSequence takes only a nonnegative integer
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):

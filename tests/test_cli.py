@@ -307,6 +307,19 @@ class TestExitCodes:
         assert main(["audit", "--data", str(data)]) == 1
         assert "at least one column" in capsys.readouterr().err
 
+    def test_non_finite_covariates_exit_one_without_a_warning(self, tmp_path):
+        # the model refuses the data before a product of it warns
+        data = tmp_path / "non_finite.csv"
+        data.write_text("y,x1,x2\n1,0.5,nan\n-1,inf,1.0\n1,0.2,0.3\n")
+        src = str(Path(laplace_audit.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "laplace_audit.cli", "audit", "--data", str(data)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "covariates must be finite" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["audit", "--data", "/nonexistent.csv"]) == 1
 
@@ -449,12 +462,24 @@ class TestExperimentApi:
             ({}, {"replicates": 1.0}, "replicates must be an integer"),
             ({}, {"seed": 1.5}, "seed must be an integer >= 0"),
             ({}, {"seed": -1}, "seed must be an integer >= 0"),
+            ({"d": True}, {}, "row d must be an integer"),
+            ({}, {"replicates": True}, "replicates must be an integer"),
+            ({}, {"estimate_truth": "no"}, "spec key 'estimate_truth' must be true or false"),
+            ({}, {"mcmc_preset": ["desk"]}, "spec key 'mcmc_preset' must be a string"),
+            ({}, {"rows": experiments.ExperimentRow(2, 10, 1.0)}, "spec key 'rows' must be a list"),
+            ({}, {"rows": ((2, 10, 1.0),)}, "each row must be an ExperimentRow"),
+            ({"sigma0": "10"}, {}, "row key 'sigma0' must be a number"),
         ],
-        ids=["row_d", "row_n", "replicates", "seed_float", "seed_negative"],
+        ids=[
+            "row_d", "row_n", "replicates", "seed_float", "seed_negative", "row_d_bool",
+            "replicates_bool", "estimate_truth_string", "mcmc_preset_list", "rows_bare_row",
+            "row_not_a_row", "sigma0_string",
+        ],
     )
     def test_python_built_spec_counts_must_be_integers(self, row, spec, message):
-        # a spec built in Python skips the JSON type check, so validate
-        # itself must turn these away before any cell runs
+        # a spec built in Python skips the JSON key check, so validate
+        # itself must turn these away before any cell runs, with the JSON
+        # path's type rule
         rows = (experiments.ExperimentRow(**{"d": 2, "n": 10, "sigma0": 1.0, **row}),)
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(**{"rows": rows, "replicates": 1, "seed": 0, **spec}).validate()

@@ -24,10 +24,10 @@ from laplace_audit import (
 )
 
 from laplace_audit import mcmc
-from laplace_audit.bound import _xi_values
+from laplace_audit.bound import _direction_pass
 from laplace_audit.laplace import LOG_2PI
 from laplace_audit.mcmc import BLOCK_STEPS, N_CHAINS, PRESETS, split_rhat
-from laplace_audit.radial import QUADRATURE_NODES, chi_quadrature, sample_direction_pairs
+from laplace_audit.radial import QUADRATURE_NODES, sample_direction_pairs
 
 from oracles import (
     InfTailGaussian,
@@ -410,10 +410,11 @@ class TestEstimateKl:
         k2, seed = 4_000, 5
         _, se = estimate_kl(model, fit, k2, seed=seed, log_inv_z=0.0, inv_z_rel_se=0.0)
         n_pairs = k2 // (2 * QUADRATURE_NODES)
+        vs, _, _, xi = _direction_pass(model, fit, n_pairs, seed, mcmc._KL_STREAM, QUADRATURE_NODES)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(mcmc._KL_STREAM,)))
-        vs = sample_direction_pairs(fit.dim, n_pairs, rng) @ fit.sqrt_covariance
-        rs, ws = chi_quadrature(fit.dim, QUADRATURE_NODES)
-        xi = _xi_values(fit, model.ray_batch(fit.theta_star, vs, rs), rs, ws)
+        np.testing.assert_array_equal(
+            vs, sample_direction_pairs(fit.dim, n_pairs, rng) @ fit.sqrt_covariance
+        )
         pair_means = xi.reshape(n_pairs, 2).mean(axis=1).tolist()
         assert se > 0.0
         assert se == pytest.approx(statistics.stdev(pair_means) / math.sqrt(n_pairs), rel=1e-12)

@@ -660,6 +660,12 @@ class TestConstruction:
         with pytest.raises(DimensionMismatchError, match="at least one column"):
             LogisticRegressionModel(np.array([1.0, -1.0]), np.zeros((2, 0)), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariates_rejected(self, bad):
+        x = np.array([[1.0, 0.5], [bad, -1.0]])
+        with pytest.raises(ValueError, match="covariates must be finite"):
+            LogisticRegressionModel(np.array([1.0, -1.0]), x, 1.0)
+
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
             LogisticRegressionModel(np.array([0.5]), np.array([[1.0]]), 1.0)
@@ -667,3 +673,18 @@ class TestConstruction:
     def test_gaussian_requires_spd_covariance(self):
         with pytest.raises(ValueError):
             GaussianModel(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_gaussian_without_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="at least one entry"):
+            GaussianModel(np.zeros(0), np.zeros((0, 0)))
+
+    def test_gaussian_non_finite_mean_rejected(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussianModel(np.array([0.0, np.nan]), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "covariance", [np.full((2, 2), np.nan), np.diag([1.0, np.inf])], ids=["nan", "inf_diagonal"]
+    )
+    def test_gaussian_non_finite_covariance_rejected(self, covariance):
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussianModel(np.zeros(2), covariance)
