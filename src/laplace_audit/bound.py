@@ -62,19 +62,19 @@ _DIR_STREAM = 1
 def json_ready(value):
     """``value`` with each non-finite float in it, at any depth, written as None.
 
-    JSON has no NaN or infinity, so a report's ``to_json_dict`` passes its
-    payload through here and an undefined number reaches the output as null.
+    The one rule from a result to JSON, which has no NaN or infinity: every
+    ``to_json_dict`` returns through it, and the table CSV formats its values.
     Tuples become lists, as ``json.dumps`` writes them anyway, and a numpy
-    integer, such as a count given to a config, becomes an int.
+    scalar (integer, floating or bool) becomes its Python value.
     """
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, np.integer):
-        return int(value)
     if isinstance(value, dict):
         return {key: json_ready(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [json_ready(item) for item in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
     return value
 
 
@@ -361,7 +361,7 @@ class AuditConfig:
         _check_integer(self.seed, 0, "seed must be an integer >= 0")
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return json_ready(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -480,7 +480,13 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
         model, fit, config.n_directions // 2, config.seed, _DIR_STREAM, config.quadrature_nodes
     )
     d3 = batch.delta3
-    delta3_sq = d3 * d3
+    with np.errstate(over="ignore"):  # an overflow is refused below, before it can warn
+        delta3_sq = d3 * d3
+    if bad := np.count_nonzero(~np.isfinite(delta3_sq)):
+        raise AssumptionViolationError(
+            "non-finite delta3 or delta3^2 on a sampled direction",
+            details={"nonfinite_directions": bad, "n_directions": config.n_directions},
+        )
     mean_delta3_sq = float(delta3_sq.mean())
     # over one member of each antithetic pair, whose two delta3^2 are equal
     se_delta3_sq = _mean_se(delta3_sq[0::2])

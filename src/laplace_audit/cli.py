@@ -33,9 +33,9 @@ from .mcmc import PRESETS, estimate_true_kl, get_preset
 from .models import (
     LogisticRegressionModel,
     SyntheticDatasetConfig,
+    _synthetic_model,
     generate_dataset,
     load_dataset_csv,
-    random_gaussian_model,
     save_dataset_csv,
 )
 
@@ -99,17 +99,15 @@ def _add_model_flags(parser) -> None:
 
 
 def _build_model(args, parser):
+    """The target the model flags name: a ``--data`` CSV's posterior, or a synthetic one."""
     if args.model == "gaussian":
         if args.d is None:
             parser.error("--model gaussian requires --d")
-        return random_gaussian_model(args.d, args.seed)
-    if args.data is not None:
-        labels, covariates = load_dataset_csv(args.data)
-        return LogisticRegressionModel(labels, covariates, args.sigma0)
-    if args.d is None or args.n is None:
+    elif args.data is not None:
+        return LogisticRegressionModel(*load_dataset_csv(args.data), args.sigma0)
+    elif args.d is None or args.n is None:
         parser.error("logistic target needs either --data or both --d and --n")
-    dataset = generate_dataset(SyntheticDatasetConfig(d=args.d, n=args.n, seed=args.seed))
-    return dataset.model(args.sigma0)
+    return _synthetic_model(args.model, args.d, args.n, args.sigma0, args.seed)
 
 
 def _cmd_gen_data(args, parser) -> int:

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .laplace import fit_laplace
 from .mcmc import estimate_true_kl, get_preset
-from .models import SyntheticDatasetConfig, generate_dataset, random_gaussian_model
+from .models import _synthetic_model
 
 _DATA_STREAM = 0
 _AUDIT_STREAM = 1
@@ -134,9 +134,8 @@ class ExperimentSpec:
         )
 
     def to_json_dict(self) -> dict:
-        out = asdict(self)
-        out["rows"] = [asdict(r) for r in self.rows]
-        return out
+        """The spec as a JSON payload, rows included; a numpy number is its Python value."""
+        return json_ready(asdict(self))
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ExperimentSpec":
@@ -204,11 +203,7 @@ def _run_cell(spec: ExperimentSpec, row_idx: int, replicate: int) -> ReplicateRe
         sigma0=row.sigma0, seed=data_seed,
     )
     try:
-        if row.model == "gaussian":
-            model = random_gaussian_model(row.d, data_seed)
-        else:
-            dataset = generate_dataset(SyntheticDatasetConfig(d=row.d, n=row.n, seed=data_seed))
-            model = dataset.model(row.sigma0)
+        model = _synthetic_model(row.model, row.d, row.n, row.sigma0, data_seed)
         fit = fit_laplace(model)
         report = audit(model, spec.audit_config(audit_seed), fit=fit)
         kl = kl_se = nan
@@ -242,16 +237,12 @@ class ExperimentReport:
 
     def to_json_dict(self) -> dict:
         """The report as a JSON payload; a NaN cell value (no truth, a failed cell) is null."""
-        return json_ready({
-            "spec": self.spec,
-            "spec_sha256": self.spec_sha256,
-            "replicates": [asdict(r) for r in self.replicates],
-            "aggregates": [asdict(a) for a in self.aggregates],
-        })
+        return json_ready(asdict(self))
 
     def to_csv(self, pretty: bool = False) -> str:
+        """Replicate rows, then median rows; a cell formats its ``json_ready`` value, null as NA."""
         def fmt(value) -> str:
-            if value is None or (isinstance(value, float) and not math.isfinite(value)):
+            if value is None:
                 return "NA"
             if isinstance(value, float):
                 return f"{value:.6g}" if pretty else f"{value:.17g}"
@@ -262,7 +253,7 @@ class ExperimentReport:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for r in self.replicates:
-            writer.writerow(fmt(getattr(r, name)) for name in CSV_COLUMNS)
+            writer.writerow(map(fmt, json_ready([getattr(r, name) for name in CSV_COLUMNS])))
         for a in self.aggregates:
             cells = (
                 a.row, "median", a.model, a.d, a.n, a.sigma0, "NA",
@@ -270,7 +261,7 @@ class ExperimentReport:
                 a.median_detailed_bound, a.median_efficiency,
                 f"ok:{a.replicates - a.n_failed}/failed:{a.n_failed}", None,
             )
-            writer.writerow(fmt(c) for c in cells)
+            writer.writerow(map(fmt, json_ready(cells)))
         return buf.getvalue()
 
 
@@ -286,9 +277,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
     is below 1). They are independent and individually seeded, so ``jobs``
     changes no output, and ``pool.map`` returns them in (row, replicate)
     order whatever order they finish in. Per-cell failures are recorded in
-    the report and do not stop the run.
+    the report and do not stop the run. The spec is hashed before any cell.
     """
     spec.validate()
+    sha256 = spec_content_hash(spec)
     cells = [(r, k) for r in range(len(spec.rows)) for k in range(spec.replicates)]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(lambda cell: _run_cell(spec, *cell), cells))
@@ -315,7 +307,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
         )
     return ExperimentReport(
         spec=spec.to_json_dict(),
-        spec_sha256=spec_content_hash(spec),
+        spec_sha256=sha256,
         replicates=tuple(results),
         aggregates=tuple(aggregates),
     )

@@ -508,34 +508,37 @@ def random_gaussian_model(d: int, seed: int) -> GaussianModel:
     return GaussianModel(mean, 0.5 * (cov + cov.T))
 
 
+def _synthetic_model(model: str, d: int, n: int, sigma0: float, seed: int) -> TargetModel:
+    """Seeded target: ``random_gaussian_model`` for "gaussian", else a synthetic logistic one."""
+    if model == "gaussian":
+        return random_gaussian_model(d, seed)
+    return generate_dataset(SyntheticDatasetConfig(d=d, n=n, seed=seed)).model(sigma0)
+
+
 def save_dataset_csv(path, labels, covariates) -> None:
     """Write a dataset as CSV with header ``y,x1,...,xd`` at 17 significant digits."""
-    y = np.asarray(labels, dtype=float)
-    x = np.asarray(covariates, dtype=float)
-    d = x.shape[1]
-    header = "y," + ",".join(f"x{j + 1}" for j in range(d))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(header + "\n")
-        for yi, xi in zip(y, x):
-            cells = [f"{yi:.17g}"] + [f"{v:.17g}" for v in xi]
-            handle.write(",".join(cells) + "\n")
+    data = np.column_stack([np.asarray(labels, dtype=float), np.asarray(covariates, dtype=float)])
+    header = "y," + ",".join(f"x{j}" for j in range(1, data.shape[1]))
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def load_dataset_csv(path):
-    """Read a ``y,x1,...,xd`` CSV back into (labels, covariates)."""
+    """Read a ``y,x1,...,xd`` CSV back into (labels, covariates) by ``np.loadtxt``.
+
+    A header-only file is an empty dataset; a ragged row raises loadtxt's
+    ValueError, which names the row.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().strip()
         names = header.split(",")
-        if not names or names[0] != "y" or any(
-            name != f"x{j + 1}" for j, name in enumerate(names[1:])
-        ):
+        if names != ["y"] + [f"x{j}" for j in range(1, len(names))]:
             raise ValueError(f"unrecognized dataset header: {header!r}")
-        d = len(names) - 1
-        rows = [line.split(",") for line in handle if line.strip()]
-    data = np.array([[float(cell) for cell in row] for row in rows], dtype=float)
-    if data.size == 0:
-        data = data.reshape(0, d + 1)
-    if data.shape[1] != d + 1:
+        rows = handle.read()
+    # loadtxt warns on input without rows
+    data = np.empty((0, len(names)))
+    if rows.strip():
+        data = np.loadtxt(rows.splitlines(), delimiter=",", comments=None, ndmin=2)
+    if data.shape[1] != len(names):
         raise ValueError("row width does not match header")
     y, x = data[:, 0], data[:, 1:]
     if y.size and not np.all(np.isin(y, (-1.0, 1.0))):

@@ -33,7 +33,7 @@ from laplace_audit import (
     sample_direction_pairs,
 )
 from laplace_audit import bound as bound_module
-from laplace_audit.bound import _curvature_floor_poly, _positive_root
+from laplace_audit.bound import _curvature_floor_poly, _positive_root, json_ready
 
 from oracles import (
     CubicRay1D,
@@ -182,6 +182,8 @@ class TestMinConditionalCurvature:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             min_conditional_curvature(3, 0.0, -1.0)
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            min_conditional_curvature(0, 0.0, 0.0)
 
     def test_root_rule_is_the_rationalized_form_for_nonpositive_delta3(self):
         # r0 = 2 / (sqrt(d3^2 + 2 d4) - d3) has no cancellation when d3 <= 0,
@@ -331,6 +333,8 @@ class TestConditionalKlBound:
             conditional_kl_bound(5, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             conditional_kl_bound(5, np.ones(3), np.zeros(3), np.array([1.0, 0.0, 2.0]))
+        with pytest.raises(ValueError, match="delta4 must be nonnegative"):
+            conditional_kl_bound(5, 1.0, -1.0, 1.0)
 
     def test_arrays_match_scalar_calls(self):
         rng = np.random.default_rng(14)
@@ -508,6 +512,12 @@ class TestDirectionKlBound:
 class TestApproximateBound:
     def test_zero_mean_gives_zero(self):
         assert approximate_bound(0.0, 7) == 0.0
+
+    def test_invalid_inputs(self):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            approximate_bound_coefficient(0)
+        with pytest.raises(ValueError, match="mean_delta3_sq must be nonnegative"):
+            approximate_bound(-1.0, 5)
 
     def test_frozen_coefficients(self):
         # 40-digit gamma-expression evaluations
@@ -708,6 +718,25 @@ class TestAudit:
         assert report.to_json_dict()["detailed_bound"] is None
         assert report.invalid_directions == 0
 
+    @pytest.mark.parametrize("tilt", [SoftplusTilt1D, NoBoundTilt], ids=["delta4", "no_delta4"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 1e200], ids=["inf", "nan", "1e200"])
+    def test_non_finite_delta3_is_an_assumption_violation_without_a_warning(self, value, tilt):
+        # the error used to come only after the squaring (1e200) or the
+        # standard error (inf, NaN) had warned, which tier-1 raises instead
+        class BadDelta3(tilt):
+            def ray_derivatives(self, base, direction, r=0.0, max_order=4):
+                out = super().ray_derivatives(base, direction, r, max_order)
+                out[..., 2] = value
+                return out
+
+        model = BadDelta3(1.0)
+        fit = fit_laplace(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(AssumptionViolationError, match="non-finite delta3") as exc_info:
+                audit(model, AuditConfig(n_directions=16, seed=1), fit=fit)
+        assert exc_info.value.details == {"nonfinite_directions": 16, "n_directions": 16}
+
     def test_detailed_bound_assembles_from_terms(self, logistic_tiny):
         model, fit = logistic_tiny
         report = audit(model, AuditConfig(n_directions=64, seed=2), fit=fit)
@@ -848,6 +877,22 @@ class TestAudit:
         assert report.mean_delta3_sq == pytest.approx(statistics.fmean(pair_vals), rel=1e-12)
         want = statistics.stdev(pair_vals) / math.sqrt(len(pair_vals))
         assert report.se_delta3_sq == pytest.approx(want, rel=1e-12)
+
+
+class TestJsonReady:
+    def test_numpy_scalars_become_python_values_at_any_depth(self):
+        payload = json_ready(
+            {"a": (np.float32(0.5), np.bool_(True)), "b": [np.int64(3), {"c": np.float32("nan")}]}
+        )
+        assert payload == {"a": [0.5, True], "b": [3, {"c": None}]}
+        assert [type(v) for v in payload["a"]] == [float, bool]
+        assert type(payload["b"][0]) is int
+        json.dumps(payload, allow_nan=False)
+
+    def test_non_finite_floats_are_null(self):
+        assert json_ready([math.inf, -math.inf, math.nan, np.float64(1.5), "x", None]) == [
+            None, None, None, 1.5, "x", None,
+        ]
 
 
 @settings(max_examples=25, deadline=None)

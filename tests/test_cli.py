@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: pipelines, formats, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import laplace_audit
-from laplace_audit import cli, experiments, random_gaussian_model
+from laplace_audit import cli, experiments, models, random_gaussian_model
 from laplace_audit.cli import main
 from laplace_audit.experiments import (
     CSV_COLUMNS,
@@ -60,6 +61,10 @@ class TestGenDataAuditPipeline:
         data = tmp_path / "data.csv"
         out = tmp_path / "report.json"
         assert main(["gen-data", "--d", "5", "--n", "100", "--seed", "7", "--out", str(data)]) == 0
+        # the dataset CSV bytes are pinned, so the writer's format cannot drift
+        assert hashlib.sha256(data.read_bytes()).hexdigest() == (
+            "3e68ec27f33e9945778b61198fe318c64cb43fdfec83ebfda36890f0a51ef73b"
+        )
         assert main(
             ["audit", "--data", str(data), "--sigma0", "10", "--directions", "64",
              "--seed", "3", "--out", str(out)]
@@ -144,12 +149,13 @@ class TestStrictJson:
 
 class TestNonFiniteTruth:
     def test_truth_command_exits_one(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "random_gaussian_model", _inf_tail_gaussian)
+        # the CLI and the grid build a synthetic target through the models module
+        monkeypatch.setattr(models, "random_gaussian_model", _inf_tail_gaussian)
         assert main(["truth", "--model", "gaussian", "--d", "1", "--seed", "2"]) == 1
         assert "non-finite" in capsys.readouterr().err
 
     def test_table_records_a_failed_cell(self, monkeypatch):
-        monkeypatch.setattr(experiments, "random_gaussian_model", _inf_tail_gaussian)
+        monkeypatch.setattr(models, "random_gaussian_model", _inf_tail_gaussian)
         spec = ExperimentSpec.from_json_dict(
             {
                 "rows": [{"d": 1, "n": 0, "sigma0": 1.0, "model": "gaussian"}],
@@ -281,10 +287,16 @@ class TestExitCodes:
             main(["audit", "--d", "3", "--n", "30", *flag])
         assert exc_info.value.code == 1
 
-    def test_missing_required_args_exit_one(self):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["gen-data", "--d", "3"])
-        assert exc_info.value.code == 1
+    def test_missing_required_args_exit_one(self, capsys):
+        for argv, message in (
+            (["gen-data", "--d", "3"], "--n"),
+            (["audit", "--model", "gaussian"], "--model gaussian requires --d"),
+            (["truth", "--d", "3"], "needs either --data or both --d and --n"),
+        ):
+            with pytest.raises(SystemExit) as exc_info:
+                main(argv)
+            assert exc_info.value.code == 1
+            assert message in capsys.readouterr().err
 
     def test_degenerate_dataset_exits_two(self, tmp_path, capsys):
         # exact duplicate covariate column + huge prior variance: the Hessian
@@ -469,11 +481,12 @@ class TestExperimentApi:
             ({}, {"rows": experiments.ExperimentRow(2, 10, 1.0)}, "spec key 'rows' must be a list"),
             ({}, {"rows": ((2, 10, 1.0),)}, "each row must be an ExperimentRow"),
             ({"sigma0": "10"}, {}, "row key 'sigma0' must be a number"),
+            ({"model": "probit"}, {}, "row model must be 'logistic' or 'gaussian'"),
         ],
         ids=[
             "row_d", "row_n", "replicates", "seed_float", "seed_negative", "row_d_bool",
             "replicates_bool", "estimate_truth_string", "mcmc_preset_list", "rows_bare_row",
-            "row_not_a_row", "sigma0_string",
+            "row_not_a_row", "sigma0_string", "row_model",
         ],
     )
     def test_python_built_spec_counts_must_be_integers(self, row, spec, message):
@@ -483,6 +496,23 @@ class TestExperimentApi:
         rows = (experiments.ExperimentRow(**{"d": 2, "n": 10, "sigma0": 1.0, **row}),)
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(**{"rows": rows, "replicates": 1, "seed": 0, **spec}).validate()
+
+    def test_numpy_scalar_spec_runs_and_hashes_like_a_plain_one(self):
+        # numpy counts used to run every cell and then fail in the spec hash
+        # with "Object of type int64 is not JSON serializable"
+        def spec(d, n, sigma0, replicates, seed):
+            rows = (experiments.ExperimentRow(d, n, sigma0),)
+            return ExperimentSpec(rows, replicates, seed, n_directions=16, estimate_truth=False)
+
+        i64 = np.int64
+        report = run_experiment(spec(i64(2), i64(10), np.float32(1.0), i64(1), i64(0)))
+        assert [r.status for r in report.replicates] == ["ok"]
+        payload = _strict_json(json.dumps(report.to_json_dict(), allow_nan=False))
+        assert payload["spec"]["rows"] == [{"d": 2, "n": 10, "sigma0": 1.0, "model": "logistic"}]
+        plain = experiments.spec_content_hash(spec(2, 10, 1.0, 1, 0))
+        same = spec(i64(2), i64(10), np.float64(1.0), i64(1), i64(0))
+        assert experiments.spec_content_hash(same) == plain
+        assert report.to_csv() == run_experiment(spec(2, 10, 1.0, 1, 0)).to_csv()
 
     def test_infinite_sigma0_rejected_before_any_cell(self):
         # json.load reads the Infinity literal, so the spec check must turn

@@ -10,6 +10,7 @@ from laplace_audit import (
     GaussianModel,
     LogisticRegressionModel,
     MapNotConvergedError,
+    NonFiniteObjectiveError,
     SyntheticDatasetConfig,
     fit_laplace,
     generate_dataset,
@@ -89,6 +90,43 @@ class TestFindMap:
         with pytest.raises(DimensionMismatchError):
             fit_laplace(model, init=np.zeros(model.dim + 1))
 
+    def test_line_search_without_a_finite_step_raises(self):
+        class FiniteOnlyAtZero:
+            # phi is finite at the start alone, so no step length is accepted
+            dim = 1
+
+            def neg_log_density(self, theta):
+                return 0.0 if theta[0] == 0.0 else np.inf
+
+            def gradient(self, theta):
+                return np.array([1.0])
+
+            def hessian(self, theta):
+                return np.eye(1)
+
+        with pytest.raises(MapNotConvergedError, match="line search failed") as exc_info:
+            fit_laplace(FiniteOnlyAtZero())
+        assert exc_info.value.iterations == 1
+        assert np.all(exc_info.value.last_iterate == 0.0)
+
+    def test_gradient_turning_non_finite_raises(self):
+        class NanGradientAfterStart:
+            # phi = (t - 1)^2 / 2, whose gradient is NaN away from the start
+            dim = 1
+
+            def neg_log_density(self, theta):
+                return 0.5 * float(theta[0] - 1.0) ** 2
+
+            def gradient(self, theta):
+                return np.array([-1.0 if theta[0] == 0.0 else np.nan])
+
+            def hessian(self, theta):
+                return np.eye(1)
+
+        with pytest.raises(NonFiniteObjectiveError, match="gradient became non-finite") as exc_info:
+            fit_laplace(NanGradientAfterStart())
+        assert np.all(exc_info.value.theta == 1.0)
+
 
 class TestBuildFit:
     def test_gaussian_fit_recovers_covariance(self):
@@ -161,6 +199,13 @@ class TestLaplaceLogDensity:
         _, fit = gaussian_5d
         expected = -0.5 * (5 * np.log(2 * np.pi) + fit.log_det_covariance)
         assert laplace_log_density(fit, fit.theta_star) == pytest.approx(expected, rel=1e-14)
+
+    def test_rejects_points_of_the_wrong_length(self, gaussian_5d):
+        _, fit = gaussian_5d
+        with pytest.raises(DimensionMismatchError, match="theta has the wrong length"):
+            laplace_log_density(fit, np.zeros(4))
+        with pytest.raises(DimensionMismatchError, match="theta batch has the wrong row length"):
+            laplace_log_density(fit, np.zeros((3, 6)))
 
     def test_integrates_to_one_in_1d(self):
         model = GaussianModel(np.array([0.3]), np.array([[2.5]]))

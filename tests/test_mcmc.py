@@ -197,6 +197,12 @@ class TestRunChain:
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             ChainConfig(n_steps=40_000, thin=100, seed=seed).validate()
 
+    def test_fit_of_another_dimension_rejected(self, logistic_tiny, gaussian_5d):
+        model, _ = logistic_tiny
+        _, fit = gaussian_5d
+        with pytest.raises(DimensionMismatchError, match="fit dimension does not match"):
+            run_chain(model, fit, ChainConfig(n_steps=40_000, thin=100))
+
     def test_config_that_keeps_no_state_rejected(self, logistic_tiny):
         model, fit = logistic_tiny
         # 1,000 steps per chain: 100 burn-in leave 900, fewer than thin = 1,000;

@@ -1,5 +1,7 @@
 """Derivative, dataset and serialization checks for the target models."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -625,6 +627,8 @@ class TestDatasetGeneration:
             generate_dataset(SyntheticDatasetConfig(d=0, n=5, seed=0))
         with pytest.raises(ValueError):
             generate_dataset(SyntheticDatasetConfig(d=2, n=-1, seed=0))
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            random_gaussian_model(0, 0)
 
 
 class TestCsvRoundTrip:
@@ -646,6 +650,35 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad_labels.csv"
         path.write_text("y,x1\n0.5,1.0\n")
         with pytest.raises(ValueError):
+            load_dataset_csv(path)
+
+    def test_header_only_file_is_an_empty_dataset(self, tmp_path):
+        # loadtxt would warn that its input holds no data
+        path = tmp_path / "empty.csv"
+        for text in ("y,x1,x2,x3\n", "y,x1,x2,x3\n\n"):
+            path.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                y, x = load_dataset_csv(path)
+            assert y.shape == (0,) and x.shape == (0, 3)
+
+    def test_empty_dataset_round_trip(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        save_dataset_csv(path, np.zeros(0), np.zeros((0, 2)))
+        assert path.read_text() == "y,x1,x2\n"
+        y, x = load_dataset_csv(path)
+        assert y.shape == (0,) and x.shape == (0, 2)
+
+    def test_ragged_row_names_the_row(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("y,x1,x2\n1,0.5,0.25\n-1,0.5\n")
+        with pytest.raises(ValueError, match="at row 2"):
+            load_dataset_csv(path)
+
+    def test_rows_of_the_wrong_width(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("y,x1\n1,0.5,0.25\n-1,0.5,0.75\n")
+        with pytest.raises(ValueError, match="row width does not match header"):
             load_dataset_csv(path)
 
 
@@ -673,6 +706,18 @@ class TestConstruction:
     def test_gaussian_requires_spd_covariance(self):
         with pytest.raises(ValueError):
             GaussianModel(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_logistic_shapes_checked(self):
+        with pytest.raises(DimensionMismatchError, match="n x d matrix"):
+            LogisticRegressionModel(np.array([1.0]), np.array([1.0]), 1.0)
+        with pytest.raises(DimensionMismatchError, match="does not match covariate rows"):
+            LogisticRegressionModel(np.array([1.0, -1.0]), np.ones((3, 2)), 1.0)
+
+    def test_gaussian_shapes_checked(self):
+        with pytest.raises(DimensionMismatchError, match="mean must be a vector"):
+            GaussianModel(np.zeros((2, 1)), np.eye(2))
+        with pytest.raises(DimensionMismatchError, match="covariance must be 2x2"):
+            GaussianModel(np.zeros(2), np.eye(3))
 
     def test_gaussian_without_dimensions_rejected(self):
         with pytest.raises(DimensionMismatchError, match="at least one entry"):

@@ -208,6 +208,10 @@ class TestRadialMinCurvature:
         assert radial_min_curvature(1) == pytest.approx(4.8989794855663562, rel=1e-14)
         assert radial_min_curvature(5) == pytest.approx(14.696938456699069, rel=1e-14)
 
+    def test_invalid_dimension(self):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            radial_min_curvature(0)
+
     def test_matches_grid_minimum_for_many_dimensions(self):
         for d in range(1, 101):
             z_star = ((2 * d - 1) / 6.0) ** 0.25
