@@ -40,6 +40,9 @@ when a model has no array form of its own.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -63,7 +66,7 @@ def json_ready(value):
     """``value`` with each non-finite float in it, at any depth, written as None.
 
     The one rule from a result to JSON, which has no NaN or infinity: every
-    ``to_json_dict`` returns through it, and the table CSV formats its values.
+    ``to_json_dict`` returns through it, and ``csv_text`` writes its values.
     Tuples become lists, as ``json.dumps`` writes them anyway, and a numpy
     scalar (integer, floating or bool) becomes its Python value.
     """
@@ -76,6 +79,20 @@ def json_ready(value):
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     return value
+
+
+def csv_text(rows) -> str:
+    """Rows of ``json_ready`` values as CSV, the one dialect of every command.
+
+    A null is NA, a list its JSON, anything else ``str()``: a float in its
+    shortest round-trip form. A cell with a comma or a quote is quoted.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        ["NA" if v is None else json.dumps(v) if isinstance(v, list) else str(v) for v in row]
+        for row in rows
+    )
+    return buf.getvalue()
 
 
 def _logsumexp(values) -> float:
@@ -270,7 +287,7 @@ def direction_kl_bound(xis, eps1, pair_size: int = 1) -> DirectionKlTerms:
 
     ``xis`` holds the ELBO proxy and ``eps1`` the conditional-KL bound of
     each direction; invalid directions must be left out by the caller.
-    Requires at least two directions and finite values. ``pair_size``
+    Requires at least two directions, finite ``xis`` and finite eps1^2. ``pair_size``
     declares the antithetic block structure so the standard errors respect
     the dependence inside each block.
 
@@ -288,8 +305,10 @@ def direction_kl_bound(xis, eps1, pair_size: int = 1) -> DirectionKlTerms:
     m = xis.shape[0]
     if m < 2:
         raise ValueError("need at least two directions")
-    if not (np.all(np.isfinite(xis)) and np.all(np.isfinite(eps1))):
-        raise ValueError("xis and eps1 must be finite (leave invalid directions out)")
+    with np.errstate(over="ignore"):  # an overflow is refused next, before it can warn
+        eps1_sq = eps1 * eps1
+    if not (np.all(np.isfinite(xis)) and np.all(np.isfinite(eps1_sq))):
+        raise ValueError("xis and eps1^2 must be finite (leave invalid directions out)")
     if pair_size < 1 or m % pair_size != 0:
         raise ValueError("pair_size must evenly divide the number of directions")
 
@@ -298,11 +317,11 @@ def direction_kl_bound(xis, eps1, pair_size: int = 1) -> DirectionKlTerms:
     exps = np.exp(2.0 * shifted)
     mean_exp, mean_shifted = exps.mean(), shifted.mean()
     e_term = float(0.5 * np.log(mean_exp) - mean_shifted)
-    eps1_term = float(np.mean(eps1**2))
+    eps1_term = float(np.mean(eps1_sq))
     cond_term = float(np.mean(eps1))
 
     n_blocks = m // pair_size
-    eps1_se = _mean_se((eps1 * eps1 + eps1).reshape(n_blocks, pair_size).mean(axis=1))
+    eps1_se = _mean_se((eps1_sq + eps1).reshape(n_blocks, pair_size).mean(axis=1))
     e_term_se = math.nan
     if n_blocks >= 2:
         kept = m - pair_size
@@ -446,6 +465,18 @@ def _logconcavity_check(model: TargetModel, fit: LaplaceFit, seed: int) -> dict:
     }
 
 
+def _finite_squares(values, where, what: str, n_directions: int):
+    """``values`` squared; AssumptionViolationError, before any warning, if not finite ``where``."""
+    with np.errstate(over="ignore"):
+        squares = values * values
+    if bad := np.count_nonzero(where & ~np.isfinite(squares)):
+        raise AssumptionViolationError(
+            f"non-finite {what} or its square on a sampled direction",
+            details={"nonfinite_directions": bad, "n_directions": n_directions},
+        )
+    return squares
+
+
 def audit(model: TargetModel, config: AuditConfig | None = None,
           fit: LaplaceFit | None = None) -> BoundReport:
     """Run the full certificate pipeline on one target.
@@ -466,9 +497,10 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
     Directions whose curvature floor is nonpositive, or whose ray values are
     not finite, are excluded from the detailed bound and counted in
     ``invalid_directions``; if fewer than two directions are valid an
-    AssumptionViolationError carries the partial report data. A model whose
-    ``ray_batch`` gives no delta4 bound gets ``approx_bound`` alone: the
-    detailed bound and its terms are NaN and ``invalid_directions`` is 0.
+    AssumptionViolationError carries the partial report data, as one does,
+    before any warning, for a delta3 or valid conditional-KL bound whose square
+    is not finite. A model whose ``ray_batch`` gives no delta4 bound gets
+    ``approx_bound`` alone: the detailed bound and its terms are NaN, ``invalid_directions`` 0.
     """
     config = config or AuditConfig()
     config.validate()
@@ -480,13 +512,7 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
         model, fit, config.n_directions // 2, config.seed, _DIR_STREAM, config.quadrature_nodes
     )
     d3 = batch.delta3
-    with np.errstate(over="ignore"):  # an overflow is refused below, before it can warn
-        delta3_sq = d3 * d3
-    if bad := np.count_nonzero(~np.isfinite(delta3_sq)):
-        raise AssumptionViolationError(
-            "non-finite delta3 or delta3^2 on a sampled direction",
-            details={"nonfinite_directions": bad, "n_directions": config.n_directions},
-        )
+    delta3_sq = _finite_squares(d3, True, "delta3", config.n_directions)
     mean_delta3_sq = float(delta3_sq.mean())
     # over one member of each antithetic pair, whose two delta3^2 are equal
     se_delta3_sq = _mean_se(delta3_sq[0::2])
@@ -497,8 +523,10 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
         mc = min_conditional_curvature(d, d3, d4)  # rejects a negative bound
         valid = mc > 0.0
         ckl = np.full(d3.shape, np.nan)
-        ckl[valid] = conditional_kl_bound(d, d3[valid], d4[valid], mc[valid])
+        with np.errstate(over="ignore"):  # an overflow is refused next
+            ckl[valid] = conditional_kl_bound(d, d3[valid], d4[valid], mc[valid])
         valid &= ~np.isnan(xi)
+        _finite_squares(ckl, valid, "conditional-KL bound", config.n_directions)
 
         invalid = int(np.count_nonzero(~valid))
         if np.count_nonzero(valid) < 2:

@@ -15,12 +15,10 @@ failure including usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
-from .bound import AuditConfig, audit, json_ready
+from .bound import AuditConfig, audit, csv_text, json_ready
 from .errors import (
     AssumptionViolationError,
     DimensionMismatchError,
@@ -69,21 +67,19 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit(payload: dict, out: str | None, fmt: str, pretty: bool) -> None:
+    """Write a ``json_ready`` payload as JSON, indented with ``pretty``, or as key/value CSV."""
     if fmt == "json":
         text = json.dumps(payload, indent=2 if pretty else None, allow_nan=False) + "\n"
     else:
-        # NA for an undefined number, as in the table CSV; a comma gets quoted
-        rows = [("key", "value")]
-        for key, value in _flatten(payload):
-            if value is None:
-                value = "NA"
-            elif isinstance(value, (list, tuple)):
-                value = json.dumps(value)
-            rows.append((key, value))
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-        text = buf.getvalue()
+        text = csv_text([("key", "value"), *_flatten(payload)])
     _write(text, out)
+
+
+def _add_output_flags(parser, fmt: str) -> None:
+    """``--out``, ``--format`` (``fmt`` by default) and ``--pretty``, which only indents JSON."""
+    parser.add_argument("--out")
+    parser.add_argument("--format", choices=("json", "csv"), default=fmt)
+    parser.add_argument("--pretty", action="store_true")
 
 
 def _add_model_flags(parser) -> None:
@@ -140,7 +136,7 @@ def _cmd_truth(args, parser) -> int:
 def _cmd_table(args, parser) -> int:
     report = run_experiment(ExperimentSpec.from_file(args.spec), jobs=args.jobs)
     if args.format == "csv":
-        _write(report.to_csv(pretty=args.pretty), args.out)
+        _write(report.to_csv(), args.out)
     else:
         _emit(report.to_json_dict(), args.out, "json", args.pretty)
     return EXIT_OK
@@ -164,25 +160,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p_audit)
     p_audit.add_argument("--directions", type=int, default=AuditConfig.n_directions)
     p_audit.add_argument("--nodes", type=int, default=AuditConfig.quadrature_nodes)
-    p_audit.add_argument("--out")
-    p_audit.add_argument("--format", choices=("json", "csv"), default="json")
-    p_audit.add_argument("--pretty", action="store_true")
+    _add_output_flags(p_audit, "json")
     p_audit.set_defaults(func=_cmd_audit)
 
     p_truth = sub.add_parser("truth", help="estimate the true KL(g, f) by sampling")
     _add_model_flags(p_truth)
     p_truth.add_argument("--mcmc-preset", choices=tuple(PRESETS), default="desk")
-    p_truth.add_argument("--out")
-    p_truth.add_argument("--format", choices=("json", "csv"), default="json")
-    p_truth.add_argument("--pretty", action="store_true")
+    _add_output_flags(p_truth, "json")
     p_truth.set_defaults(func=_cmd_truth)
 
     p_table = sub.add_parser("table", help="run an experiment grid from a JSON spec")
     p_table.add_argument("--spec", required=True)
     p_table.add_argument("--jobs", type=int, default=1)
-    p_table.add_argument("--out")
-    p_table.add_argument("--format", choices=("json", "csv"), default="csv")
-    p_table.add_argument("--pretty", action="store_true")
+    _add_output_flags(p_table, "csv")
     p_table.set_defaults(func=_cmd_table)
 
     return parser

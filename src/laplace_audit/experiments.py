@@ -9,9 +9,7 @@ each number stays attributable.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
 import numbers
@@ -20,7 +18,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .bound import AuditConfig, audit, json_ready
+from .bound import AuditConfig, audit, csv_text, json_ready
 from .errors import (
     AssumptionViolationError,
     MapNotConvergedError,
@@ -34,13 +32,6 @@ from .models import _synthetic_model
 _DATA_STREAM = 0
 _AUDIT_STREAM = 1
 _CHAIN_STREAM = 2
-
-# ReplicateResult fields, in the order of a replicate's CSV row; a row
-# aggregate fills the same columns with its medians and no error
-CSV_COLUMNS = (
-    "row", "replicate", "model", "d", "n", "sigma0", "seed",
-    "kl", "kl_se", "approx_bound", "detailed_bound", "efficiency", "status", "error",
-)
 
 
 @dataclass(frozen=True)
@@ -155,6 +146,8 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ReplicateResult:
+    """One grid cell, its fields the table's columns in order; what it did not compute is NaN."""
+
     row: int
     replicate: int
     model: str
@@ -162,17 +155,23 @@ class ReplicateResult:
     n: int
     sigma0: float
     seed: int
-    kl: float
-    kl_se: float
-    approx_bound: float
-    detailed_bound: float
-    efficiency: float
-    status: str
+    kl: float = math.nan
+    kl_se: float = math.nan
+    approx_bound: float = math.nan
+    detailed_bound: float = math.nan
+    efficiency: float = math.nan
+    status: str = "ok"
     error: str | None = None
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ReplicateResult))
+MEDIAN_COLUMNS = ("kl", "kl_se", "approx_bound", "detailed_bound", "efficiency")
 
 
 @dataclass(frozen=True)
 class RowAggregate:
+    """A grid row's cell counts and, as ``median_<column>``, each ``MEDIAN_COLUMNS`` median."""
+
     row: int
     model: str
     d: int
@@ -197,30 +196,23 @@ def _run_cell(spec: ExperimentSpec, row_idx: int, replicate: int) -> ReplicateRe
     data_seed = _cell_seed(spec.seed, row_idx, replicate, _DATA_STREAM)
     audit_seed = _cell_seed(spec.seed, row_idx, replicate, _AUDIT_STREAM)
     chain_seed = _cell_seed(spec.seed, row_idx, replicate, _CHAIN_STREAM)
-    nan = float("nan")
-    cell = dict(
-        row=row_idx, replicate=replicate, model=row.model, d=row.d, n=row.n,
-        sigma0=row.sigma0, seed=data_seed,
-    )
+    cell = dict(row=row_idx, replicate=replicate, seed=data_seed, **asdict(row))
     try:
         model = _synthetic_model(row.model, row.d, row.n, row.sigma0, data_seed)
         fit = fit_laplace(model)
         report = audit(model, spec.audit_config(audit_seed), fit=fit)
-        kl = kl_se = nan
+        kl = kl_se = math.nan
         if spec.estimate_truth:
             estimate = estimate_true_kl(model, fit, get_preset(spec.mcmc_preset, chain_seed))
             kl, kl_se = estimate.kl, estimate.standard_error
         approx = report.approx_bound
-        efficiency = kl / approx if (approx > 0 and math.isfinite(kl)) else nan
+        efficiency = kl / approx if (approx > 0 and math.isfinite(kl)) else math.nan
         return ReplicateResult(
             **cell, kl=kl, kl_se=kl_se, approx_bound=approx,
-            detailed_bound=report.detailed_bound, efficiency=efficiency, status="ok",
+            detailed_bound=report.detailed_bound, efficiency=efficiency,
         )
     except (AssumptionViolationError, MapNotConvergedError, NonFiniteObjectiveError) as exc:
-        return ReplicateResult(
-            **cell, kl=nan, kl_se=nan, approx_bound=nan, detailed_bound=nan, efficiency=nan,
-            status="failed", error=f"{type(exc).__name__}: {exc}",
-        )
+        return ReplicateResult(**cell, status="failed", error=f"{type(exc).__name__}: {exc}")
 
 
 def _median(values) -> float:
@@ -239,30 +231,16 @@ class ExperimentReport:
         """The report as a JSON payload; a NaN cell value (no truth, a failed cell) is null."""
         return json_ready(asdict(self))
 
-    def to_csv(self, pretty: bool = False) -> str:
-        """Replicate rows, then median rows; a cell formats its ``json_ready`` value, null as NA."""
-        def fmt(value) -> str:
-            if value is None:
-                return "NA"
-            if isinstance(value, float):
-                return f"{value:.6g}" if pretty else f"{value:.17g}"
-            return str(value)
-
-        buf = io.StringIO()
-        # quotes a cell, such as an error message, that holds a comma or a quote
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in self.replicates:
-            writer.writerow(map(fmt, json_ready([getattr(r, name) for name in CSV_COLUMNS])))
+    def to_csv(self) -> str:
+        """``CSV_COLUMNS`` rows: one per cell, then per grid row a median row filled by name."""
+        rows = [asdict(r) for r in self.replicates]
         for a in self.aggregates:
-            cells = (
-                a.row, "median", a.model, a.d, a.n, a.sigma0, "NA",
-                a.median_kl, a.median_kl_se, a.median_approx_bound,
-                a.median_detailed_bound, a.median_efficiency,
-                f"ok:{a.replicates - a.n_failed}/failed:{a.n_failed}", None,
-            )
-            writer.writerow(map(fmt, json_ready(cells)))
-        return buf.getvalue()
+            rows.append({
+                **asdict(a), "replicate": "median",
+                **{name: getattr(a, f"median_{name}") for name in MEDIAN_COLUMNS},
+                "status": f"ok:{a.replicates - a.n_failed}/failed:{a.n_failed}",
+            })
+        return csv_text([CSV_COLUMNS, *(json_ready([r.get(c) for c in CSV_COLUMNS]) for r in rows)])
 
 
 def spec_content_hash(spec: ExperimentSpec) -> str:
@@ -271,7 +249,7 @@ def spec_content_hash(spec: ExperimentSpec) -> str:
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
-    """Run every (row, replicate) cell and aggregate per-row medians.
+    """Run every (row, replicate) cell and take each row's ``MEDIAN_COLUMNS`` medians.
 
     The cells run on a pool of ``jobs`` threads (a ValueError when ``jobs``
     is below 1). They are independent and individually seeded, so ``jobs``
@@ -289,22 +267,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
     for row_idx, row in enumerate(spec.rows):
         mine = [r for r in results if r.row == row_idx]
         ok = [r for r in mine if r.status == "ok"]
-        aggregates.append(
-            RowAggregate(
-                row=row_idx,
-                model=row.model,
-                d=row.d,
-                n=row.n,
-                sigma0=row.sigma0,
-                replicates=len(mine),
-                n_failed=len(mine) - len(ok),
-                median_kl=_median([r.kl for r in ok]),
-                median_kl_se=_median([r.kl_se for r in ok]),
-                median_approx_bound=_median([r.approx_bound for r in ok]),
-                median_detailed_bound=_median([r.detailed_bound for r in ok]),
-                median_efficiency=_median([r.efficiency for r in ok]),
-            )
-        )
+        aggregates.append(RowAggregate(
+            row=row_idx, **asdict(row), replicates=len(mine), n_failed=len(mine) - len(ok),
+            **{f"median_{c}": _median([getattr(r, c) for r in ok]) for c in MEDIAN_COLUMNS},
+        ))
     return ExperimentReport(
         spec=spec.to_json_dict(),
         spec_sha256=sha256,

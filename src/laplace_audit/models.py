@@ -525,22 +525,37 @@ def save_dataset_csv(path, labels, covariates) -> None:
 def load_dataset_csv(path):
     """Read a ``y,x1,...,xd`` CSV back into (labels, covariates) by ``np.loadtxt``.
 
-    A header-only file is an empty dataset; a ragged row raises loadtxt's
-    ValueError, which names the row.
+    A header-only file is an empty dataset. A row not as wide as the header, a
+    cell not a number or a label not -1 or +1 is an error naming its file line.
     """
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().strip()
         names = header.split(",")
         if names != ["y"] + [f"x{j}" for j in range(1, len(names))]:
             raise ValueError(f"unrecognized dataset header: {header!r}")
-        rows = handle.read()
+        rows = handle.read().splitlines()
     # loadtxt warns on input without rows
     data = np.empty((0, len(names)))
-    if rows.strip():
-        data = np.loadtxt(rows.splitlines(), delimiter=",", comments=None, ndmin=2)
-    if data.shape[1] != len(names):
-        raise ValueError("row width does not match header")
-    y, x = data[:, 0], data[:, 1:]
-    if y.size and not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("labels must take values in {-1, +1}")
-    return y, x
+    try:
+        if any(line.strip() for line in rows):
+            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise _row_error(rows, len(names)) or exc from None
+    if data.shape[1] != len(names) or not np.all(np.isin(data[:, 0], (-1.0, 1.0))):
+        raise _row_error(rows, len(names))
+    return data[:, 0], data[:, 1:]
+
+
+def _row_error(rows, width: int) -> ValueError | None:
+    """The error naming the first bad row of ``rows``, file line 2 on; None if there is none."""
+    for line_no, line in enumerate(rows, start=2):
+        cells = line.split(",") if line else []  # loadtxt skips an empty line
+        if cells and len(cells) != width:
+            return ValueError(f"line {line_no} has {len(cells)} cells, the header {width}")
+        for column, cell in enumerate(cells, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                return ValueError(f"line {line_no}, column {column}: {cell!r} is not a number")
+            if column == 1 and value not in (-1.0, 1.0):
+                return ValueError(f"line {line_no}: labels must take values in {{-1, +1}}")

@@ -505,6 +505,10 @@ class TestDirectionKlBound:
             direction_kl_bound(np.zeros(2), np.array([0.0, np.nan]))
         with pytest.raises(ValueError, match="finite"):
             direction_kl_bound(np.array([np.inf, 0.0]), np.zeros(2))
+        # a square that overflows is refused before it warns (tier-1 raises warnings)
+        for big in (1e200, -1e160):
+            with pytest.raises(ValueError, match=r"eps1\^2 must be finite"):
+                direction_kl_bound(np.zeros(4), np.array([0.1, big, 0.2, 0.3]), pair_size=2)
         with pytest.raises(ValueError, match="pair_size"):
             direction_kl_bound(np.zeros(6), np.zeros(6), pair_size=4)
 
@@ -734,6 +738,25 @@ class TestAudit:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(AssumptionViolationError, match="non-finite delta3") as exc_info:
+                audit(model, AuditConfig(n_directions=16, seed=1), fit=fit)
+        assert exc_info.value.details == {"nonfinite_directions": 16, "n_directions": 16}
+
+    def test_conditional_kl_bound_whose_square_overflows_is_an_assumption_violation(self):
+        # delta3 = 1e100 has a finite square, but the conditional-KL bound,
+        # about delta3^2 E[r^5], overflowed when squared, with a warning
+        class HugeDelta3(SoftplusTilt1D):
+            def ray_derivatives(self, base, direction, r=0.0, max_order=4):
+                out = super().ray_derivatives(base, direction, r, max_order)
+                out[..., 2] = 1e100
+                return out
+
+        model = HugeDelta3(1.0)
+        fit = fit_laplace(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(
+                AssumptionViolationError, match="non-finite conditional-KL bound"
+            ) as exc_info:
                 audit(model, AuditConfig(n_directions=16, seed=1), fit=fit)
         assert exc_info.value.details == {"nonfinite_directions": 16, "n_directions": 16}
 

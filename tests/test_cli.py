@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from laplace_audit import cli, experiments, models, random_gaussian_model
 from laplace_audit.cli import main
 from laplace_audit.experiments import (
     CSV_COLUMNS,
+    MEDIAN_COLUMNS,
     ExperimentReport,
     ExperimentSpec,
     ReplicateResult,
@@ -213,8 +215,70 @@ class TestTableCommand:
         (header, row) = csv.reader(io.StringIO(text))
         assert len(row) == len(header) == len(CSV_COLUMNS)
         assert row[-1] == message
-        # the numeric cells are written as before
-        assert text.splitlines()[1].startswith("0,0,gaussian,1,0,1,3,NA,NA,NA,NA,NA,failed,")
+        # each numeric cell is its str(), a NaN one NA
+        assert text.splitlines()[1].startswith("0,0,gaussian,1,0,1.0,3,NA,NA,NA,NA,NA,failed,")
+
+    def test_medians_fill_their_own_columns_beside_a_failed_cell(self, monkeypatch):
+        # an infinite tail fails the gaussian row's cells; the logistic row runs
+        monkeypatch.setattr(models, "random_gaussian_model", _inf_tail_gaussian)
+        spec = ExperimentSpec.from_json_dict(
+            {
+                "rows": [
+                    {"d": 1, "n": 0, "sigma0": 1.0, "model": "gaussian"},
+                    {"d": 2, "n": 20, "sigma0": 5.0},
+                ],
+                "replicates": 2,
+                "seed": 3,
+                "n_directions": 16,
+            }
+        )
+        report = run_experiment(spec)
+        rows = list(csv.DictReader(io.StringIO(report.to_csv())))
+        assert [r["replicate"] for r in rows] == ["0", "1", "0", "1", "median", "median"]
+        failed = [r for r in rows[:4] if r["status"] == "failed"]
+        assert failed and all(r["row"] == "0" and r["error"] != "NA" for r in failed)
+        for r in failed:
+            assert [r[c] for c in MEDIAN_COLUMNS] == ["NA"] * len(MEDIAN_COLUMNS)
+        for aggregate, r in zip(report.aggregates, rows[4:]):
+            assert r["status"] == f"ok:{2 - aggregate.n_failed}/failed:{aggregate.n_failed}"
+            assert r["seed"] == r["error"] == "NA" and r["sigma0"] == str(aggregate.sigma0)
+            for c in MEDIAN_COLUMNS:
+                value = getattr(aggregate, f"median_{c}")
+                assert r[c] == ("NA" if math.isnan(value) else str(value)), c
+        # the logistic row's five medians differ, so one under another's column shows
+        assert len({rows[5][c] for c in MEDIAN_COLUMNS}) == len(MEDIAN_COLUMNS)
+
+    def test_pretty_csv_equals_csv(self, tmp_path):
+        # --pretty only indents JSON
+        spec = _write_spec(tmp_path / "spec.json")
+        plain, pretty = tmp_path / "plain.csv", tmp_path / "pretty.csv"
+        assert main(["table", "--spec", str(spec), "--out", str(plain)]) == 0
+        assert main(["table", "--spec", str(spec), "--pretty", "--out", str(pretty)]) == 0
+        assert pretty.read_bytes() == plain.read_bytes()
+
+    def test_a_float_cell_is_its_str_in_every_csv(self, tmp_path, capsys):
+        # the table CSV and the key/value CSV of audit and truth share one cell rule
+        for value in (0.1, 1.0, 1e-300, 2.0**-1074, 123456789.12345679, 1e22, -2.5e-8):
+            cli._emit({"x": value}, None, "csv", False)
+            (_, (_, flat)) = csv.reader(io.StringIO(capsys.readouterr().out))
+            cell = ReplicateResult(0, 0, "logistic", 1, 1, value, 0, kl=value)
+            (_, row) = csv.reader(io.StringIO(ExperimentReport({}, "", (cell,), ()).to_csv()))
+            assert flat == row[CSV_COLUMNS.index("kl")] == row[CSV_COLUMNS.index("sigma0")]
+            assert flat == str(value)
+        args = ["audit", "--d", "3", "--n", "40", "--seed", "1", "--directions", "16"]
+        assert main(args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(args + ["--format", "csv"]) == 0
+        cells = dict(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert cells["approx_bound"] == str(payload["approx_bound"])
+        assert cells["term_breakdown.e_term"] == str(payload["term_breakdown"]["e_term"])
+        spec = _write_spec(tmp_path / "spec.json")
+        assert main(["table", "--spec", str(spec), "--format", "json"]) == 0
+        (first, *_) = json.loads(capsys.readouterr().out)["replicates"]
+        assert main(["table", "--spec", str(spec)]) == 0
+        (row, *_) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["approx_bound"] == str(first["approx_bound"])
+        assert row["detailed_bound"] == str(first["detailed_bound"])
 
     def test_table_json_contains_replicates_and_hash(self, tmp_path):
         spec = _write_spec(tmp_path / "spec.json")

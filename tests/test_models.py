@@ -672,13 +672,33 @@ class TestCsvRoundTrip:
     def test_ragged_row_names_the_row(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("y,x1,x2\n1,0.5,0.25\n-1,0.5\n")
-        with pytest.raises(ValueError, match="at row 2"):
+        with pytest.raises(ValueError, match="line 3 has 2 cells"):
             load_dataset_csv(path)
 
     def test_rows_of_the_wrong_width(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("y,x1\n1,0.5,0.25\n-1,0.5,0.75\n")
-        with pytest.raises(ValueError, match="row width does not match header"):
+        with pytest.raises(ValueError, match="line 2 has 3 cells"):
+            load_dataset_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("y,x1,x2\n1,0.5,0.25\n\n-1,0.5\n", "line 4 has 2 cells"),
+            ("y,x1\n\n\n1,0.5,0.25\n-1,0.5,0.75\n", "line 4 has 3 cells"),
+            ("y,x1\n1,0.5\n-1,b\n", "line 3, column 2: 'b' is not a number"),
+            ("y,x1\n\n-1,b\n", "line 3, column 2: 'b' is not a number"),
+            ("y,x1,x2\n\n1,0.5,0.25\n\n-1,,0.5\n", "line 5, column 2: '' is not a number"),
+            ("y,x1\n1,0.5\n\n0.5,1.0\n", "line 4: labels must take values"),
+        ],
+        ids=["ragged_after_blank", "wide_after_blanks", "cell", "cell_after_blank",
+             "empty_cell", "label_after_blank"],
+    )
+    def test_row_errors_name_the_file_line(self, tmp_path, text, message):
+        # the header is line 1 and blank lines count, as an editor shows them
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
             load_dataset_csv(path)
 
 
