@@ -165,12 +165,11 @@ class ReplicateResult:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(ReplicateResult))
-MEDIAN_COLUMNS = ("kl", "kl_se", "approx_bound", "detailed_bound", "efficiency")
 
 
 @dataclass(frozen=True)
 class RowAggregate:
-    """A grid row's cell counts and, as ``median_<column>``, each ``MEDIAN_COLUMNS`` median."""
+    """A grid row's cell counts and, as a ``median_<column>`` field, each column's median."""
 
     row: int
     model: str
@@ -184,6 +183,11 @@ class RowAggregate:
     median_approx_bound: float
     median_detailed_bound: float
     median_efficiency: float
+
+
+MEDIAN_COLUMNS = tuple(
+    f.name.removeprefix("median_") for f in fields(RowAggregate) if f.name.startswith("median_")
+)
 
 
 def _cell_seed(base: int, row: int, replicate: int, stream: int) -> int:

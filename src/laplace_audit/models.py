@@ -523,39 +523,34 @@ def save_dataset_csv(path, labels, covariates) -> None:
 
 
 def load_dataset_csv(path):
-    """Read a ``y,x1,...,xd`` CSV back into (labels, covariates) by ``np.loadtxt``.
+    """Read a ``y,x1,...,xd`` CSV back into (labels, covariates), one line at a time.
 
-    A header-only file is an empty dataset. A row not as wide as the header, a
-    cell not a number or a label not -1 or +1 is an error naming its file line.
+    Blank lines are skipped, so a header-only file is an empty dataset. A row
+    not as wide as the header, a cell that ``float()`` does not read or a label
+    not -1 or +1 is an error naming its file line (the header is line 1).
     """
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().strip()
         names = header.split(",")
         if names != ["y"] + [f"x{j}" for j in range(1, len(names))]:
             raise ValueError(f"unrecognized dataset header: {header!r}")
-        rows = handle.read().splitlines()
-    # loadtxt warns on input without rows
-    data = np.empty((0, len(names)))
-    try:
-        if any(line.strip() for line in rows):
-            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise _row_error(rows, len(names)) or exc from None
-    if data.shape[1] != len(names) or not np.all(np.isin(data[:, 0], (-1.0, 1.0))):
-        raise _row_error(rows, len(names))
-    return data[:, 0], data[:, 1:]
-
-
-def _row_error(rows, width: int) -> ValueError | None:
-    """The error naming the first bad row of ``rows``, file line 2 on; None if there is none."""
-    for line_no, line in enumerate(rows, start=2):
-        cells = line.split(",") if line else []  # loadtxt skips an empty line
-        if cells and len(cells) != width:
-            return ValueError(f"line {line_no} has {len(cells)} cells, the header {width}")
+        lines = handle.read().splitlines()
+    rows = []
+    for line_no, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(names):
+            raise ValueError(f"line {line_no} has {len(cells)} cells, the header {len(names)}")
+        row = []
         for column, cell in enumerate(cells, start=1):
             try:
-                value = float(cell)
+                row.append(float(cell))
             except ValueError:
-                return ValueError(f"line {line_no}, column {column}: {cell!r} is not a number")
-            if column == 1 and value not in (-1.0, 1.0):
-                return ValueError(f"line {line_no}: labels must take values in {{-1, +1}}")
+                message = f"line {line_no}, column {column}: {cell!r} is not a number"
+                raise ValueError(message) from None
+        if row[0] not in (-1.0, 1.0):
+            raise ValueError(f"line {line_no}: labels must take values in {{-1, +1}}")
+        rows.append(row)
+    data = np.array(rows, dtype=float).reshape(-1, len(names))
+    return data[:, 0], data[:, 1:]

@@ -669,6 +669,13 @@ class TestCsvRoundTrip:
         y, x = load_dataset_csv(path)
         assert y.shape == (0,) and x.shape == (0, 2)
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blanks.csv"
+        path.write_text("y,x1\n\n1,0.5\n  \n-1,0.25\n\n")
+        y, x = load_dataset_csv(path)
+        np.testing.assert_array_equal(y, [1.0, -1.0])
+        np.testing.assert_array_equal(x, [[0.5], [0.25]])
+
     def test_ragged_row_names_the_row(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("y,x1,x2\n1,0.5,0.25\n-1,0.5\n")
