@@ -53,13 +53,12 @@ from .laplace import LaplaceFit, fit_laplace, logconcavity_spotcheck
 from .models import TargetModel
 from .radial import (
     QUADRATURE_NODES,
+    _stream_rng,
     chi_moment,
     chi_quadrature,
     radial_min_curvature,
     sample_direction_pairs,
 )
-
-_DIR_STREAM = 1
 
 
 def json_ready(value):
@@ -106,10 +105,12 @@ def _mean_se(values: np.ndarray) -> float:
 
     The one standard-error rule of the certificate and the truth. The
     variance is taken around the first value, so equal values give exactly
-    0; fewer than two values give NaN.
+    0; fewer than two values give NaN. Squared deviations past the float
+    range give inf, without a warning, for the caller to refuse.
     """
     n = values.shape[0]
-    return float(np.sqrt((values - values[0]).var(ddof=1) / n)) if n > 1 else math.nan
+    with np.errstate(over="ignore"):
+        return float(np.sqrt((values - values[0]).var(ddof=1) / n)) if n > 1 else math.nan
 
 
 def _curvature_floor_poly(r, d, d3, d4):
@@ -241,15 +242,14 @@ def conditional_kl_bound(d: int, delta3, delta4, min_curvature):
 def _direction_pass(model: TargetModel, fit: LaplaceFit, n_pairs, seed, stream, nodes):
     """The direction pass of the certificate and the truth: ``(vs, rs, batch, xi)``.
 
-    ``n_pairs`` antithetic pairs from ``SeedSequence(seed, spawn_key=(stream,))``,
+    ``n_pairs`` antithetic pairs from ``radial._stream_rng(seed, stream)``,
     whitened by S, are the rows of ``vs``; one ``model.ray_batch`` call
     evaluates phi on the ``nodes``-node Gauss-chi rule ``rs``. ``xi`` is the
     ELBO proxy per direction: NaN on a row with a non-finite ray value, and
     the exact limit 0, without its values, on a row with delta3 = delta4 = 0,
     whose ray is phi* + r^2 / 2; a ``batch`` with no delta4 bound has no such row.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
-    vs = sample_direction_pairs(fit.dim, n_pairs, rng) @ fit.sqrt_covariance
+    vs = sample_direction_pairs(fit.dim, n_pairs, _stream_rng(seed, stream)) @ fit.sqrt_covariance
     rs, ws = chi_quadrature(fit.dim, nodes)
     batch = model.ray_batch(fit.theta_star, vs, rs)
     finite = np.all(np.isfinite(batch.values), axis=1)
@@ -287,9 +287,11 @@ def direction_kl_bound(xis, eps1, pair_size: int = 1) -> DirectionKlTerms:
 
     ``xis`` holds the ELBO proxy and ``eps1`` the conditional-KL bound of
     each direction; invalid directions must be left out by the caller.
-    Requires at least two directions, finite ``xis`` and finite eps1^2. ``pair_size``
-    declares the antithetic block structure so the standard errors respect
-    the dependence inside each block.
+    Requires at least two directions, finite ``xis`` and finite eps1^2, whose
+    mean and standard error must not overflow either: each is a ValueError,
+    raised before any overflow warning. ``pair_size`` declares the antithetic
+    block structure so the standard errors respect the dependence inside
+    each block.
 
     Both standard errors follow ``_mean_se``, so equal blocks give exactly 0.
     ``eps1_correction_se`` is it over the block means of eps1^2 + eps1;
@@ -307,21 +309,25 @@ def direction_kl_bound(xis, eps1, pair_size: int = 1) -> DirectionKlTerms:
         raise ValueError("need at least two directions")
     with np.errstate(over="ignore"):  # an overflow is refused next, before it can warn
         eps1_sq = eps1 * eps1
+        eps1_term = float(np.mean(eps1_sq))
     if not (np.all(np.isfinite(xis)) and np.all(np.isfinite(eps1_sq))):
         raise ValueError("xis and eps1^2 must be finite (leave invalid directions out)")
     if pair_size < 1 or m % pair_size != 0:
         raise ValueError("pair_size must evenly divide the number of directions")
+    n_blocks = m // pair_size
+    eps1_se = math.inf
+    if math.isfinite(eps1_term):  # then every block mean is finite too
+        eps1_se = _mean_se((eps1_sq + eps1).reshape(n_blocks, pair_size).mean(axis=1))
+    if math.isinf(eps1_se):
+        raise ValueError("the mean of eps1^2 or its standard error overflows")
 
     # centered on the maximum, which is exact, so constant xis give exactly 0
     shifted = xis - xis.max()
     exps = np.exp(2.0 * shifted)
     mean_exp, mean_shifted = exps.mean(), shifted.mean()
     e_term = float(0.5 * np.log(mean_exp) - mean_shifted)
-    eps1_term = float(np.mean(eps1_sq))
     cond_term = float(np.mean(eps1))
 
-    n_blocks = m // pair_size
-    eps1_se = _mean_se((eps1_sq + eps1).reshape(n_blocks, pair_size).mean(axis=1))
     e_term_se = math.nan
     if n_blocks >= 2:
         kept = m - pair_size
@@ -365,13 +371,18 @@ def approximate_bound(mean_delta3_sq: float, d: int) -> float:
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Settings for the end-to-end certificate pipeline; the counts and the seed are integers."""
+    """Settings for the end-to-end certificate pipeline, checked when built.
+
+    ``n_directions`` is an even integer >= 2, ``quadrature_nodes`` an
+    integer >= 16 and ``seed`` an integer >= 0; anything else, through
+    ``dataclasses.replace`` too, is a ValueError.
+    """
 
     n_directions: int = 256
     quadrature_nodes: int = QUADRATURE_NODES
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         message = "n_directions must be an even integer >= 2"
         _check_integer(self.n_directions, 2, message)
         if self.n_directions % 2:
@@ -499,23 +510,29 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
     ``invalid_directions``; if fewer than two directions are valid an
     AssumptionViolationError carries the partial report data, as one does,
     before any warning, for a delta3 or valid conditional-KL bound whose square
-    is not finite. A model whose ``ray_batch`` gives no delta4 bound gets
-    ``approx_bound`` alone: the detailed bound and its terms are NaN, ``invalid_directions`` 0.
+    is not finite, or whose squares' mean or standard error overflows. A
+    model whose ``ray_batch`` gives no delta4 bound gets ``approx_bound``
+    alone: the detailed bound and its terms are NaN, ``invalid_directions`` 0.
     """
     config = config or AuditConfig()
-    config.validate()
     if fit is None:
         fit = fit_laplace(model)
     spotcheck = _logconcavity_check(model, fit, config.seed)
     d = model.dim
     _, _, batch, xi = _direction_pass(
-        model, fit, config.n_directions // 2, config.seed, _DIR_STREAM, config.quadrature_nodes
+        model, fit, config.n_directions // 2, config.seed, "directions", config.quadrature_nodes
     )
     d3 = batch.delta3
     delta3_sq = _finite_squares(d3, True, "delta3", config.n_directions)
-    mean_delta3_sq = float(delta3_sq.mean())
+    with np.errstate(over="ignore"):  # an overflow is refused next, before it can warn
+        mean_delta3_sq = float(delta3_sq.mean())
     # over one member of each antithetic pair, whose two delta3^2 are equal
     se_delta3_sq = _mean_se(delta3_sq[0::2])
+    if math.isinf(mean_delta3_sq) or math.isinf(se_delta3_sq):
+        raise AssumptionViolationError(
+            "the mean of delta3^2 or its standard error overflows",
+            details={"n_directions": config.n_directions},
+        )
 
     d4 = batch.delta4
     terms, invalid = _NO_DETAILED_TERMS, 0
@@ -538,7 +555,12 @@ def audit(model: TargetModel, config: AuditConfig | None = None,
                     "mean_delta3_sq": mean_delta3_sq,
                 },
             )
-        terms = direction_kl_bound(xi[valid], ckl[valid], pair_size=2 if invalid == 0 else 1)
+        try:
+            terms = direction_kl_bound(xi[valid], ckl[valid], pair_size=2 if invalid == 0 else 1)
+        except ValueError as exc:  # the target's terms overflow a mean or standard error
+            raise AssumptionViolationError(
+                str(exc), details={"n_directions": config.n_directions}
+            ) from None
 
     report = BoundReport(
         d=d,

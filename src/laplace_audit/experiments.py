@@ -36,12 +36,14 @@ _CHAIN_STREAM = 2
 
 @dataclass(frozen=True)
 class ExperimentRow:
+    """One grid row, checked when built: a known model, integer sizes, a finite positive sigma0."""
+
     d: int
     n: int
     sigma0: float
     model: str = "logistic"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.model not in ("logistic", "gaussian"):
             raise ValueError(f"row model must be 'logistic' or 'gaussian', got {self.model!r}")
         _check_integer(self.d, 1, "row d must be an integer >= 1")
@@ -93,6 +95,13 @@ def _check_keys(kind, payload, what: str) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """A grid: rows, replicates, base seed and the audit and truth settings of every cell.
+
+    Every setting is checked when the spec is built, so before any cell
+    runs, truth or not. A spec built in Python gets the value types a JSON
+    spec gets, after the integer checks, whose messages say more.
+    """
+
     rows: tuple
     replicates: int
     seed: int
@@ -101,22 +110,16 @@ class ExperimentSpec:
     mcmc_preset: str = "desk"
     estimate_truth: bool = True
 
-    def validate(self) -> None:
-        """Check every setting before any cell runs, truth or not.
-
-        A spec built in Python gets the value types a JSON spec gets, after
-        the integer checks, whose messages say more.
-        """
+    def __post_init__(self) -> None:
         if not self.rows:
             raise ValueError("spec needs at least one row")
         _check_integer(self.replicates, 1, "replicates must be an integer >= 1")
         _check_integer(self.seed, 0, "seed must be an integer >= 0")
-        self.audit_config(0).validate()
+        self.audit_config(0)  # an AuditConfig checks the direction and node counts
         _check_types(ExperimentSpec, vars(self), "spec")
         for row in self.rows:
             if not isinstance(row, ExperimentRow):
                 raise ValueError(f"each row must be an ExperimentRow, got {row!r}")
-            row.validate()
         get_preset(self.mcmc_preset)
 
     def audit_config(self, seed: int) -> AuditConfig:
@@ -134,9 +137,7 @@ class ExperimentSpec:
         rows = tuple(
             ExperimentRow(**_check_keys(ExperimentRow, row, "row")) for row in payload["rows"]
         )
-        spec = cls(**{**payload, "rows": rows})
-        spec.validate()
-        return spec
+        return cls(**{**payload, "rows": rows})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentSpec":
@@ -261,7 +262,6 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
     order whatever order they finish in. Per-cell failures are recorded in
     the report and do not stop the run. The spec is hashed before any cell.
     """
-    spec.validate()
     sha256 = spec_content_hash(spec)
     cells = [(r, k) for r in range(len(spec.rows)) for k in range(spec.replicates)]
     with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -20,6 +20,7 @@ from .errors import (
     NonFiniteObjectiveError,
 )
 from .models import TargetModel
+from .radial import _stream_rng
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -226,7 +227,7 @@ def logconcavity_spotcheck(
     ``hessian_eigenvalue_floor``; for one with it, log-concavity is proven
     and nothing is sampled.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
+    rng = _stream_rng(seed, "spotcheck")
     eta = rng.standard_normal((n_points, fit.dim))
     points = fit.theta_star + radius_multiplier * (eta @ fit.sqrt_covariance)
     hessians = np.array([model.hessian(point) for point in points]).reshape(

@@ -26,7 +26,7 @@ from .bound import _direction_pass, _logsumexp, _mean_se, json_ready
 from .errors import DimensionMismatchError, NonFiniteObjectiveError, _check_integer
 from .laplace import LOG_2PI, LaplaceFit, laplace_log_density
 from .models import TargetModel
-from .radial import QUADRATURE_NODES
+from .radial import QUADRATURE_NODES, _stream_rng
 
 # independent chains advanced together; ChainConfig.n_steps is their total
 N_CHAINS = 40
@@ -41,8 +41,11 @@ BURN_IN_FRACTION = 0.1
 ACCEPT_RATE_LOW = 0.05
 ACCEPT_RATE_HIGH = 0.7
 
-_CHAIN_STREAM = 2
-_KL_STREAM = 3
+
+def _check_k2(k2) -> None:
+    """ValueError unless ``k2`` is an integer phi budget of at least two direction pairs."""
+    least = 4 * QUADRATURE_NODES
+    _check_integer(k2, least, f"k2 must be an integer >= {least} (two direction pairs)")
 
 
 @dataclass(frozen=True)
@@ -50,13 +53,14 @@ class ChainConfig:
     """Settings of the delayed-acceptance chain of ``run_chain``.
 
     ``n_steps`` is the total over the ``N_CHAINS`` chains and must be a
-    multiple of it; both counts and the seed are integers. Each chain
+    multiple of it; both counts and the seed are integers, checked when the
+    config is built (``dataclasses.replace`` too). Each chain
     discards the first ``BURN_IN_FRACTION`` of its steps and keeps every
     ``thin``-th state after.
     ``n_steps / thin`` must be at least 100; that rule counts steps over all
     chains, not kept states, but with ``N_CHAINS`` = 40 it bounds ``thin``
     by 0.4 of each chain's steps and so puts each chain's first kept step
-    below half of them: every valid config keeps a state of every chain.
+    below half of them: every config keeps a state of every chain.
     ``seed`` fixes the whole stream that ``run_chain`` documents (starts,
     jumps and the two uniforms of each step), so a seed gives the same
     chain on every run.
@@ -66,7 +70,7 @@ class ChainConfig:
     thin: int
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check_integer(self.n_steps, 1, "n_steps must be a positive integer")
         if self.n_steps % N_CHAINS:
             raise ValueError(f"n_steps must be a multiple of {N_CHAINS} (the chain count)")
@@ -88,12 +92,17 @@ class TruthPreset:
     """Bundled chain settings and phi-evaluation budget for the KL ground truth.
 
     ``k2`` counts the phi evaluations of ``estimate_kl``: ``QUADRATURE_NODES``
-    per direction, over k2 // (2 ``QUADRATURE_NODES``) antithetic pairs.
+    per direction, over k2 // (2 ``QUADRATURE_NODES``) antithetic pairs. It
+    takes ``estimate_kl``'s rule, checked when the preset is built, so a bad
+    budget is refused before any chain step.
     """
 
     name: str
     chain: ChainConfig
     k2: int
+
+    def __post_init__(self) -> None:
+        _check_k2(self.k2)
 
 
 # the named truth presets: (chain steps, thinning, phi evaluations k2 of estimate_kl)
@@ -221,12 +230,11 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
     passed both stages; a rate outside [0.05, 0.7] attaches a warning to the
     result rather than failing.
     """
-    config.validate()
     d = model.dim
     if fit.dim != d:
         raise DimensionMismatchError("fit dimension does not match the model")
     scale = 2.38 / np.sqrt(d)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_CHAIN_STREAM,)))
+    rng = _stream_rng(config.seed, "chain")
     steps = config.n_steps // N_CHAINS
     keep = config._kept_steps().tolist()
     out = np.empty((N_CHAINS, len(keep), d))
@@ -362,11 +370,10 @@ def estimate_kl(
         raise ValueError("log_inv_z must be finite")
     if not (np.isfinite(inv_z_rel_se) and inv_z_rel_se >= 0):
         raise ValueError("inv_z_rel_se must be finite and nonnegative")
-    least = 4 * QUADRATURE_NODES
-    _check_integer(k2, least, f"k2 must be an integer >= {least} (two direction pairs)")
+    _check_k2(k2)
     _check_integer(seed, 0, "seed must be an integer >= 0")
     n_pairs = k2 // (2 * QUADRATURE_NODES)
-    vs, rs, batch, xi = _direction_pass(model, fit, n_pairs, seed, _KL_STREAM, QUADRATURE_NODES)
+    vs, rs, batch, xi = _direction_pass(model, fit, n_pairs, seed, "kl", QUADRATURE_NODES)
     bad = np.flatnonzero(~np.isfinite(batch.values))
     if bad.size:
         row, node = divmod(int(bad[0]), QUADRATURE_NODES)

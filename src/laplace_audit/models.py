@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UnsupportedOrderError
+from .errors import DimensionMismatchError, UnsupportedOrderError, _check_integer
+from .radial import _stream_rng
 
 # max_t |d^4/dt^4 log(1 + exp(-t))| — attained at t = 0; validated against a
 # grid-maximization oracle in the test suite.
@@ -458,12 +459,19 @@ class SyntheticDatasetConfig:
 
     Covariates are i.i.d. standard normal; the true parameter is drawn with
     per-coordinate variance d^(-1/2) so margins stay order one regardless of
-    dimension; labels follow the logistic law at the true parameter.
+    dimension; labels follow the logistic law at the true parameter. ``d``
+    is an integer >= 1, ``n`` and ``seed`` integers >= 0, checked when the
+    config is built.
     """
 
     d: int
     n: int
     seed: int
+
+    def __post_init__(self) -> None:
+        _check_integer(self.d, 1, "d must be an integer >= 1")
+        _check_integer(self.n, 0, "n must be an integer >= 0")
+        _check_integer(self.seed, 0, "seed must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -478,11 +486,7 @@ class LogisticDataset:
 
 def generate_dataset(config: SyntheticDatasetConfig) -> LogisticDataset:
     """Draw a synthetic logistic-regression dataset, bit-reproducible per seed."""
-    if config.d < 1:
-        raise ValueError("d must be >= 1")
-    if config.n < 0:
-        raise ValueError("n must be >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    rng = _stream_rng(config.seed, "dataset")
     theta_true = rng.standard_normal(config.d) * config.d ** (-0.25)
     x = rng.standard_normal((config.n, config.d))
     p_plus = _expit(x @ theta_true)
@@ -499,7 +503,7 @@ def random_gaussian_model(d: int, seed: int) -> GaussianModel:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(6,)))
+    rng = _stream_rng(seed, "gaussian_model")
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     q = q * np.sign(np.diag(r))
     lam = np.exp(rng.uniform(np.log(0.5), np.log(2.0), d))

@@ -6,7 +6,8 @@ with d degrees of freedom. Remapping the radius as z = sqrt(r) compresses the
 tail enough that the negative log-density of z is strongly convex, which is
 what the conditional KL machinery exploits. This module provides the sphere
 sampler, chi moments, the chi quadrature rule that averages over the radius
-and the curvature floor of the z-law. The rule is the Gauss rule of the chi
+and the curvature floor of the z-law, and the one table of the package's
+seeded streams (``_STREAMS``). The rule is the Gauss rule of the chi
 weight itself (``QUADRATURE_NODES`` = 16 nodes by default), built by the
 Golub-Welsch method (Math. Comp. 23 (1969) 221) from the Jacobi matrix that
 a discretized Lanczos procedure gives (Gautschi, Orthogonal Polynomials:
@@ -32,6 +33,23 @@ from numpy.polynomial.legendre import leggauss
 from .errors import _check_integer
 
 LOG_2 = math.log(2.0)
+
+# the spawn key of every seeded stream of the package, so that no two share
+# one: the synthetic dataset draws from the seed's root sequence (key ()),
+# each other stream from its own child (5 was a removed stream's)
+_STREAMS = {
+    "dataset": (),
+    "directions": (1,),
+    "chain": (2,),
+    "kl": (3,),
+    "spotcheck": (4,),
+    "gaussian_model": (6,),
+}
+
+
+def _stream_rng(seed: int, stream: str) -> np.random.Generator:
+    """The generator of ``stream`` for ``seed``, from its ``_STREAMS`` spawn key."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=_STREAMS[stream]))
 
 
 def sample_direction(d: int, rng: np.random.Generator) -> np.ndarray:

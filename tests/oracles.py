@@ -36,7 +36,7 @@ from scipy.special import expit, gammaln
 from laplace_audit import AssumptionViolationError, NonFiniteObjectiveError, models
 from laplace_audit.laplace import laplace_log_density
 from laplace_audit.models import GaussianModel, TargetModel
-from laplace_audit.radial import LOG_2, QUADRATURE_NODES, chi_quadrature
+from laplace_audit.radial import _STREAMS, LOG_2, QUADRATURE_NODES, chi_quadrature
 
 
 def central_directional(f, theta, v, h=1e-5):
@@ -94,9 +94,7 @@ def replay_chain(model: TargetModel, fit, config):
     d, chains = model.dim, mcmc.N_CHAINS
     steps = config.n_steps // chains
     scale = 2.38 / np.sqrt(d)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(config.seed, spawn_key=(mcmc._CHAIN_STREAM,))
-    )
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=_STREAMS["chain"]))
     starts = rng.standard_normal((chains, d))
     normals, uniforms = [], []
     for done in range(0, steps, mcmc.BLOCK_STEPS):
@@ -184,9 +182,7 @@ def fresh_draw_kl(model: TargetModel, fit, k2: int, seed: int = 0, *, log_inv_z:
     ``neg_log_density_many``, so no ray pass is involved. A non-finite
     log g + phi raises NonFiniteObjectiveError.
     """
-    from laplace_audit import mcmc
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(mcmc._KL_STREAM,)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=_STREAMS["kl"]))
     eta = rng.standard_normal((k2, fit.dim))
     thetas = fit.theta_star + eta @ fit.sqrt_covariance
     vals = laplace_log_density(fit, thetas) + model.neg_log_density_many(thetas)

@@ -34,6 +34,7 @@ from laplace_audit import (
 )
 from laplace_audit import bound as bound_module
 from laplace_audit.bound import _curvature_floor_poly, _positive_root, json_ready
+from laplace_audit.radial import _STREAMS
 
 from oracles import (
     CubicRay1D,
@@ -310,12 +311,12 @@ class TestConditionalKlBound:
         model, fit = request.getfixturevalue(cell)
         config = AuditConfig()
         vs, _, batch, xi_audit = bound_module._direction_pass(
-            model, fit, config.n_directions // 2, config.seed, bound_module._DIR_STREAM,
+            model, fit, config.n_directions // 2, config.seed, "directions",
             config.quadrature_nodes,
         )
         # the audit's stream, replayed by hand
         rng = np.random.default_rng(
-            np.random.SeedSequence(config.seed, spawn_key=(bound_module._DIR_STREAM,))
+            np.random.SeedSequence(config.seed, spawn_key=_STREAMS["directions"])
         )
         es = sample_direction_pairs(model.dim, config.n_directions // 2, rng)
         np.testing.assert_array_equal(vs, es @ fit.sqrt_covariance)
@@ -511,6 +512,17 @@ class TestDirectionKlBound:
                 direction_kl_bound(np.zeros(4), np.array([0.1, big, 0.2, 0.3]), pair_size=2)
         with pytest.raises(ValueError, match="pair_size"):
             direction_kl_bound(np.zeros(6), np.zeros(6), pair_size=4)
+        # finite squares whose sum (the first two) or whose standard error's
+        # squared deviations (the last) overflow are refused before they warn
+        for eps1 in ([1e154] * 4, [1e154, 0.0, 0.0, 0.0], [1e153, 0.0, 0.0, 0.0]):
+            with pytest.raises(ValueError, match=r"mean of eps1\^2 or its standard error"):
+                direction_kl_bound(np.zeros(4), np.array(eps1))
+
+    def test_mean_se_of_overflowing_deviations_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert bound_module._mean_se(np.array([0.0, 1e160, 0.0])) == math.inf
+            assert bound_module._mean_se(np.full(3, 1e300)) == 0.0
 
 
 class TestApproximateBound:
@@ -760,6 +772,45 @@ class TestAudit:
                 audit(model, AuditConfig(n_directions=16, seed=1), fit=fit)
         assert exc_info.value.details == {"nonfinite_directions": 16, "n_directions": 16}
 
+    @pytest.mark.parametrize("tilt", [SoftplusTilt1D, NoBoundTilt], ids=["delta4", "no_delta4"])
+    def test_delta3_sq_whose_mean_overflows_is_an_assumption_violation(self, tilt):
+        # each delta3^2 = 1e308 is finite, but their mean over the 16
+        # directions overflowed, with a warning, before any check
+        class HugeDelta3(tilt):
+            def ray_derivatives(self, base, direction, r=0.0, max_order=4):
+                out = super().ray_derivatives(base, direction, r, max_order)
+                out[..., 2] = math.copysign(1e154, direction[0])
+                return out
+
+        model = HugeDelta3(1.0)
+        fit = fit_laplace(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(
+                AssumptionViolationError, match=r"mean of delta3\^2 or its standard error"
+            ) as exc_info:
+                audit(model, AuditConfig(n_directions=16, seed=1), fit=fit)
+        assert exc_info.value.details == {"n_directions": 16}
+
+    def test_conditional_kl_bound_whose_mean_square_overflows_is_an_assumption_violation(self):
+        # delta3 = 1e92: each conditional-KL bound has a finite square, but
+        # the mean of the squares overflowed in direction_kl_bound
+        class HugeDelta3(SoftplusTilt1D):
+            def ray_derivatives(self, base, direction, r=0.0, max_order=4):
+                out = super().ray_derivatives(base, direction, r, max_order)
+                out[..., 2] = 1e92
+                return out
+
+        model = HugeDelta3(1.0)
+        fit = fit_laplace(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(
+                AssumptionViolationError, match=r"mean of eps1\^2 or its standard error"
+            ) as exc_info:
+                audit(model, AuditConfig(n_directions=16, seed=1), fit=fit)
+        assert exc_info.value.details == {"n_directions": 16}
+
     def test_detailed_bound_assembles_from_terms(self, logistic_tiny):
         model, fit = logistic_tiny
         report = audit(model, AuditConfig(n_directions=64, seed=2), fit=fit)
@@ -848,23 +899,23 @@ class TestAudit:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            AuditConfig(n_directions=7).validate()
+            AuditConfig(n_directions=7)
 
     def test_config_rejects_non_integer_counts(self):
         # a 16.5-node audit used to run on 16 nodes and echo 16.5 in its config
         for bad in (16.5, 16.0):
             with pytest.raises(ValueError, match="quadrature_nodes must be an integer"):
-                AuditConfig(quadrature_nodes=bad).validate()
+                AuditConfig(quadrature_nodes=bad)
         # a whole float used to fail late, inside numpy, with a TypeError
         with pytest.raises(ValueError, match="n_directions must be an even integer"):
-            AuditConfig(n_directions=16.0).validate()
+            AuditConfig(n_directions=16.0)
 
     @pytest.mark.parametrize("seed", [1.5, 1.0, -1, True])
     def test_config_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
         # SeedSequence takes only a nonnegative integer
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
-            AuditConfig(n_directions=16, seed=seed).validate()
-        AuditConfig(n_directions=16, seed=np.uint64(2**63)).validate()
+            AuditConfig(n_directions=16, seed=seed)
+        AuditConfig(n_directions=16, seed=np.uint64(2**63))
 
     def test_config_accepts_numpy_integer_counts(self, logistic_tiny):
         model, fit = logistic_tiny
@@ -891,7 +942,7 @@ class TestAudit:
         config = AuditConfig(n_directions=64, seed=3)
         report = audit(model, config, fit=fit)
         rng = np.random.default_rng(
-            np.random.SeedSequence(config.seed, spawn_key=(bound_module._DIR_STREAM,))
+            np.random.SeedSequence(config.seed, spawn_key=_STREAMS["directions"])
         )
         vs = sample_direction_pairs(model.dim, config.n_directions // 2, rng) @ fit.sqrt_covariance
         rs, _ = chi_quadrature(model.dim, config.quadrature_nodes)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: pipelines, formats, determinism, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -514,6 +515,31 @@ class TestRuntimeNeedsNoScipy:
         assert all(r["approx_bound"] > 0.0 and r["kl"] is None for r in replicates)
 
 
+_ROW = experiments.ExperimentRow(2, 10, 1.0)
+
+
+@pytest.mark.parametrize(
+    "good, bad, message",
+    [
+        (laplace_audit.AuditConfig(), {"n_directions": 7}, "n_directions must be an even integer"),
+        (laplace_audit.ChainConfig(40_000, 100), {"thin": 0}, "thin must be a positive integer"),
+        (laplace_audit.desk_preset(), {"k2": 10}, "k2 must be an integer >= 64"),
+        (models.SyntheticDatasetConfig(d=2, n=10, seed=0), {"seed": 0.5}, "seed must be an integer"),
+        (_ROW, {"sigma0": -1.0}, "row sigma0 must be a finite positive real"),
+        (ExperimentSpec((_ROW,), 1, 0), {"replicates": 0}, "replicates must be an integer >= 1"),
+    ],
+    ids=["audit", "chain", "preset", "dataset", "row", "spec"],
+)
+def test_settings_refuse_a_bad_value_when_built(good, bad, message):
+    # no settings object has a check to call later: none can exist invalid,
+    # whether built directly or derived from a valid one
+    fields = {f.name: getattr(good, f.name) for f in dataclasses.fields(good)}
+    with pytest.raises(ValueError, match=message):
+        type(good)(**{**fields, **bad})
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(good, **bad)
+
+
 class TestExperimentApi:
     def test_failed_cells_recorded_and_run_continues(self, tmp_path):
         spec = ExperimentSpec.from_json_dict(
@@ -554,12 +580,12 @@ class TestExperimentApi:
         ],
     )
     def test_python_built_spec_counts_must_be_integers(self, row, spec, message):
-        # a spec built in Python skips the JSON key check, so validate
-        # itself must turn these away before any cell runs, with the JSON
-        # path's type rule
-        rows = (experiments.ExperimentRow(**{"d": 2, "n": 10, "sigma0": 1.0, **row}),)
+        # a spec built in Python skips the JSON key check, so building the
+        # row or the spec must turn these away before any cell runs, with
+        # the JSON path's type rule
         with pytest.raises(ValueError, match=message):
-            ExperimentSpec(**{"rows": rows, "replicates": 1, "seed": 0, **spec}).validate()
+            rows = (experiments.ExperimentRow(**{"d": 2, "n": 10, "sigma0": 1.0, **row}),)
+            ExperimentSpec(**{"rows": rows, "replicates": 1, "seed": 0, **spec})
 
     def test_numpy_scalar_spec_runs_and_hashes_like_a_plain_one(self):
         # numpy counts used to run every cell and then fail in the spec hash

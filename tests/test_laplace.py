@@ -17,6 +17,7 @@ from laplace_audit import (
     laplace_log_density,
     logconcavity_spotcheck,
 )
+from laplace_audit.radial import _STREAMS
 
 from oracles import GaussianMixture1D
 
@@ -277,7 +278,7 @@ class TestSpotcheck:
 
 def _per_point_spotcheck(model, fit, n_points, radius_multiplier, seed):
     """The spot check's points and one eigvalsh call per point."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=_STREAMS["spotcheck"]))
     eta = rng.standard_normal((n_points, fit.dim))
     points = fit.theta_star + radius_multiplier * (eta @ fit.sqrt_covariance)
     lows = [float(np.linalg.eigvalsh(model.hessian(p)).min()) for p in points]

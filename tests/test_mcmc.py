@@ -27,7 +27,7 @@ from laplace_audit import mcmc
 from laplace_audit.bound import _direction_pass
 from laplace_audit.laplace import LOG_2PI
 from laplace_audit.mcmc import BLOCK_STEPS, N_CHAINS, PRESETS, split_rhat
-from laplace_audit.radial import QUADRATURE_NODES, sample_direction_pairs
+from laplace_audit.radial import _STREAMS, QUADRATURE_NODES, sample_direction_pairs
 
 from oracles import (
     InfTailGaussian,
@@ -178,24 +178,24 @@ class TestRunChain:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ChainConfig(n_steps=1000, thin=100).validate()
+            ChainConfig(n_steps=1000, thin=100)
         with pytest.raises(ValueError):
-            ChainConfig(n_steps=0, thin=100).validate()
+            ChainConfig(n_steps=0, thin=100)
         with pytest.raises(ValueError):
-            ChainConfig(n_steps=1_000_000, thin=0).validate()
+            ChainConfig(n_steps=1_000_000, thin=0)
 
     def test_config_rejects_non_integer_counts(self):
-        # whole floats used to pass validate and fail late inside numpy
+        # whole floats used to pass the config check and fail late inside numpy
         with pytest.raises(ValueError, match="n_steps must be a positive integer"):
-            ChainConfig(n_steps=40_000.0, thin=100).validate()
+            ChainConfig(n_steps=40_000.0, thin=100)
         with pytest.raises(ValueError, match="thin must be a positive integer"):
-            ChainConfig(n_steps=40_000, thin=100.0).validate()
-        ChainConfig(n_steps=np.int64(40_000), thin=np.int32(100)).validate()
+            ChainConfig(n_steps=40_000, thin=100.0)
+        ChainConfig(n_steps=np.int64(40_000), thin=np.int32(100))
 
     @pytest.mark.parametrize("seed", [1.5, -1])
     def test_config_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
-            ChainConfig(n_steps=40_000, thin=100, seed=seed).validate()
+            ChainConfig(n_steps=40_000, thin=100, seed=seed)
 
     def test_fit_of_another_dimension_rejected(self, logistic_tiny, gaussian_5d):
         model, _ = logistic_tiny
@@ -207,15 +207,10 @@ class TestRunChain:
         model, fit = logistic_tiny
         # 1,000 steps per chain: 100 burn-in leave 900, fewer than thin = 1,000;
         # the 100-step rule turns it away
-        config = ChainConfig(n_steps=N_CHAINS * 1_000, thin=1_000)
-        assert config._kept_steps().size == 0
         with pytest.raises(ValueError, match="at least 100"):
-            config.validate()
-        with pytest.raises(ValueError, match="at least 100"):
-            run_chain(model, fit, config)
+            ChainConfig(n_steps=N_CHAINS * 1_000, thin=1_000)
         # 500 steps per chain: 50 burn-in, then four kept states in each chain
         short = ChainConfig(n_steps=N_CHAINS * 500, thin=100, seed=1)
-        short.validate()
         assert run_chain(model, fit, short).k == N_CHAINS * 4
 
     @settings(max_examples=300, deadline=None)
@@ -224,18 +219,17 @@ class TestRunChain:
         thin=st.integers(min_value=1, max_value=4_000),
     )
     def test_every_valid_config_keeps_a_state(self, chain_steps, thin):
-        config = ChainConfig(n_steps=N_CHAINS * chain_steps, thin=thin)
         try:
-            config.validate()
+            config = ChainConfig(n_steps=N_CHAINS * chain_steps, thin=thin)
         except ValueError:
             return
         assert config._kept_steps().size > 0
 
     def test_steps_must_split_evenly_over_the_chains(self, logistic_tiny):
         model, fit = logistic_tiny
-        ChainConfig(n_steps=20_000 + N_CHAINS, thin=100).validate()
+        ChainConfig(n_steps=20_000 + N_CHAINS, thin=100)
         with pytest.raises(ValueError, match="multiple"):
-            ChainConfig(n_steps=20_000 + N_CHAINS // 2, thin=100).validate()
+            ChainConfig(n_steps=20_000 + N_CHAINS // 2, thin=100)
         with pytest.raises(ValueError, match="multiple"):
             run_chain(model, fit, ChainConfig(n_steps=20_001, thin=100))
 
@@ -416,8 +410,8 @@ class TestEstimateKl:
         k2, seed = 4_000, 5
         _, se = estimate_kl(model, fit, k2, seed=seed, log_inv_z=0.0, inv_z_rel_se=0.0)
         n_pairs = k2 // (2 * QUADRATURE_NODES)
-        vs, _, _, xi = _direction_pass(model, fit, n_pairs, seed, mcmc._KL_STREAM, QUADRATURE_NODES)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(mcmc._KL_STREAM,)))
+        vs, _, _, xi = _direction_pass(model, fit, n_pairs, seed, "kl", QUADRATURE_NODES)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=_STREAMS["kl"]))
         np.testing.assert_array_equal(
             vs, sample_direction_pairs(fit.dim, n_pairs, rng) @ fit.sqrt_covariance
         )
@@ -498,3 +492,20 @@ class TestPresets:
         assert get_preset("paper", seed=4).chain.seed == 4
         with pytest.raises(ValueError):
             get_preset("huge")
+
+    def test_bad_k2_refused_before_any_chain_step(self, logistic_tiny, monkeypatch):
+        # a preset's k2 used to be checked only by estimate_kl, after the
+        # whole chain had run
+        def no_chain(*args, **kwargs):
+            raise AssertionError("run_chain called")
+
+        model, fit = logistic_tiny
+        monkeypatch.setattr(mcmc, "run_chain", no_chain)
+        chain = ChainConfig(n_steps=N_CHAINS * 500, thin=100)
+        for k2 in (10, 4 * QUADRATURE_NODES - 1, 1_000.0):
+            with pytest.raises(ValueError, match="k2 must be an integer >= 64"):
+                estimate_true_kl(model, fit, TruthPreset("bad", chain, k2))
+        # the named presets are built the same way, so the CLI's truth stops too
+        monkeypatch.setitem(PRESETS, "desk", (1_000_000, 100, 10))
+        with pytest.raises(ValueError, match="k2 must be an integer >= 64"):
+            estimate_true_kl(model, fit, mcmc.desk_preset())

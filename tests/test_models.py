@@ -629,6 +629,10 @@ class TestDatasetGeneration:
             generate_dataset(SyntheticDatasetConfig(d=2, n=-1, seed=0))
         with pytest.raises(ValueError, match="d must be >= 1"):
             random_gaussian_model(0, 0)
+        # a float d or seed used to reach numpy and end in its TypeError
+        for field, value in (("d", 2.0), ("n", 10.0), ("seed", 0.5), ("seed", -1), ("d", True)):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                SyntheticDatasetConfig(**{"d": 2, "n": 10, "seed": 0, field: value})
 
 
 class TestCsvRoundTrip:

@@ -16,9 +16,25 @@ from laplace_audit import (
     sample_direction,
     sample_direction_pairs,
 )
-from laplace_audit.radial import QUADRATURE_NODES, _chi_span
+from laplace_audit.radial import _STREAMS, QUADRATURE_NODES, _chi_span, _stream_rng
 
 from oracles import RadialLaw
+
+
+class TestStreams:
+    def test_every_stream_has_its_own_spawn_key(self):
+        keys = list(_STREAMS.values())
+        assert len(set(keys)) == len(keys)
+        assert all(isinstance(key, tuple) for key in keys)
+
+    def test_generator_is_the_seed_sequence_child(self):
+        for stream, key in _STREAMS.items():
+            direct = np.random.default_rng(np.random.SeedSequence(7, spawn_key=key))
+            np.testing.assert_array_equal(_stream_rng(7, stream).random(4), direct.random(4))
+        # the dataset stream is the root sequence of the seed itself
+        np.testing.assert_array_equal(
+            _stream_rng(7, "dataset").random(4), np.random.default_rng(7).random(4)
+        )
 
 
 class TestSampleDirection:
