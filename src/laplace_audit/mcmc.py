@@ -2,16 +2,18 @@
 
 Delayed-acceptance random-walk Metropolis chains in the fit's whitened
 coordinates, ``N_CHAINS`` of them run in lock-step, draw samples from the
-target: each proposal is screened against the Laplace fit g first, at O(d)
-cost, and only the proposals that pass are scored on the target, in a
-second stage that keeps every chain exact for f. An importance ratio
-against the normalized Gaussian fit estimates log 1/Z, the log of the
-reciprocal normalizing constant (kept in log space throughout, since 1/Z
-itself overflows at moderate dimensions). KL(g, f) is E_g[log g + phi]
-less log 1/Z, and the expectation under g is taken in polar form: an
-average over antithetic direction pairs of the certificate's ELBO proxy,
-whose radius the Gauss-chi rule integrates out on the certificate's own
-direction pass, ``bound._direction_pass``.
+target. Their jumps are uniform on a cube, with the covariance of normal
+jumps of the standard 2.38/sqrt(d) scale: a symmetric proposal, drawn from
+uniforms rather than the costlier normals. Each proposal is screened
+against the Laplace fit g first, at O(d) cost, and only the proposals that
+pass are scored on the target, in a second stage that keeps every chain
+exact for f. An importance ratio against the normalized Gaussian fit
+estimates log 1/Z, the log of the reciprocal normalizing constant (kept in
+log space throughout, since 1/Z itself overflows at moderate dimensions).
+KL(g, f) is E_g[log g + phi] less log 1/Z, and the expectation under g is
+taken in polar form: an average over antithetic direction pairs of the
+certificate's ELBO proxy, whose radius the Gauss-chi rule integrates out on
+the certificate's own direction pass, ``bound._direction_pass``.
 Everything is driven by explicit integer seeds, and a seed gives the same
 numbers on every run.
 """
@@ -204,10 +206,19 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
     steps each, in the fit's whitened coordinates z, theta = theta* + z S
     with S the fit square root, where log g = const - |z|^2 / 2. Each chain
     starts at a draw from g, or at the mode where phi at that draw is not
-    finite, and proposes z' = z + scale * eta with eta standard normal and
-    scale the standard 2.38/sqrt(d) random-walk scaling (Roberts, Gelman &
-    Gilks 1997). Two stages decide each step (Christen & Fox, JCGS 14
-    (2005) 795):
+    finite, and proposes z' = z + delta with delta uniform on the cube
+    [-sqrt(3) s, sqrt(3) s]^d, s = 2.38/sqrt(d): mean 0 and covariance
+    s^2 I, so each coordinate has the standard deviation 2.38/sqrt(d) of
+    the standard random-walk scaling (Roberts, Gelman & Gilks 1997), drawn
+    from uniforms, which cost a fraction of numpy's normals. The proposal is
+    symmetric, so no proposal ratio enters either stage: delta is
+    (U - 1/2) 2 sqrt(3) s for U uniform on the multiples of 2^-53 in
+    [0, 1), U - 1/2 is exact, and the product rounds alike for either sign.
+    Only U - 1/2 = -1/2 has no mirror; its probability, 2^-53 per
+    coordinate, is below the rounding of everything else. Its density is
+    positive around 0, so on a log-concave target the chain stays
+    irreducible and aperiodic. Two stages decide each step (Christen & Fox,
+    JCGS 14 (2005) 795):
 
     1. the proposal passes with probability min(1, g(z') / g(z)), which
        needs no phi: z.delta < -log u1 - |delta|^2 / 2 with delta the jump;
@@ -224,11 +235,13 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
     the end, are returned chain by chain.
 
     The stream is: the (chains x d) standard normals of the starts, then per
-    block of ``BLOCK_STEPS`` steps (steps * chains) x d standard normals, row
-    ``step * N_CHAINS + chain``, and 2 x steps x chains uniforms, the first
-    half u1 and the second u2. ``acceptance_rate`` counts the proposals that
-    passed both stages; a rate outside [0.05, 0.7] attaches a warning to the
-    result rather than failing.
+    block of ``BLOCK_STEPS`` steps a steps x chains x d array of uniforms U
+    on [0, 1), the jumps, and 2 x steps x chains uniforms, the first half u1
+    and the second u2. The jumps were standard normals times s before they
+    were uniform, so seeded chains, and the truth values built on them,
+    differ from those of earlier versions. ``acceptance_rate`` counts the
+    proposals that passed both stages; a rate outside [0.05, 0.7] attaches
+    a warning to the result rather than failing.
     """
     d = model.dim
     if fit.dim != d:
@@ -252,8 +265,9 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
     kept = 0
     for done in range(0, steps, BLOCK_STEPS):
         block = min(BLOCK_STEPS, steps - done)
-        jumps = rng.standard_normal((block * N_CHAINS, d)).reshape(block, N_CHAINS, d)
-        jumps *= scale
+        jumps = rng.random((block, N_CHAINS, d))
+        jumps -= 0.5
+        jumps *= 2.0 * np.sqrt(3.0) * scale
         log_u = np.log(rng.random((2, block, N_CHAINS)))
         half_sq = 0.5 * np.einsum("bcj,bcj->bc", jumps, jumps)
         # stage 1 passes z.delta below pass_at; stage 2 takes phi' below
@@ -371,7 +385,6 @@ def estimate_kl(
     if not (np.isfinite(inv_z_rel_se) and inv_z_rel_se >= 0):
         raise ValueError("inv_z_rel_se must be finite and nonnegative")
     _check_k2(k2)
-    _check_integer(seed, 0, "seed must be an integer >= 0")
     n_pairs = k2 // (2 * QUADRATURE_NODES)
     vs, rs, batch, xi = _direction_pass(model, fit, n_pairs, seed, "kl", QUADRATURE_NODES)
     bad = np.flatnonzero(~np.isfinite(batch.values))

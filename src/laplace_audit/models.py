@@ -500,9 +500,9 @@ def random_gaussian_model(d: int, seed: int) -> GaussianModel:
     Serves as the exact-null benchmark: the Laplace fit reproduces it, so
     every certificate term and the true KL are zero. Eigenvalues are drawn
     log-uniform in [0.5, 2] and rotated by a Haar-ish orthogonal factor.
+    ``d`` must be an integer >= 1 and ``seed`` one >= 0, else ValueError.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check_integer(d, 1, "d must be >= 1 and an integer")
     rng = _stream_rng(seed, "gaussian_model")
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     q = q * np.sign(np.diag(r))

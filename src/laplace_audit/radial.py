@@ -48,7 +48,12 @@ _STREAMS = {
 
 
 def _stream_rng(seed: int, stream: str) -> np.random.Generator:
-    """The generator of ``stream`` for ``seed``, from its ``_STREAMS`` spawn key."""
+    """The generator of ``stream`` for ``seed``, from its ``_STREAMS`` spawn key.
+
+    ``seed`` must be an integer >= 0, else ValueError: ``SeedSequence``
+    would end a float in a TypeError and take True for 1.
+    """
+    _check_integer(seed, 0, "seed must be an integer >= 0")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=_STREAMS[stream]))
 
 

@@ -12,8 +12,10 @@ draws of the fit with no ray pass (``fresh_draw_kl``), the chain from a
 plain-loop replay of one scalar phi at a time (``replay_chain``), the
 curvature floor from an eigenvalue solve (``companion_curvature_floor``,
 with its own root rule ``curvature_floor_r0``), the radius law from its
-closed form (``RadialLaw``), and the logistic phi from the model's data
-with ``np.logaddexp`` (``logistic_phi``). ``logistic_ray_values`` builds
+closed form (``RadialLaw``), the logistic phi from the model's data
+with ``np.logaddexp`` (``logistic_phi``), and the posterior means that a
+chain samples from importance weights on fresh draws of the fit
+(``importance_posterior_means``). ``logistic_ray_values`` builds
 the node margins elementwise but sums them with the model's ``_log1p_exp``.
 
 The one-direction helpers are not independent: ``delta3``, ``delta4`` and
@@ -77,11 +79,16 @@ def replay_chain(model: TargetModel, fit, config):
     """Plain-loop replay of ``run_chain``, one chain and one scalar phi at a time.
 
     Redraws the stream ``run_chain`` documents: the (chains x d) standard
-    normals of the starts, then per block of ``mcmc.BLOCK_STEPS`` steps
-    (steps * chains) x d standard normals, row ``step * N_CHAINS + chain``,
-    then 2 x steps x chains uniforms. Each chain starts at theta* + z S for
-    its start draw z (at the mode if phi is not finite there), proposes
-    z + 2.38/sqrt(d) eta, passes the proposal when
+    normals of the starts, then per block of ``mcmc.BLOCK_STEPS`` steps a
+    steps x chains x d array of uniforms U, then 2 x steps x chains
+    uniforms. Each chain starts at theta* + z S for its start draw z (at the
+    mode if phi is not finite there), proposes z + 2.38/sqrt(d) eta with
+    eta = sqrt(12) (U - 1/2), uniform with mean 0 and standard deviation 1
+    in each coordinate, so 2.38/sqrt(d) per coordinate for the jump. That
+    law is symmetric (U - 1/2 is exact; only -1/2, of probability 2^-53,
+    lacks a mirror), so no proposal ratio enters; the stream changed from
+    standard normals to these uniforms, and seeded chains moved with it.
+    It passes the proposal when
     log u1 < -(|z'|^2 - |z|^2) / 2, and moves when phi' is finite and
     log u2 < (phi - |z|^2 / 2) - (phi' - |z'|^2 / 2), scoring each passed
     proposal with ``neg_log_density``; states are kept per chain after its
@@ -96,12 +103,12 @@ def replay_chain(model: TargetModel, fit, config):
     scale = 2.38 / np.sqrt(d)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=_STREAMS["chain"]))
     starts = rng.standard_normal((chains, d))
-    normals, uniforms = [], []
+    cubes, uniforms = [], []
     for done in range(0, steps, mcmc.BLOCK_STEPS):
         block = min(mcmc.BLOCK_STEPS, steps - done)
-        normals.append(rng.standard_normal((block * chains, d)).reshape(block, chains, d))
+        cubes.append(rng.random((block, chains, d)))
         uniforms.append(rng.random((2, block, chains)))
-    eta, u = np.concatenate(normals), np.concatenate(uniforms, axis=1)
+    eta, u = np.sqrt(12.0) * (np.concatenate(cubes) - 0.5), np.concatenate(uniforms, axis=1)
     burn = int(round(mcmc.BURN_IN_FRACTION * steps))
 
     def theta(z):
@@ -142,6 +149,29 @@ def logistic_phi(model, thetas):
     prior = np.einsum("ij,ij->i", thetas, thetas) / (2.0 * model.prior_sigma0**2)
     with np.errstate(invalid="ignore"):
         return prior + np.logaddexp(0.0, -margins).sum(axis=1)
+
+
+def importance_posterior_means(model, fit, n_draws: int, seed: int):
+    """Self-normalized importance estimates of E_f[theta] and E_f[phi], with standard errors.
+
+    For a logistic model: ``n_draws`` fresh draws theta = theta* + eta S
+    from the fit g, eta standard normal from ``np.random.default_rng(seed)``
+    (no package stream or sampler), phi by ``logistic_phi``, and weights
+    f~/g proportional to exp(|eta|^2 / 2 - phi). Returns (means, ses), each
+    of length d + 1: the d coordinates of theta, then phi. The standard
+    errors are the delta-method ones of a ratio estimate,
+    sqrt(sum w^2 (x - mean)^2) / sum w.
+    """
+    eta = np.random.default_rng(seed).standard_normal((n_draws, fit.dim))
+    thetas = fit.theta_star + eta @ fit.sqrt_covariance
+    phi = logistic_phi(model, thetas)
+    log_w = 0.5 * np.einsum("ij,ij->i", eta, eta) - phi
+    w = np.exp(log_w - log_w.max())
+    w /= w.sum()
+    values = np.column_stack([thetas, phi])
+    means = w @ values
+    ses = np.sqrt((w * w) @ (values - means) ** 2)
+    return means, ses
 
 
 def logistic_ray_values(model, base, vs, rs):

@@ -312,3 +312,10 @@ class TestSpotcheckMatchesPerPointLoop:
         result = logconcavity_spotcheck(model, fit, n_points=0)
         assert result.passed and result.min_eigenvalue == np.inf
 
+    @pytest.mark.parametrize("seed", [0.5, -1, True])
+    def test_seed_must_be_a_nonnegative_integer(self, seed, logistic_small):
+        # a float seed used to end in SeedSequence's TypeError
+        model, fit = logistic_small
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            logconcavity_spotcheck(model, fit, seed=seed)
+

@@ -33,6 +33,8 @@ from oracles import (
     InfTailGaussian,
     SoftplusTilt1D,
     fresh_draw_kl,
+    importance_posterior_means,
+    logistic_phi,
     quadrature_gaussian_half_1d,
     quadrature_kl_1d,
     replay_chain,
@@ -167,6 +169,16 @@ class TestRunChain:
         assert chain.acceptance_rate == accepted.sum() / config.n_steps
         assert chain.samples.shape == samples.shape
         np.testing.assert_allclose(chain.samples, samples, rtol=1e-12, atol=1e-12)
+
+    def test_logistic_posterior_means_match_importance_sampling(self, logistic_tiny):
+        # a non-Gaussian target with d = 3: the chain's means of theta and phi
+        # against a self-normalized importance estimate on fresh draws of the fit
+        model, fit = logistic_tiny
+        chain = run_chain(model, fit, ChainConfig(n_steps=N_CHAINS * 10_000, thin=10, seed=5))
+        values = np.column_stack([chain.samples, logistic_phi(model, chain.samples)])
+        want, want_se = importance_posterior_means(model, fit, 200_000, seed=6)
+        se = np.hypot(_batch_se(values), want_se)
+        assert np.all(np.abs(values.mean(axis=0) - want) < 4 * se)
 
     def test_absurd_scale_attaches_warning(self, logistic_tiny):
         model, fit = logistic_tiny

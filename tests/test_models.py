@@ -633,6 +633,12 @@ class TestDatasetGeneration:
         for field, value in (("d", 2.0), ("n", 10.0), ("seed", 0.5), ("seed", -1), ("d", True)):
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 SyntheticDatasetConfig(**{"d": 2, "n": 10, "seed": 0, field: value})
+        for d in (2.0, True):
+            with pytest.raises(ValueError, match="d must be >= 1"):
+                random_gaussian_model(d, 0)
+        for seed in (0.5, -1, True):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                random_gaussian_model(2, seed)
 
 
 class TestCsvRoundTrip:
