@@ -10,10 +10,13 @@ pass are scored on the target, in a second stage that keeps every chain
 exact for f. An importance ratio against the normalized Gaussian fit
 estimates log 1/Z, the log of the reciprocal normalizing constant (kept in
 log space throughout, since 1/Z itself overflows at moderate dimensions).
-KL(g, f) is E_g[log g + phi] less log 1/Z, and the expectation under g is
-taken in polar form: an average over antithetic direction pairs of the
-certificate's ELBO proxy, whose radius the Gauss-chi rule integrates out on
-the certificate's own direction pass, ``bound._direction_pass``.
+KL(g, f) is E_g[log g + phi] less log 1/Z. E_g[log g] is closed form, and
+E_g[phi] comes from the model's ``expected_neg_log_density`` where it has
+one: the logistic model's is one quadrature per observation, with no
+sampling error. Other models take E_g[phi] in polar form: an average over
+antithetic direction pairs of the certificate's ELBO proxy, whose radius
+the Gauss-chi rule integrates out on the certificate's own direction pass,
+``bound._direction_pass``.
 Everything is driven by explicit integer seeds, and a seed gives the same
 numbers on every run.
 """
@@ -42,6 +45,9 @@ BURN_IN_FRACTION = 0.1
 
 ACCEPT_RATE_LOW = 0.05
 ACCEPT_RATE_HIGH = 0.7
+# split-R-hat of phi above which the chains are reported as not mixed
+# (Vehtari et al., arXiv:1903.08008)
+RHAT_LIMIT = 1.01
 
 
 def _check_k2(k2) -> None:
@@ -93,10 +99,12 @@ class ChainConfig:
 class TruthPreset:
     """Bundled chain settings and phi-evaluation budget for the KL ground truth.
 
-    ``k2`` counts the phi evaluations of ``estimate_kl``: ``QUADRATURE_NODES``
-    per direction, over k2 // (2 ``QUADRATURE_NODES``) antithetic pairs. It
-    takes ``estimate_kl``'s rule, checked when the preset is built, so a bad
-    budget is refused before any chain step.
+    ``k2`` counts the phi evaluations of ``estimate_kl``'s direction pass:
+    ``QUADRATURE_NODES`` per direction, over k2 // (2 ``QUADRATURE_NODES``)
+    antithetic pairs. The pass runs only for a model without
+    ``expected_neg_log_density``; the built-in logistic model spends none of
+    it. It takes ``estimate_kl``'s rule, checked when the preset is built, so
+    a bad budget is refused before any chain step.
     """
 
     name: str
@@ -135,6 +143,9 @@ class ChainResult:
     proposed, which the row, formed from the same z at the end, matches up
     to the rounding of that product. ``rhat`` is the split-R-hat of phi at the kept
     states over the chains (see ``split_rhat``); it is NaN when undefined.
+    ``warnings`` holds one line each for an acceptance rate outside
+    [``ACCEPT_RATE_LOW``, ``ACCEPT_RATE_HIGH``] and an ``rhat`` above
+    ``RHAT_LIMIT``.
     """
 
     samples: np.ndarray
@@ -241,7 +252,8 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
     were uniform, so seeded chains, and the truth values built on them,
     differ from those of earlier versions. ``acceptance_rate`` counts the
     proposals that passed both stages; a rate outside [0.05, 0.7] attaches
-    a warning to the result rather than failing.
+    a warning to the result rather than failing, and so does a split-R-hat
+    of phi above ``RHAT_LIMIT`` (a NaN one, undefined, does not).
     """
     d = model.dim
     if fit.dim != d:
@@ -296,17 +308,22 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
                 kept += 1
 
     rate = accepted / config.n_steps
+    rhat = split_rhat(out_phi)
     warnings = ()
     if not ACCEPT_RATE_LOW <= rate <= ACCEPT_RATE_HIGH:
-        warnings = (
+        warnings += (
             f"acceptance rate {rate:.3f} outside [{ACCEPT_RATE_LOW}, {ACCEPT_RATE_HIGH}]; "
             "the samples may not represent the target",
+        )
+    if rhat > RHAT_LIMIT:
+        warnings += (
+            f"split R-hat of phi {rhat:.4f} above {RHAT_LIMIT}; the chains may not have mixed",
         )
     return ChainResult(
         samples=out.reshape(-1, d) @ sqrt_cov + mode,
         phi=out_phi.reshape(-1),
         acceptance_rate=float(rate),
-        rhat=split_rhat(out_phi),
+        rhat=rhat,
         warnings=warnings,
     )
 
@@ -361,30 +378,46 @@ def estimate_kl(
 
     KL(g, f) = E_g[log g + phi] - ``log_inv_z``, the log 1/Z estimate of
     ``estimate_log_inv_z``, whose relative standard error is
-    ``inv_z_rel_se``. With theta = theta* + r S e, e uniform on the sphere
-    and r chi-distributed, E_g[log g] = -(d log 2 pi + log det Sigma + d) / 2
-    and the mean of phi over r along e is phi* + d/2 - xi(e), xi the ELBO
-    proxy of the certificate, so the first term is
-    -(d log 2 pi + log det Sigma) / 2 + phi* - E_e[xi(e)]. The radius is
-    integrated out by the ``QUADRATURE_NODES``-node Gauss-chi rule, and only
-    the direction is sampled: k2 // (2 ``QUADRATURE_NODES``) antithetic
-    pairs, so ``k2`` counts phi evaluations. ``bound._direction_pass``, the
-    audit's pass on its own stream, gives the pairs and xi, and an exactly
-    quadratic ray (delta3 = delta4 = 0) xi = 0 exactly. The
-    standard error is the hypot of ``bound._mean_se`` over the pair means of
-    xi and the 1/Z uncertainty, propagated as an additive log-term.
+    ``inv_z_rel_se``. E_g[log g] is -(d log 2 pi + log det Sigma + d) / 2.
+    When the model's ``expected_neg_log_density`` gives E_g[phi], that value
+    is used, and ``se`` is ``inv_z_rel_se`` alone.
+
+    Otherwise E_g[phi] is taken in polar form. With theta = theta* + r S e,
+    e uniform on the sphere and r chi-distributed, the mean of phi over r
+    along e is phi* + d/2 - xi(e), xi the ELBO proxy of the certificate, so
+    the first term is -(d log 2 pi + log det Sigma) / 2 + phi* - E_e[xi(e)].
+    The radius is integrated out by the ``QUADRATURE_NODES``-node Gauss-chi
+    rule, and only the direction is sampled: k2 // (2 ``QUADRATURE_NODES``)
+    antithetic pairs, so ``k2`` counts phi evaluations.
+    ``bound._direction_pass``, the audit's pass on its own stream, gives the
+    pairs and xi, and an exactly quadratic ray (delta3 = delta4 = 0) xi = 0
+    exactly. The standard error is the hypot of ``bound._mean_se`` over the
+    pair means of xi and the 1/Z uncertainty, propagated as an additive
+    log-term.
 
     A ``k2`` below 4 ``QUADRATURE_NODES``, fewer than two pairs, or a
     ``k2`` or ``seed`` that is not an integer (``seed`` below 0 too) raises
-    ValueError. A non-finite phi on a ray node raises
+    ValueError on either path. A non-finite phi on a ray node raises
     NonFiniteObjectiveError, with ``theta`` the first such node point
-    theta* + r v, rather than averaging into a NaN or infinite KL.
+    theta* + r v, rather than averaging into a NaN or infinite KL; so does a
+    non-finite E_g[phi] from the model, with ``theta`` the mode.
     """
     if not np.isfinite(log_inv_z):
         raise ValueError("log_inv_z must be finite")
     if not (np.isfinite(inv_z_rel_se) and inv_z_rel_se >= 0):
         raise ValueError("inv_z_rel_se must be finite and nonnegative")
     _check_k2(k2)
+    log_g = -0.5 * (fit.dim * LOG_2PI + fit.log_det_covariance)
+    expected_phi = model.expected_neg_log_density(fit.theta_star, fit.sqrt_covariance)
+    if expected_phi is not None:
+        # no stream is drawn, but a seed is refused as the direction pass refuses it
+        _check_integer(seed, 0, "seed must be an integer >= 0")
+        if not np.isfinite(expected_phi):
+            raise NonFiniteObjectiveError(
+                "non-finite E_g[phi] from the model's expected_neg_log_density",
+                theta=fit.theta_star,
+            )
+        return float(log_g - 0.5 * fit.dim + expected_phi - log_inv_z), float(inv_z_rel_se)
     n_pairs = k2 // (2 * QUADRATURE_NODES)
     vs, rs, batch, xi = _direction_pass(model, fit, n_pairs, seed, "kl", QUADRATURE_NODES)
     bad = np.flatnonzero(~np.isfinite(batch.values))
@@ -394,14 +427,22 @@ def estimate_kl(
             f"non-finite phi at ray node {node} of direction {row}",
             theta=fit.theta_star + rs[node] * vs[row],
         )
-    half = -0.5 * (fit.dim * LOG_2PI + fit.log_det_covariance) + fit.neg_log_density_at_mode
-    kl = float(half - xi.mean() - log_inv_z)
+    kl = float(log_g + fit.neg_log_density_at_mode - xi.mean() - log_inv_z)
     se = float(np.hypot(_mean_se(xi.reshape(n_pairs, 2).mean(axis=1)), inv_z_rel_se))
     return kl, se
 
 
+def _gaussian_half(model: TargetModel) -> str:
+    """How ``estimate_kl`` takes E_g[phi] for ``model``: "quadrature" or "directions"."""
+    own = type(model).expected_neg_log_density is not TargetModel.expected_neg_log_density
+    return "quadrature" if own else "directions"
+
+
 def estimate_true_kl(model: TargetModel, fit: LaplaceFit, preset: TruthPreset) -> KLEstimate:
-    """Chain -> log 1/Z -> KL(g, f) from one seed; an undefined ``config["rhat"]`` is NaN."""
+    """Chain -> log 1/Z -> KL(g, f) from one seed; an undefined ``config["rhat"]`` is NaN.
+
+    ``config["gaussian_half"]`` says how E_g[phi] was taken (``_gaussian_half``).
+    """
     config = preset.chain
     chain = run_chain(model, fit, config)
     log_inv_z, rel_se = estimate_log_inv_z(fit, chain.samples, chain.phi)
@@ -424,5 +465,6 @@ def estimate_true_kl(model: TargetModel, fit: LaplaceFit, preset: TruthPreset) -
             "k2": preset.k2,
             "rhat": chain.rhat,
             "warnings": list(chain.warnings),
+            "gaussian_half": _gaussian_half(model),
         },
     )

@@ -11,8 +11,9 @@ gradients, Hessians and directional derivatives up to fourth order, which the
 certificate machinery needs along rays through the mode, a batched ray
 method that evaluates a whole block of directions with array work, and a
 proven floor under the Hessian's eigenvalues, so that log-concavity is
-proven rather than sampled. Each writes phi once, in its many-point hook;
-the scalar phi is that hook's one-row call.
+proven rather than sampled. The logistic model also integrates phi against
+a Gaussian by one quadrature per observation. Each writes phi once, in its
+many-point hook; the scalar phi is that hook's one-row call.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import abc
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import DimensionMismatchError, UnsupportedOrderError, _check_integer
 from .radial import _stream_rng
@@ -30,8 +32,22 @@ from .radial import _stream_rng
 SIGMOID_THIRD_DERIVATIVE_MAX = 0.125
 
 # elements of the one margin buffer a block hook builds: points x n_obs in
-# ``neg_log_density_many``, directions x nodes x n_obs in ``ray_batch``
+# ``neg_log_density_many``, directions x nodes x n_obs in ``ray_batch``,
+# pieces x nodes in ``_normal_log1p_exp_means``
 BLOCK_ELEMENTS = 1 << 18
+
+# E[log(1 + exp(u))] for normal u: the softplus bends at u = 0 and is linear,
+# to double precision, beyond |u| = 40 (exp(-40) < 5e-18), and the normal
+# mass beyond 10 standard deviations is below 2e-23. Each piece between the
+# cuts, clipped to mu +- 10 sd, takes one 48-node Gauss-Legendre rule in the
+# standardized variable. Against a 30-digit reference the rule is within
+# 2e-12 for sd from 0.01 to 100 and |mu| up to 4 sd + 3, where one
+# 64-node Gauss-Hermite rule over the whole line is off by 1.5e-6 at sd = 4
+SOFTPLUS_CUTS = np.array([-np.inf, -40.0, 0.0, 40.0, np.inf])
+NORMAL_SPAN = 10.0
+_LEGENDRE_Z, _LEGENDRE_W = leggauss(48)
+# weights against the standard normal density exp(-z^2 / 2) / sqrt(2 pi)
+_LEGENDRE_W /= np.sqrt(2.0 * np.pi)
 
 
 @np.errstate(over="ignore")
@@ -66,6 +82,46 @@ def _log1p_exp(u, out=None):
     np.exp(out, out=out)
     np.log1p(out, out=out)
     return np.add(out, high, out=out)
+
+
+def _normal_log1p_exp_means(mu, sd) -> np.ndarray:
+    """E[log(1 + exp(u_i))] for u_i ~ N(mu_i, sd_i^2), elementwise.
+
+    Each u_i's axis is cut at ``SOFTPLUS_CUTS`` and clipped to
+    mu_i +- ``NORMAL_SPAN`` sd_i; every non-empty piece takes the 48-node
+    Gauss-Legendre rule in z = (u - mu_i) / sd_i, and the softplus is
+    ``_log1p_exp``, in blocks of at most ``BLOCK_ELEMENTS`` piece nodes. An
+    sd_i of 0 gives log(1 + exp(mu_i)) exactly.
+    """
+    mu = np.asarray(mu, dtype=float)
+    sd = np.asarray(sd, dtype=float)
+    out = _log1p_exp(mu)
+    spread = np.flatnonzero(sd > 0.0)
+    mu, sd = mu[spread], sd[spread]
+    # a cut beyond the float range at a tiny sd clips to the span's end
+    with np.errstate(over="ignore"):
+        edges = (SOFTPLUS_CUTS - mu[:, None]) / sd[:, None]
+    np.clip(edges, -NORMAL_SPAN, NORMAL_SPAN, out=edges)
+    rows, piece = np.nonzero(edges[:, 1:] > edges[:, :-1])
+    lo, hi = edges[rows, piece], edges[rows, piece + 1]
+    half = 0.5 * (hi - lo)
+    mid = lo + half
+    sums = np.empty(rows.size)
+    step = BLOCK_ELEMENTS // _LEGENDRE_Z.size
+    for start in range(0, rows.size, step):
+        block = slice(start, start + step)
+        z = half[block, None] * _LEGENDRE_Z
+        z += mid[block, None]
+        u = sd[rows[block], None] * z
+        u += mu[rows[block], None]
+        z *= z
+        z *= -0.5
+        density = np.exp(z, out=z)
+        density *= _log1p_exp(u, out=u)
+        sums[block] = density @ _LEGENDRE_W
+    sums *= half
+    out[spread] = np.bincount(rows, sums, minlength=spread.size)
+    return out
 
 
 @dataclass(frozen=True)
@@ -104,13 +160,15 @@ class TargetModel(abc.ABC):
     overhead. ``ray_batch`` is all the certificate's
     direction pass asks of a model: for a block of directions it returns the
     values on the quadrature nodes, delta3 at the base and the analytic
-    delta4 bound; ``ray_values`` is its one-direction form. Two optional
-    hooks give proven facts, or None for a model without the proof:
+    delta4 bound; ``ray_values`` is its one-direction form. Three optional
+    hooks give closed-form facts, or None for a model without them:
     ``ray_fourth_derivative_bound`` bounds delta4 along a whole ray (without
-    it the audit has ``approx_bound`` but no ``detailed_bound``), and
+    it the audit has ``approx_bound`` but no ``detailed_bound``),
     ``hessian_eigenvalue_floor`` bounds the Hessian's eigenvalues from below
     everywhere, which lets ``audit`` prove log-concavity instead of sampling
-    it. The certificate calls ``ray_batch`` on the model itself, so its
+    it, and ``expected_neg_log_density`` gives E[phi] under a Gaussian, which
+    lets ``estimate_kl`` take the truth's Gaussian half without sampling
+    directions. The certificate calls ``ray_batch`` on the model itself, so its
     targets must subclass this class rather than only mimic its scalar
     methods. Evaluation is pure and stateless after construction.
     """
@@ -202,6 +260,18 @@ class TargetModel(abc.ABC):
         everywhere, so ``audit`` reports log-concavity as proven instead of
         sampling Hessians around the mode. A model without such a proof
         returns None and keeps the sampled check.
+        """
+        return None
+
+    def expected_neg_log_density(self, mean, sqrt_covariance):
+        """Optional E[phi(theta)] for theta = mean + z S, z standard normal, or None.
+
+        S is ``sqrt_covariance``, so the covariance is S'S, S S for the
+        fit's symmetric root. ``estimate_kl`` takes the truth's Gaussian
+        half from this value when there is one, and from its sampled
+        direction pass otherwise. A model that overrides it returns a
+        number, and ``KLEstimate.config["gaussian_half"]`` reads
+        "quadrature" for it.
         """
         return None
 
@@ -438,6 +508,29 @@ class LogisticRegressionModel(TargetModel):
     def hessian_eigenvalue_floor(self) -> float:
         """1 / sigma0^2: the likelihood Hessian X' diag(w) X has weights w >= 0."""
         return self._inv_prior_var
+
+    def expected_neg_log_density(self, mean, sqrt_covariance) -> float:
+        """E[phi(theta)] for theta = mean + z S, z standard normal, by quadrature.
+
+        Each margin t_i = y_i x_i.theta is normal, with mean m_i = y_i x_i.mean
+        and standard deviation s_i = |S y_i x_i|; one product of the signed
+        covariates with [-mean | S'] gives every -m_i and S y_i x_i. So E[phi]
+        is the prior term (|mean|^2 + ||S||_F^2) / (2 sigma0^2) plus n
+        one-dimensional integrals E[log(1 + exp(-t_i))], which
+        ``_normal_log1p_exp_means`` takes with no sampling error; an all-zero
+        covariate row (s_i = 0) contributes log 2 exactly, and n = 0 leaves
+        the prior term alone.
+        """
+        mean = self._check_theta(mean)
+        sqrt_cov = np.asarray(sqrt_covariance, dtype=float)
+        if sqrt_cov.shape != (self.dim, self.dim):
+            raise DimensionMismatchError(
+                f"expected a {self.dim}x{self.dim} square root, got shape {sqrt_cov.shape}"
+            )
+        margins = self._signed_x @ np.column_stack([-mean, sqrt_cov.T])
+        spreads = np.sqrt(np.einsum("ij,ij->i", margins[:, 1:], margins[:, 1:]))
+        prior = 0.5 * self._inv_prior_var * (mean @ mean + np.sum(sqrt_cov * sqrt_cov))
+        return float(prior + _normal_log1p_exp_means(margins[:, 0], spreads).sum())
 
     def neg_log_density_many(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)

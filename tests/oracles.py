@@ -13,9 +13,10 @@ plain-loop replay of one scalar phi at a time (``replay_chain``), the
 curvature floor from an eigenvalue solve (``companion_curvature_floor``,
 with its own root rule ``curvature_floor_r0``), the radius law from its
 closed form (``RadialLaw``), the logistic phi from the model's data
-with ``np.logaddexp`` (``logistic_phi``), and the posterior means that a
-chain samples from importance weights on fresh draws of the fit
-(``importance_posterior_means``). ``logistic_ray_values`` builds
+with ``np.logaddexp`` (``logistic_phi``), its loss at a normal margin
+averaged by a composite Gauss-Legendre rule (``normal_logistic_loss``), and
+the posterior means that a chain samples from importance weights on fresh
+draws of the fit (``importance_posterior_means``). ``logistic_ray_values`` builds
 the node margins elementwise but sums them with the model's ``_log1p_exp``.
 
 The one-direction helpers are not independent: ``delta3``, ``delta4`` and
@@ -149,6 +150,25 @@ def logistic_phi(model, thetas):
     prior = np.einsum("ij,ij->i", thetas, thetas) / (2.0 * model.prior_sigma0**2)
     with np.errstate(invalid="ignore"):
         return prior + np.logaddexp(0.0, -margins).sum(axis=1)
+
+
+def normal_logistic_loss(m: float, s: float, panels: int = 240, nodes: int = 24) -> float:
+    """E[log(1 + exp(-t))] for t ~ N(m, s^2), by a composite Gauss-Legendre rule.
+
+    Uses nothing of the package: ``panels`` equal panels over m +- 12 s
+    (normal mass 3.6e-33 beyond), one more break at t = 0, where the loss
+    bends, when it falls inside, and a ``nodes``-point rule on every panel,
+    with the loss by ``np.logaddexp``. s = 0 gives the loss at m.
+    """
+    if s == 0.0:
+        return float(np.logaddexp(0.0, -m))
+    edges = np.linspace(m - 12.0 * s, m + 12.0 * s, panels + 1)
+    edges = np.union1d(edges, [0.0] if edges[0] < 0.0 < edges[-1] else [])
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 * np.diff(edges)
+    t = (edges[:-1] + half)[:, None] + half[:, None] * x
+    density = np.exp(-0.5 * ((t - m) / s) ** 2) / (s * np.sqrt(2.0 * np.pi))
+    return float(np.sum(half[:, None] * w * density * np.logaddexp(0.0, -t)))
 
 
 def importance_posterior_means(model, fit, n_draws: int, seed: int):

@@ -329,6 +329,20 @@ class TestConditionalKlBound:
         assert np.all(conditional_kl_bound(model.dim, batch.delta3, batch.delta4, floor) >= gap)
         np.testing.assert_allclose(xi_audit, xi, rtol=0.0, atol=1e-11)
 
+    @pytest.mark.parametrize("cell", ["logistic_small", "logistic_d50"])
+    def test_mean_xi_matches_the_gaussian_expectation(self, cell, request):
+        # E_e[xi] = phi* + d/2 - E_g[phi]: ray_batch's node values averaged
+        # over 4,096 directions against the model's quadrature of E_g[phi],
+        # one integral per observation that shares no code with ray_batch
+        model, fit = request.getfixturevalue(cell)
+        n_pairs = 2048
+        _, _, _, xi = bound_module._direction_pass(model, fit, n_pairs, 11, "directions", 16)
+        pair_means = xi.reshape(n_pairs, 2).mean(axis=1)
+        se = statistics.stdev(pair_means) / math.sqrt(n_pairs)
+        expected_phi = model.expected_neg_log_density(fit.theta_star, fit.sqrt_covariance)
+        want = fit.neg_log_density_at_mode + 0.5 * model.dim - expected_phi
+        assert abs(xi.mean() - want) <= 4 * se
+
     def test_invalid_curvature_rejected(self):
         with pytest.raises(ValueError):
             conditional_kl_bound(5, 1.0, 0.0, 0.0)

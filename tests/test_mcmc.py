@@ -14,7 +14,9 @@ from laplace_audit import (
     ChainConfig,
     DimensionMismatchError,
     GaussianModel,
+    LogisticRegressionModel,
     NonFiniteObjectiveError,
+    TargetModel,
     TruthPreset,
     estimate_kl,
     estimate_log_inv_z,
@@ -26,7 +28,7 @@ from laplace_audit import (
 from laplace_audit import mcmc
 from laplace_audit.bound import _direction_pass
 from laplace_audit.laplace import LOG_2PI
-from laplace_audit.mcmc import BLOCK_STEPS, N_CHAINS, PRESETS, split_rhat
+from laplace_audit.mcmc import BLOCK_STEPS, N_CHAINS, PRESETS, RHAT_LIMIT, split_rhat
 from laplace_audit.radial import _STREAMS, QUADRATURE_NODES, sample_direction_pairs
 
 from oracles import (
@@ -74,6 +76,21 @@ class _CountingTilt(SoftplusTilt1D):
     def neg_log_density_many(self, thetas):
         self.points += len(thetas)
         return super().neg_log_density_many(thetas)
+
+
+class _DirectionsLogistic(LogisticRegressionModel):
+    """The logistic model with the base class's ``expected_neg_log_density``, which returns None."""
+
+    expected_neg_log_density = TargetModel.expected_neg_log_density
+
+    @classmethod
+    def like(cls, model):
+        return cls(model.labels, model.covariates, model.prior_sigma0)
+
+
+class _InfiniteExpectation(LogisticRegressionModel):
+    def expected_neg_log_density(self, mean, sqrt_covariance):
+        return np.inf
 
 
 class _HalfPlane:
@@ -186,7 +203,24 @@ class TestRunChain:
         wide = dataclasses.replace(fit, sqrt_covariance=80 * fit.sqrt_covariance)
         chain = run_chain(model, wide, ChainConfig(n_steps=20_000, thin=100, seed=2))
         assert chain.acceptance_rate < 0.05
-        assert len(chain.warnings) == 1
+        # the chains that barely move do not mix either
+        assert chain.rhat > RHAT_LIMIT
+        assert len(chain.warnings) == 2
+        assert "acceptance rate" in chain.warnings[0]
+        assert f"split R-hat of phi {chain.rhat:.4f}" in chain.warnings[1]
+
+    @pytest.mark.parametrize(
+        "rhat, warned", [(1.0, False), (RHAT_LIMIT, False), (1.0101, True), (math.nan, False)]
+    )
+    def test_rhat_above_the_limit_attaches_warning(self, rhat, warned, logistic_tiny, monkeypatch):
+        model, fit = logistic_tiny
+        monkeypatch.setattr(mcmc, "split_rhat", lambda draws: rhat)
+        chain = run_chain(model, fit, ChainConfig(n_steps=N_CHAINS * 500, thin=100, seed=3))
+        np.testing.assert_equal(chain.rhat, rhat)
+        assert chain.warnings == (
+            (f"split R-hat of phi 1.0101 above {RHAT_LIMIT}; the chains may not have mixed",)
+            if warned else ()
+        )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -392,7 +426,7 @@ class TestEstimateKl:
             "kl", "se", "log_inv_z", "inv_z_rel_se", "k", "k2", "acceptance_rate", "config"
         }
         assert set(payload["config"]) == {
-            "preset", "n_steps", "thin", "seed", "k2", "rhat", "warnings"
+            "preset", "n_steps", "thin", "seed", "k2", "rhat", "warnings", "gaussian_half"
         }
         assert (payload["k"], payload["k2"]) == (N_CHAINS * 4, 100)
         json.loads(json.dumps(payload, allow_nan=False))
@@ -417,8 +451,10 @@ class TestEstimateKl:
 
     @pytest.mark.parametrize("target", ["logistic_small", "logistic_d50"])
     def test_se_is_the_pair_standard_error(self, target, request):
-        # estimate_kl's direction stream and ray pass, replayed
+        # estimate_kl's direction stream and ray pass, replayed, on the
+        # logistic model without its quadrature of E_g[phi]
         model, fit = request.getfixturevalue(target)
+        model = _DirectionsLogistic.like(model)
         k2, seed = 4_000, 5
         _, se = estimate_kl(model, fit, k2, seed=seed, log_inv_z=0.0, inv_z_rel_se=0.0)
         n_pairs = k2 // (2 * QUADRATURE_NODES)
@@ -430,6 +466,45 @@ class TestEstimateKl:
         pair_means = xi.reshape(n_pairs, 2).mean(axis=1).tolist()
         assert se > 0.0
         assert se == pytest.approx(statistics.stdev(pair_means) / math.sqrt(n_pairs), rel=1e-12)
+
+    def test_logistic_half_is_the_quadrature(self, logistic_small):
+        # E_g[log g] in closed form plus the model's E_g[phi]: no directions,
+        # so the standard error is the 1/Z part alone
+        model, fit = logistic_small
+        kl, se = estimate_kl(model, fit, 10_000, seed=2, log_inv_z=0.5, inv_z_rel_se=0.03)
+        expected_phi = model.expected_neg_log_density(fit.theta_star, fit.sqrt_covariance)
+        log_g = -0.5 * (5 * (LOG_2PI + 1.0) + fit.log_det_covariance)
+        assert kl == pytest.approx(log_g + expected_phi - 0.5, rel=0, abs=1e-12)
+        assert se == 0.03
+        # the seed drives nothing here
+        assert estimate_kl(model, fit, 10_000, seed=3, log_inv_z=0.5) == (kl, 0.0)
+
+    def test_quadrature_path_refuses_what_the_pass_refuses(self, logistic_small):
+        model, fit = logistic_small
+        for k2 in (4 * QUADRATURE_NODES - 1, 1000.0):
+            with pytest.raises(ValueError, match="k2 must be an integer"):
+                estimate_kl(model, fit, k2, log_inv_z=0.0)
+        for seed in (1.5, -1, True):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                estimate_kl(model, fit, 1000, seed=seed, log_inv_z=0.0)
+
+    def test_non_finite_expectation_raises_structured_error(self, logistic_tiny):
+        model, fit = logistic_tiny
+        model = _InfiniteExpectation(model.labels, model.covariates, model.prior_sigma0)
+        with pytest.raises(NonFiniteObjectiveError, match="expected_neg_log_density"):
+            estimate_kl(model, fit, 1000, log_inv_z=0.0)
+
+    def test_config_names_how_the_gaussian_half_was_taken(self, logistic_tiny, gaussian_5d):
+        chain = ChainConfig(n_steps=N_CHAINS * 500, thin=100, seed=1)
+        tilt = SoftplusTilt1D(1.0)
+        for (model, fit), half in (
+            (logistic_tiny, "quadrature"),
+            ((_DirectionsLogistic.like(logistic_tiny[0]), logistic_tiny[1]), "directions"),
+            (gaussian_5d, "directions"),
+            ((tilt, fit_laplace(tilt)), "directions"),
+        ):
+            est = estimate_true_kl(model, fit, TruthPreset("test", chain, 1_000))
+            assert est.config["gaussian_half"] == half
 
     def test_gaussian_half_is_exact(self, gaussian_5d):
         # every ray of a Gaussian is exactly quadratic, so every xi is 0

@@ -12,6 +12,7 @@ from laplace_audit import (
     LogisticRegressionModel,
     SyntheticDatasetConfig,
     UnsupportedOrderError,
+    fit_laplace,
     generate_dataset,
     load_dataset_csv,
     random_gaussian_model,
@@ -32,6 +33,7 @@ from oracles import (
     fourth_derivative_5pt,
     logistic_phi,
     logistic_ray_values,
+    normal_logistic_loss,
     third_derivative_7pt,
 )
 
@@ -151,6 +153,76 @@ class TestHessianEigenvalueFloor:
 
     def test_custom_model_has_no_floor_by_default(self):
         assert SoftplusTilt1D(1.0).hessian_eigenvalue_floor() is None
+
+
+def _oracle_expectation(model, mean, sqrt_cov):
+    """E[phi] under N(mean, S S) from the data alone, each loss by ``normal_logistic_loss``."""
+    signed = model.labels[:, None] * model.covariates
+    spreads = np.linalg.norm(signed @ sqrt_cov, axis=1)
+    losses = [normal_logistic_loss(m, s) for m, s in zip(signed @ mean, spreads)]
+    prior = (mean @ mean + np.sum(sqrt_cov * sqrt_cov)) / (2.0 * model.prior_sigma0**2)
+    return prior + sum(losses)
+
+
+@pytest.mark.filterwarnings("error")
+class TestExpectedNegLogDensity:
+    """The logistic E[phi] under a Gaussian against a quadrature that shares no package code."""
+
+    @pytest.mark.parametrize(
+        "s", [0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 100.0]
+    )
+    def test_each_observation_matches_the_oracle(self, s):
+        # one observation whose margin has mean m and standard deviation s:
+        # covariates (m, 1) with mean (1, 0) and S = diag(0, s); the prior
+        # term is (1 + s^2) / 2 at sigma0 = 1
+        sqrt_cov = np.diag([0.0, s])
+        for m in np.linspace(-(4 * s + 3), 4 * s + 3, 41):
+            model = LogisticRegressionModel(np.ones(1), np.array([[m, 1.0]]), 1.0)
+            got = model.expected_neg_log_density(np.array([1.0, 0.0]), sqrt_cov)
+            assert abs(got - 0.5 * (1.0 + s * s) - normal_logistic_loss(m, s)) <= 1e-9
+
+    def test_all_zero_covariate_row_adds_log_2(self):
+        dataset = generate_dataset(SyntheticDatasetConfig(d=5, n=40, seed=3))
+        base = dataset.model(10.0)
+        model = LogisticRegressionModel(
+            np.append(dataset.labels, 1.0), np.vstack([dataset.covariates, np.zeros(5)]), 10.0
+        )
+        fit = fit_laplace(model)
+        got = model.expected_neg_log_density(fit.theta_star, fit.sqrt_covariance)
+        assert abs(got - _oracle_expectation(model, fit.theta_star, fit.sqrt_covariance)) <= 41e-9
+        without = base.expected_neg_log_density(fit.theta_star, fit.sqrt_covariance)
+        assert got - without == pytest.approx(np.log(2.0), abs=1e-12)
+
+    def test_no_observations_leave_the_prior_term(self):
+        model = LogisticRegressionModel(np.zeros(0), np.zeros((0, 3)), prior_sigma0=2.0)
+        mean = np.array([1.0, -2.0, 0.5])
+        sqrt_cov = np.array([[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, 2.0]])
+        expected = (mean @ mean + np.sum(sqrt_cov * sqrt_cov)) / (2 * 2.0**2)
+        got = model.expected_neg_log_density(mean, sqrt_cov)
+        assert got == pytest.approx(expected, rel=1e-15)
+
+    def test_wide_posterior_cell(self):
+        # (50, 200) seed 1, the CLI's truth target: margin spreads reach 6.7,
+        # where a 64-node Gauss-Hermite rule is off by 5e-7
+        model = generate_dataset(SyntheticDatasetConfig(d=50, n=200, seed=1)).model(10.0)
+        fit = fit_laplace(model)
+        spreads = np.linalg.norm(model.signed_covariates @ fit.sqrt_covariance, axis=1)
+        assert spreads.max() > 6.0
+        got = model.expected_neg_log_density(fit.theta_star, fit.sqrt_covariance)
+        assert abs(got - _oracle_expectation(model, fit.theta_star, fit.sqrt_covariance)) <= 200e-9
+
+    def test_other_models_have_none(self):
+        # the Gaussian's direction pass is already exact; custom models keep it
+        assert SoftplusTilt1D(1.0).expected_neg_log_density(np.zeros(1), np.eye(1)) is None
+        gaussian = random_gaussian_model(3, seed=1)
+        assert gaussian.expected_neg_log_density(np.zeros(3), np.eye(3)) is None
+
+    def test_shapes_checked(self):
+        model = _random_logistic(0, d=4)
+        with pytest.raises(DimensionMismatchError):
+            model.expected_neg_log_density(np.zeros(3), np.eye(4))
+        with pytest.raises(DimensionMismatchError):
+            model.expected_neg_log_density(np.zeros(4), np.eye(3))
 
 
 class TestRayDerivatives:
