@@ -94,12 +94,25 @@ def _add_model_flags(parser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _refuse_unread(args, parser, names, target: str) -> None:
+    """Usage error for a flag among ``names`` that was given but that ``target`` does not read."""
+    for name in names:
+        if getattr(args, name) is not None:
+            parser.error(f"{target} does not read --{name}")
+
+
 def _build_model(args, parser):
-    """The target the model flags name: a ``--data`` CSV's posterior, or a synthetic one."""
+    """The target the model flags name: a ``--data`` CSV's posterior, or a synthetic one.
+
+    A flag the target would ignore is a usage error: ``--data`` and ``--n``
+    for the Gaussian target, ``--d`` and ``--n`` beside ``--data``.
+    """
     if args.model == "gaussian":
+        _refuse_unread(args, parser, ("data", "n"), "--model gaussian")
         if args.d is None:
             parser.error("--model gaussian requires --d")
     elif args.data is not None:
+        _refuse_unread(args, parser, ("d", "n"), "a --data target")
         return LogisticRegressionModel(*load_dataset_csv(args.data), args.sigma0)
     elif args.d is None or args.n is None:
         parser.error("logistic target needs either --data or both --d and --n")

@@ -257,11 +257,12 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
     """Run every (row, replicate) cell and take each row's ``MEDIAN_COLUMNS`` medians.
 
     The cells run on a pool of ``jobs`` threads (a ValueError when ``jobs``
-    is below 1). They are independent and individually seeded, so ``jobs``
-    changes no output, and ``pool.map`` returns them in (row, replicate)
-    order whatever order they finish in. Per-cell failures are recorded in
-    the report and do not stop the run. The spec is hashed before any cell.
+    is not an integer >= 1). They are independent and individually seeded,
+    so ``jobs`` changes no output, and ``pool.map`` returns them in (row,
+    replicate) order whatever order they finish in. Per-cell failures are
+    recorded in the report and do not stop the run. The spec is hashed before any cell.
     """
+    _check_integer(jobs, 1, "jobs must be an integer >= 1")
     sha256 = spec_content_hash(spec)
     cells = [(r, k) for r in range(len(spec.rows)) for k in range(spec.replicates)]
     with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatchError,
     MapNotConvergedError,
     NonFiniteObjectiveError,
+    _check_integer,
 )
 from .models import TargetModel
 from .radial import _stream_rng
@@ -145,10 +146,13 @@ def fit_laplace(
     the iteration cap is hit, NonFiniteObjectiveError if the objective stops
     being finite, and AssumptionViolationError when the Hessian's smallest
     eigenvalue is not positive relative to its largest (target not locally
-    log-concave at the mode, or numerically singular there).
+    log-concave at the mode, or numerically singular there). A ``tol`` that
+    is not finite and positive, or a ``max_iter`` that is not an integer
+    >= 1, raises ValueError before phi is evaluated.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
+    _check_integer(max_iter, 1, "max_iter must be an integer >= 1")
     if init is None:
         init = np.zeros(model.dim)
     else:

@@ -23,7 +23,7 @@ numbers on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -373,31 +373,34 @@ def estimate_kl(
     *,
     log_inv_z: float,
     inv_z_rel_se: float = 0.0,
-) -> tuple[float, float]:
-    """Estimate ``(kl, se)`` of KL(g, f) given the log 1/Z estimate.
+) -> tuple[float, float, str]:
+    """Estimate ``(kl, se, gaussian_half)`` of KL(g, f) given the log 1/Z estimate.
 
     KL(g, f) = E_g[log g + phi] - ``log_inv_z``, the log 1/Z estimate of
     ``estimate_log_inv_z``, whose relative standard error is
     ``inv_z_rel_se``. E_g[log g] is -(d log 2 pi + log det Sigma + d) / 2.
-    When the model's ``expected_neg_log_density`` gives E_g[phi], that value
-    is used, and ``se`` is ``inv_z_rel_se`` alone.
+    E_g[phi] is taken by one of two rules, and ``gaussian_half`` names the
+    one taken. The model's ``expected_neg_log_density`` is called once; a
+    value from it is E_g[phi], with a standard error of 0, by the rule
+    "quadrature".
 
-    Otherwise E_g[phi] is taken in polar form. With theta = theta* + r S e,
-    e uniform on the sphere and r chi-distributed, the mean of phi over r
-    along e is phi* + d/2 - xi(e), xi the ELBO proxy of the certificate, so
-    the first term is -(d log 2 pi + log det Sigma) / 2 + phi* - E_e[xi(e)].
+    When it gives None, the rule is "directions": E_g[phi] in polar form.
+    With theta = theta* + r S e, e uniform on the sphere and r
+    chi-distributed, the mean of phi over r along e is phi* + d/2 - xi(e),
+    xi the ELBO proxy of the certificate, so E_g[log g + phi] is
+    -(d log 2 pi + log det Sigma) / 2 + phi* - E_e[xi(e)].
     The radius is integrated out by the ``QUADRATURE_NODES``-node Gauss-chi
     rule, and only the direction is sampled: k2 // (2 ``QUADRATURE_NODES``)
     antithetic pairs, so ``k2`` counts phi evaluations.
     ``bound._direction_pass``, the audit's pass on its own stream, gives the
     pairs and xi, and an exactly quadratic ray (delta3 = delta4 = 0) xi = 0
-    exactly. The standard error is the hypot of ``bound._mean_se`` over the
-    pair means of xi and the 1/Z uncertainty, propagated as an additive
-    log-term.
+    exactly. Its standard error is ``bound._mean_se`` over the pair means
+    of xi. Either rule's standard error is combined by hypot with the 1/Z
+    uncertainty, propagated as an additive log-term.
 
     A ``k2`` below 4 ``QUADRATURE_NODES``, fewer than two pairs, or a
     ``k2`` or ``seed`` that is not an integer (``seed`` below 0 too) raises
-    ValueError on either path. A non-finite phi on a ray node raises
+    ValueError before either rule runs. A non-finite phi on a ray node raises
     NonFiniteObjectiveError, with ``theta`` the first such node point
     theta* + r v, rather than averaging into a NaN or infinite KL; so does a
     non-finite E_g[phi] from the model, with ``theta`` the mode.
@@ -407,47 +410,41 @@ def estimate_kl(
     if not (np.isfinite(inv_z_rel_se) and inv_z_rel_se >= 0):
         raise ValueError("inv_z_rel_se must be finite and nonnegative")
     _check_k2(k2)
+    _check_integer(seed, 0, "seed must be an integer >= 0")
     log_g = -0.5 * (fit.dim * LOG_2PI + fit.log_det_covariance)
     expected_phi = model.expected_neg_log_density(fit.theta_star, fit.sqrt_covariance)
     if expected_phi is not None:
-        # no stream is drawn, but a seed is refused as the direction pass refuses it
-        _check_integer(seed, 0, "seed must be an integer >= 0")
         if not np.isfinite(expected_phi):
             raise NonFiniteObjectiveError(
                 "non-finite E_g[phi] from the model's expected_neg_log_density",
                 theta=fit.theta_star,
             )
-        return float(log_g - 0.5 * fit.dim + expected_phi - log_inv_z), float(inv_z_rel_se)
-    n_pairs = k2 // (2 * QUADRATURE_NODES)
-    vs, rs, batch, xi = _direction_pass(model, fit, n_pairs, seed, "kl", QUADRATURE_NODES)
-    bad = np.flatnonzero(~np.isfinite(batch.values))
-    if bad.size:
-        row, node = divmod(int(bad[0]), QUADRATURE_NODES)
-        raise NonFiniteObjectiveError(
-            f"non-finite phi at ray node {node} of direction {row}",
-            theta=fit.theta_star + rs[node] * vs[row],
-        )
-    kl = float(log_g + fit.neg_log_density_at_mode - xi.mean() - log_inv_z)
-    se = float(np.hypot(_mean_se(xi.reshape(n_pairs, 2).mean(axis=1)), inv_z_rel_se))
-    return kl, se
-
-
-def _gaussian_half(model: TargetModel) -> str:
-    """How ``estimate_kl`` takes E_g[phi] for ``model``: "quadrature" or "directions"."""
-    own = type(model).expected_neg_log_density is not TargetModel.expected_neg_log_density
-    return "quadrature" if own else "directions"
+        half, half_se, rule = log_g - 0.5 * fit.dim + expected_phi, 0.0, "quadrature"
+    else:
+        n_pairs = k2 // (2 * QUADRATURE_NODES)
+        vs, rs, batch, xi = _direction_pass(model, fit, n_pairs, seed, "kl", QUADRATURE_NODES)
+        bad = np.flatnonzero(~np.isfinite(batch.values))
+        if bad.size:
+            row, node = divmod(int(bad[0]), QUADRATURE_NODES)
+            raise NonFiniteObjectiveError(
+                f"non-finite phi at ray node {node} of direction {row}",
+                theta=fit.theta_star + rs[node] * vs[row],
+            )
+        half = log_g + fit.neg_log_density_at_mode - xi.mean()
+        half_se = _mean_se(xi.reshape(n_pairs, 2).mean(axis=1))
+        rule = "directions"
+    return float(half - log_inv_z), float(np.hypot(half_se, inv_z_rel_se)), rule
 
 
 def estimate_true_kl(model: TargetModel, fit: LaplaceFit, preset: TruthPreset) -> KLEstimate:
     """Chain -> log 1/Z -> KL(g, f) from one seed; an undefined ``config["rhat"]`` is NaN.
 
-    ``config["gaussian_half"]`` says how E_g[phi] was taken (``_gaussian_half``).
+    ``config["gaussian_half"]`` is the rule ``estimate_kl`` took for E_g[phi].
     """
-    config = preset.chain
-    chain = run_chain(model, fit, config)
+    chain = run_chain(model, fit, preset.chain)
     log_inv_z, rel_se = estimate_log_inv_z(fit, chain.samples, chain.phi)
-    kl, se = estimate_kl(
-        model, fit, preset.k2, config.seed, log_inv_z=log_inv_z, inv_z_rel_se=rel_se
+    kl, se, gaussian_half = estimate_kl(
+        model, fit, preset.k2, preset.chain.seed, log_inv_z=log_inv_z, inv_z_rel_se=rel_se
     )
     return KLEstimate(
         kl=kl,
@@ -459,12 +456,10 @@ def estimate_true_kl(model: TargetModel, fit: LaplaceFit, preset: TruthPreset) -
         acceptance_rate=chain.acceptance_rate,
         config={
             "preset": preset.name,
-            "n_steps": config.n_steps,
-            "thin": config.thin,
-            "seed": config.seed,
+            **asdict(preset.chain),
             "k2": preset.k2,
             "rhat": chain.rhat,
             "warnings": list(chain.warnings),
-            "gaussian_half": _gaussian_half(model),
+            "gaussian_half": gaussian_half,
         },
     )

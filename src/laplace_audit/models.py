@@ -267,11 +267,12 @@ class TargetModel(abc.ABC):
         """Optional E[phi(theta)] for theta = mean + z S, z standard normal, or None.
 
         S is ``sqrt_covariance``, so the covariance is S'S, S S for the
-        fit's symmetric root. ``estimate_kl`` takes the truth's Gaussian
-        half from this value when there is one, and from its sampled
-        direction pass otherwise. A model that overrides it returns a
-        number, and ``KLEstimate.config["gaussian_half"]`` reads
-        "quadrature" for it.
+        fit's symmetric root. ``estimate_kl`` calls it once per truth and
+        takes the truth's Gaussian half from a value, by the rule
+        "quadrature". An override may return None, as a wrapper whose inner
+        model has no such value does; the truth then takes its sampled
+        direction pass and ``KLEstimate.config["gaussian_half"]`` reads
+        "directions".
         """
         return None
 

@@ -363,6 +363,27 @@ class TestExitCodes:
             assert exc_info.value.code == 1
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--model", "gaussian", "--d", "3", "--data", "/nonexistent.csv"],
+             "--model gaussian does not read --data"),
+            (["--model", "gaussian", "--d", "3", "--n", "30"],
+             "--model gaussian does not read --n"),
+            (["--data", "/nonexistent.csv", "--d", "3"], "a --data target does not read --d"),
+            (["--data", "/nonexistent.csv", "--n", "30"], "a --data target does not read --n"),
+        ],
+        ids=["gaussian_data", "gaussian_n", "data_d", "data_n"],
+    )
+    def test_unread_model_flag_exits_one(self, argv, message, capsys):
+        # each flag used to be dropped without a word, so a mistyped target
+        # ran as another one and exited 0
+        for command in ("audit", "truth"):
+            with pytest.raises(SystemExit) as exc_info:
+                main([command, *argv])
+            assert exc_info.value.code == 1
+            assert message in capsys.readouterr().err
+
     def test_degenerate_dataset_exits_two(self, tmp_path, capsys):
         # exact duplicate covariate column + huge prior variance: the Hessian
         # at the mode is numerically singular, an assumption violation
@@ -403,7 +424,7 @@ class TestExitCodes:
     def test_table_zero_jobs_exits_one(self, tmp_path, capsys):
         spec = _write_spec(tmp_path / "spec.json")
         assert main(["table", "--spec", str(spec), "--jobs", "0"]) == 1
-        assert "max_workers" in capsys.readouterr().err
+        assert "jobs must be an integer >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "change, message",
@@ -603,6 +624,14 @@ class TestExperimentApi:
         same = spec(i64(2), i64(10), np.float64(1.0), i64(1), i64(0))
         assert experiments.spec_content_hash(same) == plain
         assert report.to_csv() == run_experiment(spec(2, 10, 1.0, 1, 0)).to_csv()
+
+    @pytest.mark.parametrize("jobs", [0, -1, 2.5, True, "2"])
+    def test_jobs_must_be_a_positive_integer(self, jobs):
+        # a float or bool count used to reach the thread pool, and a string
+        # failed there with a TypeError
+        spec = ExperimentSpec((_ROW,), 1, 0, n_directions=16, estimate_truth=False)
+        with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+            run_experiment(spec, jobs=jobs)
 
     def test_infinite_sigma0_rejected_before_any_cell(self):
         # json.load reads the Infinity literal, so the spec check must turn

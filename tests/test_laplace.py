@@ -83,8 +83,17 @@ class TestFindMap:
 
     def test_rejects_nonpositive_tol(self, logistic_tiny):
         model, _ = logistic_tiny
-        with pytest.raises(ValueError):
-            fit_laplace(model, tol=0.0)
+        # an infinite tol returned the start as the mode, a NaN one ran to the cap
+        for tol in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                fit_laplace(model, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -1, 2.5, True])
+    def test_rejects_a_max_iter_that_is_not_a_positive_integer(self, max_iter, logistic_tiny):
+        # 0 and -1 used to raise MapNotConvergedError, 2.5 a TypeError
+        model, _ = logistic_tiny
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            fit_laplace(model, max_iter=max_iter)
 
     def test_rejects_init_of_the_wrong_length(self, logistic_tiny):
         model, _ = logistic_tiny

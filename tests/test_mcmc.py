@@ -88,6 +88,54 @@ class _DirectionsLogistic(LogisticRegressionModel):
         return cls(model.labels, model.covariates, model.prior_sigma0)
 
 
+class _CountingExpectation(LogisticRegressionModel):
+    """The logistic model that counts its ``expected_neg_log_density`` calls."""
+
+    calls = 0
+
+    def expected_neg_log_density(self, mean, sqrt_covariance):
+        self.calls += 1
+        return super().expected_neg_log_density(mean, sqrt_covariance)
+
+
+class _Delegating(TargetModel):
+    """A target whose every method, ``expected_neg_log_density`` included, is the inner model's."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+
+    def neg_log_density(self, theta):
+        return self.inner.neg_log_density(theta)
+
+    def gradient(self, theta):
+        return self.inner.gradient(theta)
+
+    def hessian(self, theta):
+        return self.inner.hessian(theta)
+
+    def ray_derivatives(self, base, direction, r=0.0, max_order=4):
+        return self.inner.ray_derivatives(base, direction, r, max_order)
+
+    def ray_batch(self, base, directions, rs):
+        return self.inner.ray_batch(base, directions, rs)
+
+    def ray_values(self, base, direction, rs):
+        return self.inner.ray_values(base, direction, rs)
+
+    def ray_fourth_derivative_bound(self, base, direction):
+        return self.inner.ray_fourth_derivative_bound(base, direction)
+
+    def hessian_eigenvalue_floor(self):
+        return self.inner.hessian_eigenvalue_floor()
+
+    def expected_neg_log_density(self, mean, sqrt_covariance):
+        return self.inner.expected_neg_log_density(mean, sqrt_covariance)
+
+    def neg_log_density_many(self, thetas):
+        return self.inner.neg_log_density_many(thetas)
+
+
 class _InfiniteExpectation(LogisticRegressionModel):
     def expected_neg_log_density(self, mean, sqrt_covariance):
         return np.inf
@@ -390,8 +438,11 @@ class TestEstimateKl:
         model, fit = gaussian_5d
         chain = run_chain(model, fit, ChainConfig(n_steps=100_000, thin=100, seed=7))
         log_inv_z, rel_se = estimate_log_inv_z(fit, chain.samples, chain.phi)
-        kl, se = estimate_kl(model, fit, 10_000, seed=8, log_inv_z=log_inv_z, inv_z_rel_se=rel_se)
+        kl, se, half = estimate_kl(
+            model, fit, 10_000, seed=8, log_inv_z=log_inv_z, inv_z_rel_se=rel_se
+        )
         assert abs(kl) <= max(3 * se, 1e-12)
+        assert half == "directions"
 
     def test_1d_pipeline_matches_quadrature(self):
         model = SoftplusTilt1D(1.0)
@@ -445,7 +496,8 @@ class TestEstimateKl:
         # fresh draws of the fit, which evaluates phi point by point; on the
         # Gaussian both are constant but for rounding, hence the 1e-12 floor
         model, fit = request.getfixturevalue(target)
-        half, se = estimate_kl(model, fit, 10_000, seed=5, log_inv_z=0.0)
+        half, se, taken = estimate_kl(model, fit, 10_000, seed=5, log_inv_z=0.0)
+        assert taken == ("directions" if target == "gaussian_5d" else "quadrature")
         ref, ref_se = fresh_draw_kl(model, fit, 20_000, seed=6, log_inv_z=0.0)
         assert abs(half - ref) <= 4 * np.hypot(se, ref_se) + 1e-12
 
@@ -456,7 +508,8 @@ class TestEstimateKl:
         model, fit = request.getfixturevalue(target)
         model = _DirectionsLogistic.like(model)
         k2, seed = 4_000, 5
-        _, se = estimate_kl(model, fit, k2, seed=seed, log_inv_z=0.0, inv_z_rel_se=0.0)
+        _, se, rule = estimate_kl(model, fit, k2, seed=seed, log_inv_z=0.0, inv_z_rel_se=0.0)
+        assert rule == "directions"
         n_pairs = k2 // (2 * QUADRATURE_NODES)
         vs, _, _, xi = _direction_pass(model, fit, n_pairs, seed, "kl", QUADRATURE_NODES)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=_STREAMS["kl"]))
@@ -471,13 +524,14 @@ class TestEstimateKl:
         # E_g[log g] in closed form plus the model's E_g[phi]: no directions,
         # so the standard error is the 1/Z part alone
         model, fit = logistic_small
-        kl, se = estimate_kl(model, fit, 10_000, seed=2, log_inv_z=0.5, inv_z_rel_se=0.03)
+        kl, se, rule = estimate_kl(model, fit, 10_000, seed=2, log_inv_z=0.5, inv_z_rel_se=0.03)
+        assert rule == "quadrature"
         expected_phi = model.expected_neg_log_density(fit.theta_star, fit.sqrt_covariance)
         log_g = -0.5 * (5 * (LOG_2PI + 1.0) + fit.log_det_covariance)
         assert kl == pytest.approx(log_g + expected_phi - 0.5, rel=0, abs=1e-12)
         assert se == 0.03
         # the seed drives nothing here
-        assert estimate_kl(model, fit, 10_000, seed=3, log_inv_z=0.5) == (kl, 0.0)
+        assert estimate_kl(model, fit, 10_000, seed=3, log_inv_z=0.5) == (kl, 0.0, "quadrature")
 
     def test_quadrature_path_refuses_what_the_pass_refuses(self, logistic_small):
         model, fit = logistic_small
@@ -502,14 +556,27 @@ class TestEstimateKl:
             ((_DirectionsLogistic.like(logistic_tiny[0]), logistic_tiny[1]), "directions"),
             (gaussian_5d, "directions"),
             ((tilt, fit_laplace(tilt)), "directions"),
+            # a wrapper overrides the hook but passes on the inner model's
+            # None, so the label comes from the rule run, not from the class
+            ((_Delegating(gaussian_5d[0]), gaussian_5d[1]), "directions"),
+            ((_Delegating(logistic_tiny[0]), logistic_tiny[1]), "quadrature"),
         ):
             est = estimate_true_kl(model, fit, TruthPreset("test", chain, 1_000))
             assert est.config["gaussian_half"] == half
 
+    def test_truth_calls_the_expectation_hook_once(self, logistic_tiny):
+        model, fit = logistic_tiny
+        model = _CountingExpectation(model.labels, model.covariates, model.prior_sigma0)
+        chain = ChainConfig(n_steps=N_CHAINS * 500, thin=100, seed=1)
+        est = estimate_true_kl(model, fit, TruthPreset("test", chain, 1_000))
+        assert est.config["gaussian_half"] == "quadrature"
+        assert model.calls == 1
+
     def test_gaussian_half_is_exact(self, gaussian_5d):
         # every ray of a Gaussian is exactly quadratic, so every xi is 0
         model, fit = gaussian_5d
-        half, se = estimate_kl(model, fit, 10_000, seed=2, log_inv_z=0.0)
+        half, se, rule = estimate_kl(model, fit, 10_000, seed=2, log_inv_z=0.0)
+        assert rule == "directions"
         assert half == -0.5 * (5 * LOG_2PI + fit.log_det_covariance) + fit.neg_log_density_at_mode
         assert se == 0.0
 
@@ -518,7 +585,8 @@ class TestEstimateKl:
         # at d = 1 the direction law is the two points +-1, both in every pair
         model = SoftplusTilt1D(alpha)
         fit = fit_laplace(model)
-        half, se = estimate_kl(model, fit, 1_000, seed=4, log_inv_z=0.0)
+        half, se, rule = estimate_kl(model, fit, 1_000, seed=4, log_inv_z=0.0)
+        assert rule == "directions"
         assert half == pytest.approx(quadrature_gaussian_half_1d(model, fit), rel=0, abs=1e-12)
         assert se == 0.0
 
