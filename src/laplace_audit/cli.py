@@ -90,7 +90,7 @@ def _add_model_flags(parser) -> None:
     parser.add_argument("--data", help="dataset CSV (y,x1,...,xd) for the logistic target")
     parser.add_argument("--d", type=int, help="dimension for synthetic targets")
     parser.add_argument("--n", type=int, help="sample count for the synthetic logistic target")
-    parser.add_argument("--sigma0", type=float, default=10.0, help="prior sigma0 (default 10)")
+    parser.add_argument("--sigma0", type=float, help="prior sigma0 of a logistic target (default 10)")
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -104,19 +104,21 @@ def _refuse_unread(args, parser, names, target: str) -> None:
 def _build_model(args, parser):
     """The target the model flags name: a ``--data`` CSV's posterior, or a synthetic one.
 
-    A flag the target would ignore is a usage error: ``--data`` and ``--n``
-    for the Gaussian target, ``--d`` and ``--n`` beside ``--data``.
+    A flag the target would ignore is a usage error: ``--data``, ``--n``
+    and ``--sigma0`` for the Gaussian target, ``--d`` and ``--n`` beside
+    ``--data``. A logistic target's ``--sigma0`` defaults to 10.
     """
+    sigma0 = 10.0 if args.sigma0 is None else args.sigma0
     if args.model == "gaussian":
-        _refuse_unread(args, parser, ("data", "n"), "--model gaussian")
+        _refuse_unread(args, parser, ("data", "n", "sigma0"), "--model gaussian")
         if args.d is None:
             parser.error("--model gaussian requires --d")
     elif args.data is not None:
         _refuse_unread(args, parser, ("d", "n"), "a --data target")
-        return LogisticRegressionModel(*load_dataset_csv(args.data), args.sigma0)
+        return LogisticRegressionModel(*load_dataset_csv(args.data), sigma0)
     elif args.d is None or args.n is None:
         parser.error("logistic target needs either --data or both --d and --n")
-    return _synthetic_model(args.model, args.d, args.n, args.sigma0, args.seed)
+    return _synthetic_model(args.model, args.d, args.n, sigma0, args.seed)
 
 
 def _cmd_gen_data(args, parser) -> int:

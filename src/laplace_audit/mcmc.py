@@ -240,7 +240,13 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
 
     So phi is evaluated only on the proposals g lets through, with one
     ``neg_log_density_many`` call per step on those rows of all chains; the
-    closer g is to f, the fewer of them stage 2 turns away. Each chain
+    closer g is to f, the fewer of them stage 2 turns away. About 10 of the
+    40 rows pass stage 1, so a step costs more in numpy calls than in
+    arithmetic: it copies the survivors' rows of z and of the jumps by
+    ``take`` and the moved rows by ``compress``, the same copies as fancy
+    and boolean indexing of 2-D rows at a third to a half of the per-call
+    cost, while its 1-D selections stay plain indexing, the cheaper form
+    for them. Each chain
     discards the first ``BURN_IN_FRACTION`` of its steps and keeps every
     ``thin``-th state after them; the samples, theta* + z S formed once at
     the end, are returned chain by chain.
@@ -291,15 +297,15 @@ def run_chain(model: TargetModel, fit: LaplaceFit, config: ChainConfig) -> Chain
             lift = np.einsum("cj,cj->c", z, step)
             rows = (lift < pass_at[b]).nonzero()[0]
             if rows.size:
-                z_prop = z[rows]
-                z_prop += step[rows]
+                z_prop = z.take(rows, axis=0)
+                z_prop += step.take(rows, axis=0)
                 theta = z_prop @ sqrt_cov
                 theta += mode
                 phi_prop = model.neg_log_density_many(theta)
                 ceiling = (phi + lift + move_at[b])[rows]
                 move = (phi_prop < ceiling) & np.isfinite(phi_prop)
                 rows = rows[move]
-                z[rows] = z_prop[move]
+                z[rows] = z_prop.compress(move, axis=0)
                 phi[rows] = phi_prop[move]
                 accepted += rows.size
             if keep[kept] == done + b:

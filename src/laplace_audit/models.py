@@ -31,8 +31,8 @@ from .radial import _stream_rng
 # grid-maximization oracle in the test suite.
 SIGMOID_THIRD_DERIVATIVE_MAX = 0.125
 
-# elements of the one margin buffer a block hook builds: points x n_obs in
-# ``neg_log_density_many``, directions x nodes x n_obs in ``ray_batch``,
+# elements of the margin array of one block of a block hook: points x n_obs
+# in ``neg_log_density_many``, directions x nodes x n_obs in ``ray_batch``,
 # pieces x nodes in ``_normal_log1p_exp_means``
 BLOCK_ELEMENTS = 1 << 18
 
@@ -68,10 +68,13 @@ def _log1p_exp(u, out=None):
     passes fewer. Both run on numpy's vectorized exp and log1p, several times
     faster than ``np.logaddexp``, and agree with it to a few ulp. NaN and
     infinities propagate. With u = -t it is -log expit(t), the logistic loss
-    at margin t.
+    at margin t. Without ``out``, u may be anything ``np.asarray`` takes and
+    the result is a new array; with it, u must be a float array of out's
+    shape (``out=u`` works in place), taken as it is, with no re-wrap, since
+    the chain's survivor batches make this call thousands of times.
     """
-    u = np.asarray(u, dtype=float)
     if out is None:
+        u = np.asarray(u, dtype=float)
         out = np.empty_like(u)
     if u.max(initial=-np.inf) < 700.0:
         np.exp(u, out=out)
@@ -375,8 +378,8 @@ class LogisticRegressionModel(TargetModel):
     row. The ray hook multiplies directions by it for the projections s,
     then takes the negated node margins u = (-r) s - t0 from one stacked
     product with two inner terms, which rounds exactly as the elementwise
-    form does. Both take the loss as log(1 + exp(u)) in buffers of at most
-    ``BLOCK_ELEMENTS``. Evaluation is pure after construction.
+    form does. Both take the loss as log(1 + exp(u)) in blocks of at most
+    ``BLOCK_ELEMENTS`` margins. Evaluation is pure after construction.
     """
 
     def __init__(self, labels, covariates, prior_sigma0: float):
@@ -534,16 +537,20 @@ class LogisticRegressionModel(TargetModel):
         return float(prior + _normal_log1p_exp_means(margins[:, 0], spreads).sum())
 
     def neg_log_density_many(self, thetas) -> np.ndarray:
+        """phi at each row of ``thetas``, in blocks of rows of at most ``BLOCK_ELEMENTS`` margins.
+
+        Each block is one product of its negated rows with the stored
+        transpose, a fresh array of the negated margins u = -t, whose
+        softplus ``_log1p_exp`` writes in place before the row sums. The
+        chain calls this on its 1 to 40 survivor rows per step, one block,
+        where the per-call overhead outweighs the arithmetic.
+        """
         thetas = np.asarray(thetas, dtype=float)
         out = 0.5 * self._inv_prior_var * np.einsum("ij,ij->i", thetas, thetas)
-        # one buffer of negated margins u = -t for every slice of rows
         block = max(1, BLOCK_ELEMENTS // max(1, self.n_obs))
-        buffer = np.empty((min(block, thetas.shape[0]), self.n_obs))
         for lo in range(0, thetas.shape[0], block):
-            rows = slice(lo, min(lo + block, thetas.shape[0]))
-            u = buffer[: rows.stop - lo]
-            np.matmul(-thetas[rows], self._signed_xt, out=u)
-            out[rows] += _log1p_exp(u, out=u).sum(axis=1)
+            u = np.matmul(-thetas[lo : lo + block], self._signed_xt)
+            out[lo : lo + block] += _log1p_exp(u, out=u).sum(axis=1)
         return out
 
 

@@ -95,7 +95,8 @@ def replay_chain(model: TargetModel, fit, config):
     proposal with ``neg_log_density``; states are kept per chain after its
     burn-in of ``mcmc.BURN_IN_FRACTION`` of its steps, every ``thin``-th step.
 
-    Returns (samples chain by chain, accepted count per chain).
+    Returns (samples chain by chain, accepted count per chain, stage-1
+    pass count per chain); the passes are the proposals scored on the target.
     """
     from laplace_audit import mcmc
 
@@ -115,17 +116,18 @@ def replay_chain(model: TargetModel, fit, config):
     def theta(z):
         return fit.theta_star + z @ fit.sqrt_covariance
 
-    samples, accepted = [], []
+    samples, accepted, passed = [], [], []
     for c in range(chains):
         z = starts[c]
         phi = model.neg_log_density(theta(z))
         if not np.isfinite(phi):
             z = np.zeros(d)
             phi = model.neg_log_density(theta(z))
-        count = 0
+        count = passes = 0
         for step in range(steps):
             candidate = z + scale * eta[step, c]
             if np.log(u[0, step, c]) < -0.5 * (candidate @ candidate - z @ z):
+                passes += 1
                 phi_prop = model.neg_log_density(theta(candidate))
                 w, w_prop = phi - 0.5 * (z @ z), phi_prop - 0.5 * (candidate @ candidate)
                 if np.isfinite(phi_prop) and np.log(u[1, step, c]) < w - w_prop:
@@ -134,7 +136,8 @@ def replay_chain(model: TargetModel, fit, config):
             if step >= burn and (step - burn + 1) % config.thin == 0:
                 samples.append(theta(z))
         accepted.append(count)
-    return np.array(samples), np.array(accepted)
+        passed.append(passes)
+    return np.array(samples), np.array(accepted), np.array(passed)
 
 
 def logistic_phi(model, thetas):

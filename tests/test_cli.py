@@ -372,8 +372,10 @@ class TestExitCodes:
              "--model gaussian does not read --n"),
             (["--data", "/nonexistent.csv", "--d", "3"], "a --data target does not read --d"),
             (["--data", "/nonexistent.csv", "--n", "30"], "a --data target does not read --n"),
+            (["--model", "gaussian", "--d", "3", "--sigma0", "5"],
+             "--model gaussian does not read --sigma0"),
         ],
-        ids=["gaussian_data", "gaussian_n", "data_d", "data_n"],
+        ids=["gaussian_data", "gaussian_n", "data_d", "data_n", "gaussian_sigma0"],
     )
     def test_unread_model_flag_exits_one(self, argv, message, capsys):
         # each flag used to be dropped without a word, so a mistyped target

@@ -136,6 +136,18 @@ class _Delegating(TargetModel):
         return self.inner.neg_log_density_many(thetas)
 
 
+class _CountingRows(_Delegating):
+    """``_Delegating`` that records the row count of every many-point phi call."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.rows = []
+
+    def neg_log_density_many(self, thetas):
+        self.rows.append(len(thetas))
+        return super().neg_log_density_many(thetas)
+
+
 class _InfiniteExpectation(LogisticRegressionModel):
     def expected_neg_log_density(self, mean, sqrt_covariance):
         return np.inf
@@ -230,10 +242,24 @@ class TestRunChain:
         # each chain runs one full and one short block, keeping every state
         config = ChainConfig(n_steps=N_CHAINS * (BLOCK_STEPS + 76), thin=1, seed=31)
         chain = run_chain(model, fit, config)
-        samples, accepted = replay_chain(model, fit, config)
+        samples, accepted, _ = replay_chain(model, fit, config)
         assert chain.acceptance_rate == accepted.sum() / config.n_steps
         assert chain.samples.shape == samples.shape
         np.testing.assert_allclose(chain.samples, samples, rtol=1e-12, atol=1e-12)
+
+    def test_scores_exactly_the_stage_one_survivors(self, logistic_tiny):
+        # phi runs on the proposals that pass the fit's screen and on no
+        # others: one call per step on its survivors, never on all 40 rows
+        inner, fit = logistic_tiny
+        model = _CountingRows(inner)
+        config = ChainConfig(n_steps=N_CHAINS * (BLOCK_STEPS + 76), thin=1, seed=31)
+        run_chain(model, fit, config)
+        _, _, passed = replay_chain(inner, fit, config)
+        start, *steps = model.rows
+        assert start == N_CHAINS
+        assert all(1 <= rows <= N_CHAINS for rows in steps)
+        assert sum(steps) == passed.sum()
+        assert 0 < passed.sum() < config.n_steps
 
     def test_logistic_posterior_means_match_importance_sampling(self, logistic_tiny):
         # a non-Gaussian target with d = 3: the chain's means of theta and phi

@@ -19,6 +19,7 @@ from laplace_audit import (
     save_dataset_csv,
 )
 from laplace_audit import models as models_module
+from laplace_audit.mcmc import N_CHAINS
 from laplace_audit.models import (
     SIGMOID_THIRD_DERIVATIVE_MAX,
     TargetModel,
@@ -413,6 +414,34 @@ class TestLogisticManyPointBranches:
         np.testing.assert_allclose(
             model.neg_log_density_many(thetas), np.sum(thetas * thetas, axis=1) / 8.0, rtol=1e-15
         )
+
+    @pytest.mark.parametrize("branch", ["far_margins", "nonfinite_rows", "no_observations"])
+    def test_each_branch_in_one_block_of_chain_batch_sizes(self, branch):
+        # the chain scores 40 start rows, then 1 to 40 survivors per step,
+        # each call one block of the hook at the default BLOCK_ELEMENTS
+        rng = np.random.default_rng(17)
+        if branch == "no_observations":
+            model = LogisticRegressionModel(np.zeros(0), np.zeros((0, 3)), prior_sigma0=2.0)
+        else:
+            model = _random_logistic(18, d=3, n=60)
+        thetas = 0.3 * rng.standard_normal((N_CHAINS, 3))
+        if branch == "far_margins":
+            # negated margins beyond 700 on both sides: the log1p(exp(-|u|))
+            # + max(u, 0) form, for the whole 40-row block and its own row
+            thetas[7] = 500.0 * rng.standard_normal(3)
+            margins = model.signed_covariates @ thetas[7]
+            assert margins.min() < -700.0 and margins.max() > 700.0
+        elif branch == "nonfinite_rows":
+            thetas[[3, 11, 25, 39], [0, 1, 2, 0]] = [np.nan, np.inf, -np.inf, np.nan]
+        assert N_CHAINS * max(1, model.n_obs) <= models_module.BLOCK_ELEMENTS
+        # OpenBLAS's many-row product of a block with an infinite coordinate
+        # raises the invalid flag though every margin it returns is exact
+        # (+-inf); the one-row product does not, and each row is checked
+        # alone below with every warning an error
+        with np.errstate(invalid="ignore" if branch == "nonfinite_rows" else "warn"):
+            self._assert_matches_oracle(model, thetas)
+        for theta in thetas:
+            self._assert_matches_oracle(model, theta[None, :])
 
 
 def _contract_cases():
